@@ -54,6 +54,6 @@ pub use config::{build, IndexConfig};
 pub use flat::FlatBuffer;
 pub use index::{IndexScratch, Neighbor, NnIndex};
 pub use kdtree::KdTree;
-pub use linear::{LinearScan, ReferenceLinearScan};
+pub use linear::LinearScan;
 pub use lsh::{LshConfig, LshIndex};
 pub use nsw::{NswConfig, NswIndex};

@@ -95,9 +95,7 @@ impl NnIndex for LinearScan {
 /// The pre-optimisation linear scan: one `(id, FeatureVector)` pair per
 /// entry, every query scoring all entries into a fresh `Vec` and
 /// partial-sorting it. Kept as the equivalence oracle for [`LinearScan`]
-/// (the proptests below pin them to identical results) and as the
-/// baseline the `perf_smoke` binary measures the flat-buffer scan
-/// against.
+/// (the proptests below pin them to identical results).
 #[doc(hidden)]
 #[derive(Debug, Clone, Default)]
 pub struct ReferenceLinearScan {

@@ -21,9 +21,8 @@
 //! identical ids and bit-identical distances, which is what lets peers
 //! share cache entries and lets golden results stay byte-stable.
 
-use ann::{
-    build, IndexConfig, IndexScratch, LshConfig, Neighbor, NnIndex, NswConfig, ReferenceLinearScan,
-};
+use ann::linear::ReferenceLinearScan;
+use ann::{build, IndexConfig, IndexScratch, LshConfig, Neighbor, NnIndex, NswConfig};
 use features::FeatureVector;
 use proptest::prelude::*;
 

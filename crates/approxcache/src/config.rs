@@ -7,7 +7,7 @@ use dnnsim::{DeviceClass, ModelProfile};
 use features::RandomProjection;
 use imu::{ImuGate, MotionProfile, MotionTrace};
 use p2pnet::LinkSpec;
-use reuse::{CacheConfig, EvictionPolicy, FrequencyConfig};
+use reuse::{CacheConfig, EvictionPolicy};
 use scene::{ClassUniverse, FrameRenderer, SceneConfig, World};
 use simcore::{SimDuration, SimRng, SimTime};
 
@@ -86,6 +86,25 @@ pub struct PeerConfig {
     /// pre-resilience one until this is set.
     #[serde(skip_serializing_if = "Option::is_none")]
     pub resilience: Option<p2pnet::ResilienceConfig>,
+}
+
+impl PeerConfig {
+    /// Validates the link and the optional discovery and resilience
+    /// parameters.
+    ///
+    /// # Errors
+    ///
+    /// The first invalid field, as the owning `p2pnet` type reports it.
+    pub fn validate(&self) -> Result<(), p2pnet::ConfigError> {
+        self.link.validate()?;
+        if let Some(discovery) = &self.discovery {
+            discovery.validate()?;
+        }
+        if let Some(resilience) = &self.resilience {
+            resilience.validate()?;
+        }
+        Ok(())
+    }
 }
 
 impl Default for PeerConfig {
@@ -224,17 +243,6 @@ pub struct PipelineConfig {
     /// Per-device decision-trace ring capacity (None disables tracing;
     /// the disabled path costs one branch per frame).
     pub trace_capacity: Option<usize>,
-    /// Number of shards in the concurrent cache core. `1` (the default)
-    /// is operation-for-operation identical to the pre-sharding
-    /// single-lock store; at `S > 1` lookups probe only the key's home
-    /// shard, trading boundary-bucket misses for a `~n/S`-entry index.
-    pub cache_shards: usize,
-    /// TinyLFU frequency admission at the eviction point (None disables
-    /// the sketch entirely, preserving golden-result byte identity).
-    pub frequency_admission: Option<FrequencyConfig>,
-    /// Weigh eviction victims by bytes × expected recompute latency of
-    /// the configured model instead of pure recency/frequency.
-    pub cost_aware_eviction: bool,
     /// Edge cache tier over a WAN link (None — the default — disables
     /// the tier entirely, preserving golden-result byte identity).
     pub edge: Option<EdgeConfig>,
@@ -262,9 +270,6 @@ impl PipelineConfig {
             activity_adaptive_gate: false,
             scene_check: Some(SceneCheck::default()),
             trace_capacity: None,
-            cache_shards: 1,
-            frequency_admission: None,
-            cost_aware_eviction: false,
             edge: None,
         }
     }
@@ -380,28 +385,6 @@ impl PipelineConfig {
     /// per device (None disables).
     pub fn with_trace_capacity(mut self, capacity: Option<usize>) -> PipelineConfig {
         self.trace_capacity = capacity;
-        self
-    }
-
-    /// Sets the number of shards in the concurrent cache core.
-    pub fn with_cache_shards(mut self, shards: usize) -> PipelineConfig {
-        self.cache_shards = shards;
-        self
-    }
-
-    /// Enables or disables TinyLFU frequency admission.
-    pub fn with_frequency_admission(
-        mut self,
-        frequency: Option<FrequencyConfig>,
-    ) -> PipelineConfig {
-        self.frequency_admission = frequency;
-        self
-    }
-
-    /// Enables or disables cost-aware (bytes × recompute-latency)
-    /// eviction weighting.
-    pub fn with_cost_aware_eviction(mut self, enabled: bool) -> PipelineConfig {
-        self.cost_aware_eviction = enabled;
         self
     }
 

@@ -216,10 +216,8 @@ impl std::fmt::Debug for Device {
 
 /// Typed constructor for [`Device`].
 ///
-/// The old six-positional-argument constructor made call sites
-/// unreadable (`Device::new(id, variant, &config, &universe, 256, 99)` —
-/// which number is the seed?). The builder names every required input up
-/// front and keeps the optional knobs chainable:
+/// The builder names every required input up front and keeps the
+/// optional knobs chainable:
 ///
 /// ```
 /// # use approxcache::{DeviceBuilder, DeviceId, PipelineConfig, SystemVariant};
@@ -302,24 +300,8 @@ impl<'a> DeviceBuilder<'a> {
         }
         let effective = variant.apply(&config);
         let projection = Arc::new(effective.build_projection(self.descriptor_dim));
-        // The device's stream is derived from the sim seed exactly once
-        // (rule S: one derivation per sibling label); the admission
-        // sketch splits a child off it so fleets stay deterministic yet
-        // devices don't share sketch collisions.
         let device_rng = SimRng::seed(self.seed).split_index("device", self.id.0 as u64);
-        let sketch_seed = device_rng.split("admission-sketch").seed_value();
-        let mut concurrency = reuse::ConcurrentConfig::new(effective.cache.clone())
-            .with_shards(effective.cache_shards)
-            .with_sketch_seed(sketch_seed);
-        if let Some(frequency) = effective.frequency_admission {
-            concurrency = concurrency.with_frequency(frequency);
-        }
-        let cache = SharedCache::with_concurrency(concurrency);
-        if effective.cost_aware_eviction {
-            cache.set_weighter(Some(Arc::new(reuse::RecomputeCostWeighter::new(
-                effective.model.base_latency.to_duration(),
-            ))));
-        }
+        let cache = SharedCache::new(effective.cache.clone());
         let dnn: Box<dyn InferenceBackend> = match &effective.cascade_little {
             None => Box::new(DnnModel::new(
                 effective.model.clone(),
@@ -422,25 +404,6 @@ impl<'a> DeviceBuilder<'a> {
 }
 
 impl Device {
-    /// Builds a device from a pipeline configuration.
-    ///
-    /// `universe` defines the label space the DNN classifies over;
-    /// `descriptor_dim` is the raw frame-descriptor dimension the shared
-    /// projection compresses.
-    #[deprecated(note = "use `DeviceBuilder::new(...).variant(...).build()`")]
-    pub fn new(
-        id: DeviceId,
-        variant: SystemVariant,
-        config: &PipelineConfig,
-        universe: &scene::ClassUniverse,
-        descriptor_dim: usize,
-        seed: u64,
-    ) -> Device {
-        DeviceBuilder::new(id, config, universe, descriptor_dim, seed)
-            .variant(variant)
-            .build()
-    }
-
     /// This device's id.
     pub fn id(&self) -> DeviceId {
         self.id
@@ -1212,6 +1175,33 @@ fn radio_of(link: &p2pnet::LinkSpec) -> Radio {
     }
 }
 
+/// The wire form of one advertised entry and the entry its receivers
+/// cache. With compression, receivers get the *dequantized* key — the
+/// fidelity loss of the wire format is modelled, not just its byte
+/// count.
+pub(crate) fn advertisement_message(entry: WireEntry, compress: bool) -> (P2pMessage, WireEntry) {
+    if compress {
+        let quantized = features::QuantizedVector::quantize(&entry.key);
+        let delivered = WireEntry {
+            key: quantized.dequantize(),
+            ..entry
+        };
+        let message = P2pMessage::AdvertiseCompact {
+            entries: vec![p2pnet::protocol::CompactEntry {
+                key: quantized,
+                label: delivered.label,
+                confidence: delivered.confidence,
+            }],
+        };
+        (message, delivered)
+    } else {
+        let message = P2pMessage::Advertise {
+            entries: vec![entry.clone()],
+        };
+        (message, entry)
+    }
+}
+
 /// Runs the remote side of a peer query against `cache`.
 fn remote_lookup(
     cache: &SharedCache<ClassId>,
@@ -1610,19 +1600,6 @@ mod tests {
         );
         assert!(!trace.radio_dark);
         assert!(!trace.peer_fallback);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructor_matches_builder() {
-        let u = universe();
-        let config = PipelineConfig::new();
-        let mut old = Device::new(DeviceId(0), SystemVariant::Full, &config, &u, 256, 99);
-        let mut new = DeviceBuilder::new(DeviceId(0), &config, &u, 256, 99).build();
-        let t = SimTime::ZERO;
-        let a = old.process_frame(&frame_for(&u, 0, t), &still_window(0), &[], t);
-        let b = new.process_frame(&frame_for(&u, 0, t), &still_window(0), &[], t);
-        assert_eq!(a, b, "the shim must be behaviour-identical");
     }
 
     #[test]

@@ -41,8 +41,8 @@ use std::num::NonZeroUsize;
 
 use imu::{ImuSample, ImuSynthesizer, MotionTrace};
 use p2pnet::{
-    BoundaryExchange, Discovery, Envelope, FaultSchedule, P2pMessage, ProximityGrid,
-    ProximityModel, ResilienceCounters, WireEntry,
+    BoundaryExchange, Discovery, Envelope, FaultSchedule, ProximityGrid, ProximityModel,
+    ResilienceCounters, WireEntry,
 };
 use reuse::SharedCache;
 use scene::{ClassId, ClassUniverse, FrameRenderer, World};
@@ -51,7 +51,7 @@ use simcore::{SimDuration, SimRng, SimTime};
 
 use crate::baseline::SystemVariant;
 use crate::config::{device_traces, PipelineConfig};
-use crate::device::{Device, DeviceBuilder, DeviceId, FrameOutcome};
+use crate::device::{advertisement_message, Device, DeviceBuilder, DeviceId, FrameOutcome};
 use crate::error::ConfigError;
 use crate::report::RunReport;
 use crate::sim::{window_of, Scenario};
@@ -170,13 +170,7 @@ pub fn run_fleet(
 ) -> Result<RunReport, ConfigError> {
     scenario.validate()?;
     if let Some(peer) = &config.peer {
-        peer.link.validate()?;
-        if let Some(discovery) = &peer.discovery {
-            discovery.validate()?;
-        }
-        if let Some(resilience) = &peer.resilience {
-            resilience.validate()?;
-        }
+        peer.validate()?;
     }
     // The edge tier is one *shared mutable* cache: sharding the fleet
     // would split it into per-shard caches and break the byte-identity
@@ -633,30 +627,7 @@ fn shard_round(
         // Advertise fresh inference results toward the nearest
         // neighbours; delivery happens at a later barrier.
         if let Some(entry) = slot.device.take_advertisement() {
-            let (message, delivered_entry) = if ctx.compress {
-                let quantized = features::QuantizedVector::quantize(&entry.key);
-                let delivered = WireEntry {
-                    key: quantized.dequantize(),
-                    ..entry.clone()
-                };
-                (
-                    P2pMessage::AdvertiseCompact {
-                        entries: vec![p2pnet::protocol::CompactEntry {
-                            key: quantized,
-                            label: entry.label,
-                            confidence: entry.confidence,
-                        }],
-                    },
-                    delivered,
-                )
-            } else {
-                (
-                    P2pMessage::Advertise {
-                        entries: vec![entry.clone()],
-                    },
-                    entry.clone(),
-                )
-            };
+            let (message, delivered_entry) = advertisement_message(entry, ctx.compress);
             for &target in neighbor_indices.iter().take(ctx.fanout) {
                 if let Some(delay) = slot.device.charge_advertisement(&message) {
                     let mut payload = delivered_entry.clone();

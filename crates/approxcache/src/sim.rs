@@ -16,15 +16,13 @@
 use serde::{Deserialize, Serialize};
 
 use imu::{ImuSample, ImuSynthesizer, MotionProfile, MotionTrace};
-use p2pnet::{
-    FaultConfig, FaultSchedule, P2pMessage, ProximityModel, ResilienceCounters, WireEntry,
-};
+use p2pnet::{FaultConfig, FaultSchedule, ProximityModel, ResilienceCounters, WireEntry};
 use scene::{ClassUniverse, FrameRenderer, SceneConfig, World};
 use simcore::{EventQueue, SimDuration, SimRng, SimTime};
 
 use crate::baseline::SystemVariant;
 use crate::config::{device_traces, PipelineConfig};
-use crate::device::{Device, DeviceBuilder, DeviceId, FrameOutcome};
+use crate::device::{advertisement_message, Device, DeviceBuilder, DeviceId, FrameOutcome};
 use crate::error::ConfigError;
 use crate::report::RunReport;
 
@@ -246,13 +244,7 @@ pub fn run(
 ) -> Result<SimResult, ConfigError> {
     scenario.validate()?;
     if let Some(peer) = &config.peer {
-        peer.link.validate()?;
-        if let Some(discovery) = &peer.discovery {
-            discovery.validate()?;
-        }
-        if let Some(resilience) = &peer.resilience {
-            resilience.validate()?;
-        }
+        peer.validate()?;
     }
     // One edge cache is shared by the whole fleet; its hit test reuses
     // the pipeline's (possibly calibrated) distance threshold so edge
@@ -517,33 +509,7 @@ pub fn run(
                     .peer
                     .as_ref()
                     .is_some_and(|p| p.compress_advertisements);
-                // With compression, receivers get the *dequantized* key —
-                // the fidelity loss of the wire format is modelled, not
-                // just its byte count.
-                let (message, delivered_entry) = if compress {
-                    let quantized = features::QuantizedVector::quantize(&entry.key);
-                    let delivered = WireEntry {
-                        key: quantized.dequantize(),
-                        ..entry.clone()
-                    };
-                    (
-                        P2pMessage::AdvertiseCompact {
-                            entries: vec![p2pnet::protocol::CompactEntry {
-                                key: quantized,
-                                label: entry.label,
-                                confidence: entry.confidence,
-                            }],
-                        },
-                        delivered,
-                    )
-                } else {
-                    (
-                        P2pMessage::Advertise {
-                            entries: vec![entry.clone()],
-                        },
-                        entry.clone(),
-                    )
-                };
+                let (message, delivered_entry) = advertisement_message(entry, compress);
                 for &target in neighbor_indices.iter().take(fanout) {
                     if let Some(delay) = device.charge_advertisement(&message) {
                         let mut entry = delivered_entry.clone();

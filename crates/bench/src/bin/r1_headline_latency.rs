@@ -5,7 +5,7 @@
 
 use bench::{emit, experiment_duration, MASTER_SEED};
 use simcore::table::{fnum, fpct, Table};
-use workloads::{run_matrix_parallel, sweep::cell, video};
+use workloads::{run_matrix, sweep::cell, video};
 
 use approxcache::SystemVariant;
 
@@ -15,12 +15,11 @@ fn main() {
         .into_iter()
         .map(|s| s.with_duration(duration))
         .collect();
-    let workers = std::thread::available_parallelism().map_or(4, |n| n.get());
-    let cells = run_matrix_parallel(
+    let cells = run_matrix(
         &scenarios,
         &SystemVariant::headline_set(),
         MASTER_SEED,
-        workers,
+        simcore::parallel::default_threads(),
     );
 
     let mut table = Table::new(vec![

@@ -15,7 +15,7 @@ use std::io;
 use std::path::PathBuf;
 use std::process::{Command, ExitCode};
 
-use bench::parallel;
+use simcore::parallel;
 
 const EXPERIMENTS: [&str; 18] = [
     "r1_headline_latency",

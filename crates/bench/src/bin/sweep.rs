@@ -14,8 +14,8 @@
 use std::num::NonZeroUsize;
 use std::path::PathBuf;
 
-use bench::parallel::default_threads;
 use bench::sweep::{run_sweep, SweepManifest};
+use simcore::parallel::default_threads;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

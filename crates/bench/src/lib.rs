@@ -9,10 +9,7 @@
 //! variable (default 30 simulated seconds), so `run_all` can do a quick
 //! pass and a paper-faithful run can stretch it.
 
-pub mod parallel;
-pub mod perf;
 pub mod sweep;
-pub mod trajectory;
 pub mod verify;
 
 use std::path::PathBuf;

@@ -29,7 +29,7 @@ use p2pnet::FaultConfig;
 use simcore::stats::Summary;
 use simcore::{LatencyDigest, SimDuration, SimRng};
 
-use crate::parallel::run_labeled_jobs_on;
+use simcore::parallel::run_labeled_jobs_on;
 
 /// A serde-able description of one sweep grid.
 #[derive(Debug, Clone, Serialize, Deserialize)]

@@ -143,7 +143,7 @@ pub fn run_claim_checks(
     seed: u64,
     mutate: &(dyn Fn(&mut PipelineConfig) + Sync),
 ) -> ClaimOutcome {
-    run_claim_checks_on(crate::parallel::default_threads(), duration, seed, mutate)
+    run_claim_checks_on(simcore::parallel::default_threads(), duration, seed, mutate)
 }
 
 /// [`run_claim_checks`] on an explicit worker count. Every simulation is
@@ -207,7 +207,7 @@ pub fn run_claim_checks_on(
         traced_run(&museum, SystemVariant::NoPeer, seed, &with_edge)
     }));
 
-    let mut results = crate::parallel::run_jobs_on(threads, jobs).into_iter();
+    let mut results = simcore::parallel::run_jobs_on(threads, jobs).into_iter();
     let mut next = || match results.next() {
         Some(result) => result,
         None => unreachable!("one result per submitted job"),

@@ -214,8 +214,7 @@ pub fn squared_euclidean_u8(a: &[u8], b: &[u8]) -> u64 {
 }
 
 /// The pre-optimisation scalar kernel, kept as the equivalence oracle for
-/// the chunked kernel (proptests pin bit-equality) and as the perf
-/// baseline the `perf_smoke` binary measures speedups against.
+/// the chunked kernel (proptests pin bit-equality).
 #[doc(hidden)]
 pub fn squared_euclidean_ref(a: &[f32], b: &[f32]) -> f64 {
     assert_eq!(

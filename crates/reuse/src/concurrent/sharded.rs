@@ -1,5 +1,5 @@
-//! The sharded store: per-shard locks, per-shard indexes, deterministic
-//! routing and merging.
+//! The concurrent store: a cloneable handle over per-shard locks and
+//! per-shard indexes, with deterministic routing and merging.
 
 use std::cmp::Reverse;
 use std::fmt;
@@ -14,6 +14,7 @@ use features::FeatureVector;
 use simcore::{SimDuration, SimRng, SimTime};
 
 use super::sketch::{mix, FrequencyConfig, TinyLfu};
+use crate::admission::AdmissionPolicy;
 use crate::entry::{CacheEntry, EntryId, EntrySource};
 use crate::snapshot::CacheSnapshot;
 use crate::stats::CacheStats;
@@ -26,16 +27,21 @@ use crate::weight::Weighter;
 /// wrong shard.
 const ROUTE_SEED: u64 = 0x1cdc_5202_1a6b_cafe;
 
+/// Width of a routing cell along the projection. A protocol constant
+/// like [`ROUTE_SEED`]: wider cells put more of the key space in one
+/// shard (fewer boundary misses, less spread).
+const ROUTE_CELL: f64 = 4.0;
+
 /// The key's routing signature: project onto a fixed ±1 direction,
-/// quantize the 1-D projection into cells of width `cell`, hash the cell
-/// index. Near keys (within a cell) share a signature; the signature
-/// picks both the home shard and the TinyLFU frequency key.
+/// quantize the 1-D projection into cells of width [`ROUTE_CELL`], hash
+/// the cell index. Near keys (within a cell) share a signature; the
+/// signature picks both the home shard and the TinyLFU frequency key.
 ///
 /// A full per-dimension grid hash would break locality — two keys a
 /// hair's breadth apart almost surely differ in *some* dimension's cell
 /// at 64 dimensions — while a 1-D projection only splits neighbours that
 /// straddle one cell boundary.
-pub fn route_signature(key: &FeatureVector, cell: f64) -> u64 {
+pub fn route_signature(key: &FeatureVector) -> u64 {
     let mut dot = 0.0f64;
     for (i, &c) in key.as_slice().iter().enumerate() {
         if mix(ROUTE_SEED ^ i as u64) & 1 == 0 {
@@ -44,11 +50,11 @@ pub fn route_signature(key: &FeatureVector, cell: f64) -> u64 {
             dot -= c as f64;
         }
     }
-    let bucket = (dot / cell).floor() as i64;
+    let bucket = (dot / ROUTE_CELL).floor() as i64;
     mix(bucket as u64)
 }
 
-/// Configuration of a [`ShardedCache`]: the per-store cache config plus
+/// Configuration of a [`SharedCache`]: the per-store cache config plus
 /// the concurrency and admission knobs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ConcurrentConfig {
@@ -61,12 +67,9 @@ pub struct ConcurrentConfig {
     /// TinyLFU frequency admission; `None` (the default) admits at the
     /// eviction point unconditionally, like the plain store.
     pub frequency: Option<FrequencyConfig>,
-    /// Seed for the frequency sketches, derived from the sim seed split
-    /// by the caller (per-shard seeds split off it by shard index).
+    /// Seed for the frequency sketches (per-shard seeds split off it by
+    /// shard index); read only when `frequency` is set.
     pub sketch_seed: u64,
-    /// Routing projection cell width. Wider cells put more of the key
-    /// space in one shard (fewer boundary misses, less spread).
-    pub bucket_cell: f64,
 }
 
 impl ConcurrentConfig {
@@ -79,7 +82,6 @@ impl ConcurrentConfig {
             shards: 1,
             frequency: None,
             sketch_seed: 0,
-            bucket_cell: 4.0,
         }
     }
 
@@ -97,16 +99,9 @@ impl ConcurrentConfig {
         self
     }
 
-    /// Sets the sketch seed (derive it from the sim seed split).
+    /// Sets the sketch seed.
     pub fn with_sketch_seed(mut self, seed: u64) -> ConcurrentConfig {
         self.sketch_seed = seed;
-        self
-    }
-
-    /// Sets the routing cell width.
-    pub fn with_bucket_cell(mut self, cell: f64) -> ConcurrentConfig {
-        self.bucket_cell = cell;
-        self.validate();
         self
     }
 
@@ -114,16 +109,10 @@ impl ConcurrentConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the shard count is zero, the cell width is not positive
-    /// and finite, or a nested config is invalid.
+    /// Panics if the shard count is zero or a nested config is invalid.
     pub fn validate(&self) {
         self.cache.validate();
         assert!(self.shards > 0, "ConcurrentConfig: shards must be positive");
-        assert!(
-            self.bucket_cell > 0.0 && self.bucket_cell.is_finite(),
-            "ConcurrentConfig: bucket_cell must be positive and finite, got {}",
-            self.bucket_cell
-        );
         if let Some(frequency) = &self.frequency {
             frequency.validate();
         }
@@ -138,12 +127,8 @@ struct Shard<L> {
     lfu: Option<TinyLfu>,
 }
 
-/// A concurrent approximate cache: `S` independently locked shards, keys
-/// routed by [`route_signature`]. All cross-shard reads (stats, length,
-/// snapshots) visit shards in ascending index order, so merged results
-/// are deterministic. See the [module docs](super) for the full
-/// contract.
-pub struct ShardedCache<L> {
+/// What every clone of a [`SharedCache`] handle points at.
+struct Core<L> {
     config: ConcurrentConfig,
     shards: Vec<Mutex<Shard<L>>>,
     /// Bumped whenever cached *contents* (entries or the hit threshold)
@@ -154,26 +139,56 @@ pub struct ShardedCache<L> {
     version: AtomicU64,
 }
 
-impl<L> fmt::Debug for ShardedCache<L> {
+/// The concurrent approximate cache: a cloneable handle to `S`
+/// independently locked shards, keys routed by [`route_signature`].
+/// Clones share state — a device keeps one and its peers query through
+/// another. All cross-shard reads (stats, length, snapshots) visit
+/// shards in ascending index order, so merged results are deterministic.
+/// See the [module docs](super) for the full contract.
+pub struct SharedCache<L> {
+    core: Arc<Core<L>>,
+}
+
+impl<L> Clone for SharedCache<L> {
+    fn clone(&self) -> Self {
+        SharedCache {
+            core: Arc::clone(&self.core),
+        }
+    }
+}
+
+impl<L> fmt::Debug for SharedCache<L> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ShardedCache")
-            .field("shards", &self.shards.len())
-            .field("capacity", &self.config.cache.capacity)
-            .field("frequency", &self.config.frequency.is_some())
+        f.debug_struct("SharedCache")
+            .field("shards", &self.core.shards.len())
+            .field("capacity", &self.core.config.cache.capacity)
+            .field("frequency", &self.core.config.frequency.is_some())
             .finish()
     }
 }
 
-impl<L: Copy + Eq + Hash + fmt::Debug> ShardedCache<L> {
-    /// Builds the sharded store. Total capacity splits evenly across
-    /// shards (rounded up, so `S > 1` can hold slightly more than the
-    /// configured total); shard `i` mints entry ids `i, i+S, i+2S, …` so
-    /// ids stay globally unique — and `id % S` names an entry's shard.
+impl<L: Copy + Eq + Hash + fmt::Debug> SharedCache<L> {
+    /// A single-shard store with no frequency admission —
+    /// operation-for-operation identical to the plain
+    /// [`ApproxCache`] it shares out.
     ///
     /// # Panics
     ///
     /// Panics if `config` is invalid.
-    pub fn new(config: ConcurrentConfig) -> ShardedCache<L> {
+    pub fn new(config: CacheConfig) -> SharedCache<L> {
+        SharedCache::with_concurrency(ConcurrentConfig::new(config))
+    }
+
+    /// A store with explicit sharding/admission configuration. Total
+    /// capacity splits evenly across shards (rounded up, so `S > 1` can
+    /// hold slightly more than the configured total); shard `i` mints
+    /// entry ids `i, i+S, i+2S, …` so ids stay globally unique — and
+    /// `id % S` names an entry's shard.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` is invalid.
+    pub fn with_concurrency(config: ConcurrentConfig) -> SharedCache<L> {
         config.validate();
         let shard_count = config.shards;
         let per_shard = config.cache.capacity.div_ceil(shard_count);
@@ -195,16 +210,13 @@ impl<L: Copy + Eq + Hash + fmt::Debug> ShardedCache<L> {
                 Mutex::new(Shard { cache, lfu })
             })
             .collect();
-        ShardedCache {
-            config,
-            shards,
-            version: AtomicU64::new(0),
+        SharedCache {
+            core: Arc::new(Core {
+                config,
+                shards,
+                version: AtomicU64::new(0),
+            }),
         }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &ConcurrentConfig {
-        &self.config
     }
 
     /// A counter that advances whenever cached contents may have
@@ -212,28 +224,28 @@ impl<L: Copy + Eq + Hash + fmt::Debug> ShardedCache<L> {
     /// update). Two equal readings bracket a window in which every
     /// lookup against this cache would have seen the same entries.
     pub fn contents_version(&self) -> u64 {
-        self.version.load(Ordering::Acquire)
+        self.core.version.load(Ordering::Acquire)
     }
 
     fn bump_version(&self) {
-        self.version.fetch_add(1, Ordering::Release);
+        self.core.version.fetch_add(1, Ordering::Release);
     }
 
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.core.shards.len()
     }
 
     fn shard(&self, idx: usize) -> &Mutex<Shard<L>> {
         // xtask-allow(panics): idx is always `sig % shards.len()` or an
         // id residue, in range by construction.
-        &self.shards[idx]
+        &self.core.shards[idx]
     }
 
     /// The key's home shard index and routing signature.
     fn home_of(&self, key: &FeatureVector) -> (usize, u64) {
-        let sig = route_signature(key, self.config.bucket_cell);
-        ((sig % self.shards.len() as u64) as usize, sig)
+        let sig = route_signature(key);
+        ((sig % self.core.shards.len() as u64) as usize, sig)
     }
 
     /// Looks up `key` in its home shard only — the point of sharding:
@@ -270,8 +282,7 @@ impl<L: Copy + Eq + Hash + fmt::Debug> ShardedCache<L> {
                     lfu.note(sig);
                     lfu.flush();
                     let lfu = &*lfu;
-                    let cell = self.config.bucket_cell;
-                    let estimate = move |k: &FeatureVector| lfu.estimate(route_signature(k, cell));
+                    let estimate = |k: &FeatureVector| lfu.estimate(route_signature(k));
                     let gate = FrequencyGate {
                         candidate: lfu.estimate(sig),
                         estimate: &estimate,
@@ -290,7 +301,7 @@ impl<L: Copy + Eq + Hash + fmt::Debug> ShardedCache<L> {
     /// Merged operation counters, accumulated in ascending shard order.
     pub fn stats(&self) -> CacheStats {
         let mut total = CacheStats::default();
-        for shard in &self.shards {
+        for shard in &self.core.shards {
             let guard = shard.lock();
             total.merge(guard.cache.stats());
         }
@@ -300,7 +311,7 @@ impl<L: Copy + Eq + Hash + fmt::Debug> ShardedCache<L> {
     /// Total number of cached entries.
     pub fn len(&self) -> usize {
         let mut total = 0;
-        for shard in &self.shards {
+        for shard in &self.core.shards {
             let guard = shard.lock();
             total += guard.cache.len();
         }
@@ -314,7 +325,7 @@ impl<L: Copy + Eq + Hash + fmt::Debug> ShardedCache<L> {
 
     /// Removes every entry from every shard (statistics retained).
     pub fn clear(&self) {
-        for shard in &self.shards {
+        for shard in &self.core.shards {
             let mut guard = shard.lock();
             guard.cache.clear();
         }
@@ -325,7 +336,7 @@ impl<L: Copy + Eq + Hash + fmt::Debug> ShardedCache<L> {
     /// the total dropped.
     pub fn expire_older_than(&self, now: SimTime, max_age: SimDuration) -> usize {
         let mut total = 0;
-        for shard in &self.shards {
+        for shard in &self.core.shards {
             let mut guard = shard.lock();
             total += guard.cache.expire_older_than(now, max_age);
         }
@@ -348,7 +359,7 @@ impl<L: Copy + Eq + Hash + fmt::Debug> ShardedCache<L> {
     ///
     /// Panics if `threshold` is not positive and finite.
     pub fn set_distance_threshold(&self, threshold: f64) {
-        for shard in &self.shards {
+        for shard in &self.core.shards {
             let mut guard = shard.lock();
             guard.cache.set_distance_threshold(threshold);
         }
@@ -357,7 +368,7 @@ impl<L: Copy + Eq + Hash + fmt::Debug> ShardedCache<L> {
 
     /// Switches cost-aware eviction on or off on every shard.
     pub fn set_weighter(&self, weighter: Option<Arc<dyn Weighter<L>>>) {
-        for shard in &self.shards {
+        for shard in &self.core.shards {
             let mut guard = shard.lock();
             guard.cache.set_weighter(weighter.clone());
         }
@@ -368,7 +379,7 @@ impl<L: Copy + Eq + Hash + fmt::Debug> ShardedCache<L> {
     /// lowest shard index.
     pub fn peek_nearest(&self, key: &FeatureVector) -> Option<(f64, L)> {
         let mut best: Option<(f64, L)> = None;
-        for shard in &self.shards {
+        for shard in &self.core.shards {
             let guard = shard.lock();
             if let Some((distance, label)) = guard.cache.peek_nearest(key) {
                 if best.is_none_or(|(b, _)| distance < b) {
@@ -382,7 +393,7 @@ impl<L: Copy + Eq + Hash + fmt::Debug> ShardedCache<L> {
     /// The confidence of the entry with `id`, if still cached. The id's
     /// residue names its shard, so only one shard is locked.
     pub fn entry_confidence(&self, id: EntryId) -> Option<f64> {
-        let idx = (id.0 % self.shards.len() as u64) as usize;
+        let idx = (id.0 % self.core.shards.len() as u64) as usize;
         let guard = self.shard(idx).lock();
         guard.cache.entry(id).map(|e| e.confidence)
     }
@@ -391,7 +402,7 @@ impl<L: Copy + Eq + Hash + fmt::Debug> ShardedCache<L> {
     /// first (cloned: the per-shard locks are released before returning).
     pub fn hottest(&self, limit: usize) -> Vec<CacheEntry<L>> {
         let mut all: Vec<CacheEntry<L>> = Vec::new();
-        for shard in &self.shards {
+        for shard in &self.core.shards {
             let guard = shard.lock();
             all.extend(guard.cache.hottest(limit).into_iter().cloned());
         }
@@ -404,7 +415,7 @@ impl<L: Copy + Eq + Hash + fmt::Debug> ShardedCache<L> {
     /// deterministic merged view for persistence.
     pub fn snapshot(&self, now: SimTime) -> CacheSnapshot<L> {
         let mut entries: Vec<CacheEntry<L>> = Vec::new();
-        for shard in &self.shards {
+        for shard in &self.core.shards {
             let guard = shard.lock();
             entries.extend(guard.cache.iter().cloned());
         }
@@ -447,7 +458,7 @@ impl<L: Copy + Eq + Hash + fmt::Debug> ShardedCache<L> {
         let mut ordered: Vec<&CacheEntry<L>> = snapshot.entries.iter().collect();
         ordered.sort_by_key(|e| Reverse((e.last_used, e.uses, e.id)));
         let mut restored = 0;
-        for entry in ordered.into_iter().take(self.config.cache.capacity) {
+        for entry in ordered.into_iter().take(self.core.config.cache.capacity) {
             let outcome = self.insert(
                 entry.key.clone(),
                 entry.label,
@@ -461,12 +472,42 @@ impl<L: Copy + Eq + Hash + fmt::Debug> ShardedCache<L> {
         }
         restored
     }
+
+    /// A self-contained copy of this cache's current contents, built
+    /// for peer queries against a fixed point in time (the fleet engine
+    /// rebuilds one per device per round, gated on
+    /// [`contents_version`](Self::contents_version)).
+    ///
+    /// The view keeps the owner's shard count, index configuration and
+    /// distance threshold, but admits unconditionally with headroom
+    /// capacity so every owned entry survives the copy, and drops
+    /// frequency admission — lookups against the view answer like the
+    /// owner while their recency/statistics side-effects land on the
+    /// discarded view instead of the owner.
+    pub fn frozen_view(&self, now: SimTime) -> SharedCache<L> {
+        let snapshot = self.snapshot(now);
+        let owner = &self.core.config;
+        let mut cache = owner.cache.clone();
+        // Per-shard capacity is `total / shards` rounded up; giving each
+        // shard the full entry count guarantees no view-side eviction no
+        // matter how skewed the routing is.
+        cache.capacity = snapshot.len().max(1) * owner.shards;
+        cache.admission = AdmissionPolicy::admit_all();
+        let view = SharedCache::with_concurrency(ConcurrentConfig {
+            cache,
+            shards: owner.shards,
+            frequency: None,
+            sketch_seed: owner.sketch_seed,
+        });
+        view.set_distance_threshold(self.distance_threshold());
+        view.restore(&snapshot, now);
+        view
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::admission::AdmissionPolicy;
     use ann::AknnConfig;
 
     fn fv(x: f32, y: f32) -> FeatureVector {
@@ -487,23 +528,21 @@ mod tests {
     #[test]
     fn routing_is_deterministic_and_locality_preserving() {
         let key = fv(3.2, -1.5);
-        assert_eq!(route_signature(&key, 4.0), route_signature(&key, 4.0));
-        // The same point in a different cell width may differ, but within
-        // one call the signature is a pure function of (key, cell).
+        assert_eq!(route_signature(&key), route_signature(&key));
         let near = fv(3.2001, -1.5001);
         assert_eq!(
-            route_signature(&key, 4.0),
-            route_signature(&near, 4.0),
+            route_signature(&key),
+            route_signature(&near),
             "keys a hair apart share a routing cell (away from boundaries)"
         );
         let far = fv(300.0, -150.0);
-        assert_ne!(route_signature(&key, 4.0), route_signature(&far, 4.0));
+        assert_ne!(route_signature(&key), route_signature(&far));
     }
 
     #[test]
     fn far_keys_spread_across_shards() {
-        let cache: ShardedCache<u32> =
-            ShardedCache::new(ConcurrentConfig::new(base_config(256)).with_shards(4));
+        let cache: SharedCache<u32> =
+            SharedCache::with_concurrency(ConcurrentConfig::new(base_config(256)).with_shards(4));
         for i in 0..64 {
             cache.insert(
                 fv(i as f32 * 25.0, -(i as f32) * 13.0),
@@ -525,7 +564,7 @@ mod tests {
 
     #[test]
     fn single_shard_mints_dense_ids() {
-        let cache: ShardedCache<u32> = ShardedCache::new(ConcurrentConfig::new(base_config(16)));
+        let cache: SharedCache<u32> = SharedCache::new(base_config(16));
         let mut ids = Vec::new();
         for i in 0..4 {
             let out = cache.insert(
@@ -543,8 +582,8 @@ mod tests {
 
     #[test]
     fn lookup_hits_in_home_shard() {
-        let cache: ShardedCache<u32> =
-            ShardedCache::new(ConcurrentConfig::new(base_config(64)).with_shards(4));
+        let cache: SharedCache<u32> =
+            SharedCache::with_concurrency(ConcurrentConfig::new(base_config(64)).with_shards(4));
         let key = fv(1.0, 2.0);
         cache.insert(
             key.clone(),
@@ -566,7 +605,7 @@ mod tests {
         // Capacity-1 shardless cache with TinyLFU: a hot key's entry
         // survives a burst of cold keys because each cold candidate's
         // frequency estimate loses to the victim's.
-        let cache: ShardedCache<u32> = ShardedCache::new(
+        let cache: SharedCache<u32> = SharedCache::with_concurrency(
             ConcurrentConfig::new(base_config(1))
                 .with_frequency(FrequencyConfig::default())
                 .with_sketch_seed(7),
@@ -604,8 +643,8 @@ mod tests {
 
     #[test]
     fn snapshot_restore_round_trip_across_shard_counts() {
-        let source: ShardedCache<u32> =
-            ShardedCache::new(ConcurrentConfig::new(base_config(64)).with_shards(4));
+        let source: SharedCache<u32> =
+            SharedCache::with_concurrency(ConcurrentConfig::new(base_config(64)).with_shards(4));
         for i in 0..12 {
             source.insert(
                 fv(i as f32 * 30.0, 5.0),
@@ -623,7 +662,7 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(ids, sorted);
 
-        let dest: ShardedCache<u32> = ShardedCache::new(ConcurrentConfig::new(base_config(64)));
+        let dest: SharedCache<u32> = SharedCache::new(base_config(64));
         let restored = dest.restore(&snap, SimTime::from_secs(2));
         assert_eq!(restored, 12);
         for i in 0..12u32 {
@@ -637,8 +676,9 @@ mod tests {
         // Same contents inserted in different orders (ids differ) yield
         // identical canonical snapshots.
         let make = |order: &[u32]| {
-            let cache: ShardedCache<u32> =
-                ShardedCache::new(ConcurrentConfig::new(base_config(64)).with_shards(4));
+            let cache: SharedCache<u32> = SharedCache::with_concurrency(
+                ConcurrentConfig::new(base_config(64)).with_shards(4),
+            );
             for &i in order {
                 cache.insert(
                     fv(i as f32 * 30.0, 5.0),
@@ -657,8 +697,8 @@ mod tests {
 
     #[test]
     fn threshold_and_weighter_apply_to_every_shard() {
-        let cache: ShardedCache<u32> =
-            ShardedCache::new(ConcurrentConfig::new(base_config(64)).with_shards(4));
+        let cache: SharedCache<u32> =
+            SharedCache::with_concurrency(ConcurrentConfig::new(base_config(64)).with_shards(4));
         cache.set_distance_threshold(2.5);
         assert!((cache.distance_threshold() - 2.5).abs() < 1e-12);
         cache.set_weighter(Some(Arc::new(crate::weight::RecomputeCostWeighter::new(
@@ -667,13 +707,13 @@ mod tests {
         cache.set_weighter(None);
         assert!(cache.is_empty());
         let debug = format!("{cache:?}");
-        assert!(debug.contains("ShardedCache"));
+        assert!(debug.contains("SharedCache"));
     }
 
     #[test]
     fn expire_and_clear_cover_all_shards() {
-        let cache: ShardedCache<u32> =
-            ShardedCache::new(ConcurrentConfig::new(base_config(64)).with_shards(4));
+        let cache: SharedCache<u32> =
+            SharedCache::with_concurrency(ConcurrentConfig::new(base_config(64)).with_shards(4));
         for i in 0..8 {
             cache.insert(
                 fv(i as f32 * 30.0, 5.0),
@@ -689,6 +729,87 @@ mod tests {
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!(cache.stats().expirations, 5);
+    }
+
+    #[test]
+    fn clones_share_state() {
+        let shared: SharedCache<u32> = SharedCache::new(CacheConfig::new(4));
+        let other = shared.clone();
+        shared.insert(
+            fv(0.0, 0.0),
+            5,
+            0.9,
+            EntrySource::LocalInference,
+            SimTime::ZERO,
+        );
+        assert_eq!(other.len(), 1);
+        let hit = other.lookup(&fv(0.1, 0.0), SimTime::from_millis(1));
+        assert_eq!(hit.label(), Some(&5));
+        assert_eq!(shared.stats().hits, 1);
+        assert!(!shared.is_empty());
+    }
+
+    #[test]
+    fn hottest_confidence_and_peek_read_without_side_effects() {
+        let shared: SharedCache<u32> = SharedCache::new(CacheConfig::new(4));
+        shared.insert(fv(1.0, 0.0), 2, 0.9, EntrySource::Peer, SimTime::ZERO);
+        let hottest = shared.hottest(1);
+        assert_eq!(hottest.first().map(|e| e.label), Some(2));
+        let id = hottest.first().map(|e| e.id).unwrap();
+        assert_eq!(shared.entry_confidence(id), Some(0.9));
+        assert_eq!(shared.entry_confidence(EntryId(999)), None);
+        let (distance, label) = shared.peek_nearest(&fv(1.0, 0.0)).unwrap();
+        assert!(distance < 1e-9);
+        assert_eq!(label, 2);
+        assert_eq!(shared.stats().lookups, 0);
+    }
+
+    #[test]
+    fn concurrent_inserts_do_not_lose_entries() {
+        let shared: SharedCache<u32> =
+            SharedCache::with_concurrency(ConcurrentConfig::new(base_config(1024)).with_shards(4));
+        let handles: Vec<_> = (0..4u32)
+            .map(|t| {
+                let cache = shared.clone();
+                std::thread::spawn(move || {
+                    for i in 0..50u32 {
+                        let x = (t * 1000 + i) as f32;
+                        cache.insert(
+                            fv(x, x),
+                            t,
+                            0.9,
+                            EntrySource::LocalInference,
+                            SimTime::from_millis(i as u64),
+                        );
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(shared.len(), 200);
+        assert_eq!(shared.stats().inserts, 200);
+    }
+
+    #[test]
+    fn contents_version_tracks_mutations_not_reads() {
+        let shared: SharedCache<u32> = SharedCache::new(CacheConfig::new(4));
+        let v0 = shared.contents_version();
+        shared.insert(
+            fv(0.0, 0.0),
+            5,
+            0.9,
+            EntrySource::LocalInference,
+            SimTime::ZERO,
+        );
+        let v1 = shared.contents_version();
+        assert!(v1 > v0, "insert bumps the version");
+        let _ = shared.lookup(&fv(0.1, 0.0), SimTime::from_millis(1));
+        let _ = shared.peek_nearest(&fv(0.1, 0.0));
+        assert_eq!(shared.contents_version(), v1, "reads do not bump it");
+        shared.clear();
+        assert!(shared.contents_version() > v1, "clear bumps the version");
     }
 
     #[test]

@@ -7,17 +7,23 @@
 //! k-NN test from the `ann` crate), so one inference answers many
 //! subsequent frames.
 //!
+//! Two types, stacked: [`ApproxCache`] is the single-threaded store and
+//! [`SharedCache`] is what callers hold — a cloneable, thread-safe handle
+//! over one or more `ApproxCache` shards.
+//!
 //! - [`ApproxCache`] — the store: pluggable ANN index, bounded capacity,
-//!   eviction, admission control, per-operation statistics.
+//!   eviction, admission control, per-operation statistics. One shard's
+//!   body, and the oracle the concurrent store is tested against.
 //! - [`EvictionPolicy`] — LRU / LFU / TTL / utility-aware victim choice.
 //! - [`AdmissionPolicy`] — confidence floor plus near-duplicate refresh
 //!   (a new observation of a cached subject refreshes the entry instead of
 //!   polluting the index with clones).
 //! - [`calibrate`] — distance-threshold calibration from sample
 //!   same-subject vs cross-class distances.
-//! - [`concurrent`] — the sharded concurrent core: per-shard locks and
-//!   indexes, TinyLFU frequency admission (lossy access ring → count-min
-//!   sketch behind a bloom doorkeeper), deterministic shard routing.
+//! - [`concurrent`] — [`SharedCache`] and its parts: per-shard locks
+//!   and indexes, TinyLFU frequency admission (lossy access ring →
+//!   count-min sketch behind a bloom doorkeeper), deterministic shard
+//!   routing, frozen point-in-time views for peer queries.
 //! - [`weight`] — cost-aware eviction weights (entry bytes × expected
 //!   recompute latency), so an expensive model's result outlives a cheap
 //!   one's.
@@ -44,7 +50,6 @@ pub mod calibrate;
 pub mod concurrent;
 pub mod entry;
 pub mod evict;
-pub mod shared;
 pub mod snapshot;
 pub mod stats;
 pub mod store;
@@ -52,14 +57,12 @@ mod victim;
 pub mod weight;
 
 pub use admission::AdmissionPolicy;
-pub use concurrent::{ConcurrentConfig, FrequencyConfig, ShardedCache};
+pub use concurrent::{ConcurrentConfig, FrequencyConfig, SharedCache};
 pub use entry::{CacheEntry, EntryId, EntrySource};
 pub use evict::EvictionPolicy;
-pub use shared::SharedCache;
 pub use snapshot::CacheSnapshot;
 pub use stats::CacheStats;
 pub use store::{
-    ApproxCache, CacheConfig, FrequencyGate, IndexConfig, IndexMigration, InsertOutcome,
-    LookupResult,
+    ApproxCache, CacheConfig, FrequencyGate, IndexConfig, InsertOutcome, LookupResult,
 };
 pub use weight::{RecomputeCostWeighter, Weighter};

@@ -19,35 +19,6 @@ use crate::stats::CacheStats;
 use crate::victim::{EntryMeta, VictimChoice, VictimIndex};
 use crate::weight::Weighter;
 
-/// One-way adaptive index migration.
-///
-/// A cache starts on the configured [`CacheConfig::index`] (linear scan
-/// by default — unbeatable below a few hundred entries) and, once it has
-/// held `at_len` entries, rebuilds itself onto `target` (typically NSW,
-/// whose lookup cost stays flat as the cache grows). The rebuild
-/// re-inserts entries in ascending id order, so the handoff is
-/// deterministic; before the threshold the cache is operation-for-
-/// operation identical to one that never migrates.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct IndexMigration {
-    /// Entry count at which the migration runs (checked after inserts).
-    pub at_len: usize,
-    /// The index to rebuild onto.
-    pub target: IndexConfig,
-}
-
-impl IndexMigration {
-    /// Validates the migration parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at_len == 0` or the target tuning is invalid.
-    pub fn validate(&self) {
-        assert!(self.at_len > 0, "IndexMigration: at_len must be positive");
-        self.target.validate();
-    }
-}
-
 /// Configuration of an [`ApproxCache`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CacheConfig {
@@ -59,14 +30,8 @@ pub struct CacheConfig {
     pub eviction: EvictionPolicy,
     /// What may enter the cache.
     pub admission: AdmissionPolicy,
-    /// Backing index structure (the *starting* index when a migration is
-    /// configured).
+    /// Backing index structure.
     pub index: IndexConfig,
-    /// Optional one-way migration to a second index once the cache has
-    /// grown past a threshold. `None` (the default) keeps the configured
-    /// index for the cache's whole life.
-    #[serde(default)]
-    pub migration: Option<IndexMigration>,
 }
 
 impl CacheConfig {
@@ -83,7 +48,6 @@ impl CacheConfig {
             eviction: EvictionPolicy::Lru,
             admission: AdmissionPolicy::default(),
             index: IndexConfig::Linear,
-            migration: None,
         };
         config.validate();
         config
@@ -115,13 +79,6 @@ impl CacheConfig {
         self
     }
 
-    /// Enables the one-way size-triggered index migration.
-    pub fn with_migration(mut self, migration: IndexMigration) -> CacheConfig {
-        self.migration = Some(migration);
-        self.validate();
-        self
-    }
-
     /// Validates all nested policies.
     ///
     /// # Panics
@@ -132,9 +89,6 @@ impl CacheConfig {
         self.aknn.validate();
         self.admission.validate();
         self.index.validate();
-        if let Some(migration) = &self.migration {
-            migration.validate();
-        }
     }
 }
 
@@ -259,14 +213,11 @@ pub struct ApproxCache<L> {
     weighter: Option<Arc<dyn Weighter<L>>>,
     next_id: u64,
     /// Id allocation step; > 1 when this store is one shard of a
-    /// [`ShardedCache`](crate::concurrent::ShardedCache), so shards mint
+    /// [`SharedCache`](crate::SharedCache), so shards mint
     /// disjoint ids without coordinating.
     id_stride: u64,
     stats: CacheStats,
     scratch: LookupScratch<L>,
-    /// Whether the configured [`IndexMigration`] has already run (it is
-    /// one-way: once on the target index, the cache stays there).
-    migrated: bool,
 }
 
 impl<L> fmt::Debug for ApproxCache<L> {
@@ -300,7 +251,6 @@ impl<L: Copy + Eq + Hash + fmt::Debug> ApproxCache<L> {
             id_stride: 1,
             stats: CacheStats::default(),
             scratch: LookupScratch::default(),
-            migrated: false,
         }
     }
 
@@ -583,49 +533,7 @@ impl<L: Copy + Eq + Hash + fmt::Debug> ApproxCache<L> {
         self.victims.on_insert(EntryMeta::of(&entry), weight);
         self.entries.insert(id.0, entry);
         self.stats.record_insert();
-        self.maybe_migrate();
         InsertOutcome::Inserted(id)
-    }
-
-    /// The `kind()` of the index currently serving lookups, or the
-    /// configured one while the cache is still empty — lets callers (and
-    /// the handoff tests) observe whether the migration has run.
-    pub fn index_kind(&self) -> &'static str {
-        match &self.index {
-            Some(index) => index.kind(),
-            None => self.config.index.name(),
-        }
-    }
-
-    /// Runs the configured one-way migration once the entry count
-    /// reaches its threshold: rebuilds the target index from the live
-    /// entries in ascending id order (deterministic regardless of map
-    /// iteration order) and swaps it in. Lookups before the swap are
-    /// untouched — the handoff changes *future* lookup latency, never
-    /// past results.
-    fn maybe_migrate(&mut self) {
-        let Some(migration) = self.config.migration else {
-            return;
-        };
-        if self.migrated || self.entries.len() < migration.at_len {
-            return;
-        }
-        self.migrated = true;
-        let Some(old) = &self.index else { return };
-        if old.kind() == migration.target.name() {
-            return;
-        }
-        let mut target = ann::build(old.dim(), &migration.target);
-        // xtask-allow(determinism): ids are sorted before use, so the
-        // map's iteration order cannot leak into the rebuilt index.
-        let mut ids: Vec<u64> = self.entries.keys().copied().collect();
-        ids.sort_unstable();
-        for id in ids {
-            if let Some(entry) = self.entries.get(&id) {
-                target.insert(id, entry.key.clone());
-            }
-        }
-        self.index = Some(target);
     }
 
     /// The entry the next capacity eviction would drop at `now`, without
@@ -940,103 +848,6 @@ mod tests {
             assert!(hit.is_hit(), "{} backend", kind.name());
             assert_eq!(hit.label(), Some(&9));
         }
-    }
-
-    #[test]
-    fn migration_swaps_index_at_threshold() {
-        let mut c: ApproxCache<u32> = ApproxCache::new(
-            CacheConfig::new(32)
-                .with_admission(AdmissionPolicy {
-                    dedup_distance: 0.0,
-                    ..AdmissionPolicy::default()
-                })
-                .with_migration(IndexMigration {
-                    at_len: 8,
-                    target: IndexConfig::Nsw(ann::NswConfig::default()),
-                }),
-        );
-        assert_eq!(c.index_kind(), "linear");
-        for i in 0..8u32 {
-            insert_at(&mut c, i as f32 * 10.0, i, i as u64);
-            let expected = if i < 7 { "linear" } else { "nsw" };
-            assert_eq!(c.index_kind(), expected, "after insert {i}");
-        }
-        // The rebuilt index still finds every migrated entry.
-        for i in 0..8u32 {
-            let hit = c.lookup(&fv(&[i as f32 * 10.0, 0.0]), SimTime::from_millis(100));
-            assert_eq!(hit.label(), Some(&i), "entry {i} lost in the handoff");
-        }
-    }
-
-    #[test]
-    fn pre_migration_cache_is_op_for_op_identical_to_unmigrated() {
-        // Oracle equivalence at the handoff boundary: run the same
-        // operation stream through a migrating cache and a plain one.
-        // Strictly before the threshold every outcome — insert results,
-        // lookup results, distances bit-for-bit — must be identical;
-        // migration may only change *future* lookup latency.
-        let base = CacheConfig::new(64).with_aknn(AknnConfig {
-            k: 3,
-            distance_threshold: 1.0,
-            homogeneity: 0.6,
-            min_support: 1,
-        });
-        let threshold = 12usize;
-        let mut plain: ApproxCache<u32> = ApproxCache::new(base.clone());
-        let mut migrating: ApproxCache<u32> =
-            ApproxCache::new(base.with_migration(IndexMigration {
-                at_len: threshold,
-                target: IndexConfig::Nsw(ann::NswConfig::default()),
-            }));
-        for i in 0..24u32 {
-            let now = SimTime::from_millis(i as u64);
-            let key = fv(&[i as f32 * 5.0, (i % 3) as f32]);
-            let a = plain.insert(key.clone(), i, 0.9, EntrySource::LocalInference, now);
-            let b = migrating.insert(key.clone(), i, 0.9, EntrySource::LocalInference, now);
-            assert_eq!(a, b, "insert {i} diverged");
-            let la = plain.lookup(&key, now);
-            let lb = migrating.lookup(&key, now);
-            if plain.len() < threshold {
-                assert_eq!(migrating.index_kind(), "linear");
-                assert_eq!(la, lb, "pre-migration lookup {i} diverged");
-            } else {
-                assert_eq!(migrating.index_kind(), "nsw");
-                // Post-handoff both must still answer the exact key.
-                assert_eq!(la.label(), lb.label(), "post-migration lookup {i}");
-            }
-        }
-        assert_eq!(plain.len(), migrating.len());
-        assert_eq!(plain.index_kind(), "linear");
-    }
-
-    #[test]
-    fn migration_is_one_way_even_when_entries_drain() {
-        let mut c: ApproxCache<u32> = ApproxCache::new(
-            CacheConfig::new(32)
-                .with_admission(AdmissionPolicy {
-                    dedup_distance: 0.0,
-                    ..AdmissionPolicy::default()
-                })
-                .with_migration(IndexMigration {
-                    at_len: 4,
-                    target: IndexConfig::Nsw(ann::NswConfig::default()),
-                }),
-        );
-        let mut ids = Vec::new();
-        for i in 0..4u32 {
-            ids.push(
-                insert_at(&mut c, i as f32 * 10.0, i, i as u64)
-                    .entry()
-                    .unwrap(),
-            );
-        }
-        assert_eq!(c.index_kind(), "nsw");
-        for id in ids {
-            assert!(c.remove(id));
-        }
-        // Shrinking below the threshold does not migrate back.
-        insert_at(&mut c, 99.0, 9, 99);
-        assert_eq!(c.index_kind(), "nsw");
     }
 
     #[test]

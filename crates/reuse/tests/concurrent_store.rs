@@ -1,4 +1,4 @@
-//! Deterministic concurrency tests for the sharded store.
+//! Deterministic concurrency tests for the concurrent store.
 //!
 //! Thread scheduling is the one source of nondeterminism the store
 //! cannot remove, so these tests pin down exactly what *is* guaranteed
@@ -10,24 +10,30 @@
 //! - writers touching **overlapping** buckets may interleave (so ids may
 //!   differ run to run), but the canonical snapshot (ids erased) and the
 //!   merged operation counters must match a sequential execution exactly.
+//!
+//! The last test pins [`SharedCache::frozen_view`], the fleet engine's
+//! determinism hinge: a view answers like its owner did at the snapshot,
+//! and probing it leaves the owner untouched.
 
 use std::collections::BTreeMap;
 use std::thread;
 
+use ann::MissReason;
 use features::FeatureVector;
+use proptest::prelude::*;
 use reuse::concurrent::route_signature;
-use reuse::{AdmissionPolicy, CacheConfig, ConcurrentConfig, EntrySource, SharedCache};
-use simcore::SimTime;
+use reuse::{
+    AdmissionPolicy, CacheConfig, ConcurrentConfig, EntrySource, LookupResult, SharedCache,
+};
+use simcore::{SimDuration, SimTime};
 
 const DIM: usize = 4;
 const SHARDS: usize = 4;
 const KEYS_PER_SHARD: usize = 40;
-const BUCKET_CELL: f64 = 4.0;
 
 fn config() -> ConcurrentConfig {
     ConcurrentConfig::new(CacheConfig::new(1024).with_admission(AdmissionPolicy::admit_all()))
         .with_shards(SHARDS)
-        .with_bucket_cell(BUCKET_CELL)
 }
 
 /// Deterministic keys grouped by their home shard: walk distinct
@@ -45,7 +51,7 @@ fn keys_by_home_shard() -> BTreeMap<usize, Vec<FeatureVector>> {
         let mut components = vec![0.0f32; DIM];
         components[0] = cell as f32 * 100.0;
         let key = FeatureVector::from_vec(components).unwrap();
-        let shard = (route_signature(&key, BUCKET_CELL) % SHARDS as u64) as usize;
+        let shard = (route_signature(&key) % SHARDS as u64) as usize;
         let keys = by_shard.entry(shard).or_default();
         if keys.len() < KEYS_PER_SHARD {
             keys.push(key);
@@ -221,4 +227,128 @@ fn lookups_and_inserts_interleave_without_counter_drift() {
     assert_eq!(hits, expected, "every self-lookup must hit");
     assert_eq!(cache.stats().hits, expected);
     assert_eq!(cache.stats().lookups, expected);
+}
+
+#[derive(Debug, Clone)]
+enum Op {
+    Insert { x: f32, confidence: f64 },
+    Lookup { x: f32 },
+    Expire { max_age_ms: u64 },
+    Threshold { value: f64 },
+}
+
+fn op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        // Listed twice: the shim's `prop_oneof!` has no weights, and the
+        // history should fill the cache faster than it drains it.
+        (-12.0f32..12.0, 0.0f64..1.0).prop_map(|(x, confidence)| Op::Insert { x, confidence }),
+        (-12.0f32..12.0, 0.0f64..1.0).prop_map(|(x, confidence)| Op::Insert { x, confidence }),
+        (-12.0f32..12.0).prop_map(|x| Op::Lookup { x }),
+        (1u64..400).prop_map(|max_age_ms| Op::Expire { max_age_ms }),
+        (0.05f64..8.0).prop_map(|value| Op::Threshold { value }),
+    ]
+}
+
+fn probe_key(x: f32) -> FeatureVector {
+    FeatureVector::from_vec(vec![x, 1.0]).unwrap()
+}
+
+/// A lookup's answer without the serving entry's id: the view re-mints
+/// ids when it restores the snapshot, everything else must match.
+#[derive(Debug, PartialEq)]
+enum Answer {
+    Hit(u32, f64, usize, f64),
+    Miss(MissReason),
+}
+
+fn answer(result: LookupResult<u32>) -> Answer {
+    match result {
+        LookupResult::Hit {
+            label,
+            nearest_distance,
+            support,
+            homogeneity,
+            ..
+        } => Answer::Hit(label, nearest_distance, support, homogeneity),
+        LookupResult::Miss(reason) => Answer::Miss(reason),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// After an arbitrary insert/lookup/expire/threshold history on a 1-
+    /// and a 4-shard owner, every probe against the frozen view returns
+    /// what the owner holds at the snapshot — label, nearest distance,
+    /// vote — while the owner's counters and contents version stand
+    /// still. The owner's own lookups run last: they move its counters
+    /// but not its contents, so they still answer as of the snapshot.
+    #[test]
+    fn frozen_view_answers_like_the_owner_without_touching_it(
+        ops in proptest::collection::vec(op(), 1..80),
+        probes in proptest::collection::vec(-14.0f32..14.0, 1..24),
+    ) {
+        for shards in [1usize, SHARDS] {
+            let owner: SharedCache<u32> = SharedCache::with_concurrency(
+                ConcurrentConfig::new(CacheConfig::new(16).with_admission(AdmissionPolicy {
+                    min_confidence: 0.3,
+                    min_peer_confidence: 0.5,
+                    dedup_distance: 0.5,
+                }))
+                .with_shards(shards),
+            );
+            let mut now = SimTime::ZERO;
+            for op in &ops {
+                now += SimDuration::from_millis(7);
+                match *op {
+                    Op::Insert { x, confidence } => {
+                        // The label is a function of the key, so equal
+                        // keys never carry different labels and no probe
+                        // has two answers.
+                        let label = x.to_bits() % 5;
+                        let source = EntrySource::LocalInference;
+                        owner.insert(probe_key(x), label, confidence, source, now);
+                    }
+                    Op::Lookup { x } => {
+                        let _ = owner.lookup(&probe_key(x), now);
+                    }
+                    Op::Expire { max_age_ms } => {
+                        owner.expire_older_than(now, SimDuration::from_millis(max_age_ms));
+                    }
+                    Op::Threshold { value } => owner.set_distance_threshold(value),
+                }
+            }
+
+            let view = owner.frozen_view(now);
+            let stats_before = owner.stats();
+            let version_before = owner.contents_version();
+            prop_assert_eq!(view.len(), owner.len());
+            prop_assert_eq!(view.shard_count(), shards);
+            prop_assert_eq!(
+                view.distance_threshold().to_bits(),
+                owner.distance_threshold().to_bits()
+            );
+
+            // Probe every cached key (hits) and the random points.
+            let keys: Vec<FeatureVector> = owner
+                .snapshot(now)
+                .entries
+                .iter()
+                .map(|e| e.key.clone())
+                .chain(probes.iter().map(|&x| probe_key(x)))
+                .collect();
+            let later = now + SimDuration::from_millis(5);
+            let mut seen = Vec::with_capacity(keys.len());
+            for key in &keys {
+                prop_assert_eq!(view.peek_nearest(key), owner.peek_nearest(key));
+                seen.push(answer(view.lookup(key, later)));
+            }
+            prop_assert_eq!(owner.stats(), stats_before);
+            prop_assert_eq!(owner.contents_version(), version_before);
+
+            for (key, from_view) in keys.iter().zip(seen) {
+                prop_assert_eq!(answer(owner.lookup(key, later)), from_view);
+            }
+        }
+    }
 }

@@ -1,6 +1,6 @@
-//! Oracle equivalence: the sharded concurrent store at one shard with no
+//! Oracle equivalence: the concurrent store at one shard with no
 //! frequency admission must be operation-for-operation identical to the
-//! plain single-threaded [`ApproxCache`] it replaced. This is the
+//! plain single-threaded [`ApproxCache`] that is its shard body. This is the
 //! contract that keeps the golden experiment results byte-identical
 //! across the store rebuild — any divergence here is a regression in the
 //! concurrent core, not a tuning difference.
@@ -14,7 +14,7 @@
 use features::FeatureVector;
 use reuse::{
     ApproxCache, CacheConfig, ConcurrentConfig, EntrySource, EvictionPolicy, InsertOutcome,
-    LookupResult, ShardedCache,
+    LookupResult, SharedCache,
 };
 use simcore::{SimDuration, SimRng, SimTime};
 
@@ -48,7 +48,7 @@ fn source(rng: &mut SimRng) -> EntrySource {
 fn assert_equivalent(policy: EvictionPolicy, seed: u64) {
     let config = CacheConfig::new(8).with_eviction(policy);
     let mut oracle: ApproxCache<u32> = ApproxCache::new(config.clone());
-    let sharded: ShardedCache<u32> = ShardedCache::new(ConcurrentConfig::new(config));
+    let sharded: SharedCache<u32> = SharedCache::new(config);
     let mut rng = SimRng::seed(seed).split(policy.name());
 
     for step in 0..STEPS {
@@ -117,7 +117,7 @@ fn sharded_store_matches_oracle_under_ttl_and_utility() {
 fn sharded_snapshot_matches_oracle_snapshot() {
     let config = CacheConfig::new(16);
     let mut oracle: ApproxCache<u32> = ApproxCache::new(config.clone());
-    let sharded: ShardedCache<u32> = ShardedCache::new(ConcurrentConfig::new(config));
+    let sharded: SharedCache<u32> = SharedCache::new(config);
     let mut rng = SimRng::seed(0x0e_4444);
     for step in 0..300u64 {
         let now = SimTime::from_millis(step * 10);
@@ -159,7 +159,7 @@ fn sharded_snapshot_matches_oracle_snapshot() {
 fn frequency_admission_is_the_only_divergence() {
     let config = CacheConfig::new(4).with_admission(reuse::AdmissionPolicy::admit_all());
     let mut oracle: ApproxCache<u32> = ApproxCache::new(config.clone());
-    let gated: ShardedCache<u32> = ShardedCache::new(
+    let gated: SharedCache<u32> = SharedCache::with_concurrency(
         ConcurrentConfig::new(config)
             .with_frequency(reuse::FrequencyConfig::default())
             .with_sketch_seed(11),

@@ -28,4 +28,4 @@ pub mod trace;
 pub mod video;
 
 pub use record::StreamRecording;
-pub use sweep::{run_matrix, run_matrix_parallel, MatrixCell};
+pub use sweep::{run_matrix, MatrixCell};

@@ -1,6 +1,9 @@
 //! Sweep helpers and the run matrix.
 
+use std::num::NonZeroUsize;
+
 use approxcache::{run, Detail, PipelineConfig, RunReport, Scenario, SystemVariant};
+use simcore::parallel::run_jobs_on;
 
 /// One cell of a scenario × variant matrix.
 #[derive(Debug, Clone)]
@@ -14,83 +17,44 @@ pub struct MatrixCell {
 }
 
 /// Runs every `(scenario, variant)` combination with a per-scenario
-/// calibrated configuration and a deterministic seed derived from `seed`,
-/// the scenario index and the variant — so any single cell can be
-/// reproduced in isolation.
+/// calibrated configuration and a deterministic seed derived from `seed`
+/// and the scenario index — so any single cell can be reproduced in
+/// isolation. Cells run on up to `threads` workers and come back in
+/// row-major order; each derives its own seed, so the result is
+/// identical at every thread count.
 pub fn run_matrix(
     scenarios: &[Scenario],
     variants: &[SystemVariant],
     seed: u64,
+    threads: NonZeroUsize,
 ) -> Vec<MatrixCell> {
-    let mut cells = Vec::with_capacity(scenarios.len() * variants.len());
-    for (scenario_index, scenario) in scenarios.iter().enumerate() {
-        let config = PipelineConfig::calibrated(scenario, seed);
-        for variant in variants {
-            let cell_seed = seed
-                .wrapping_mul(1_000_003)
-                .wrapping_add(scenario_index as u64);
-            let report = run(scenario, &config, *variant, cell_seed, Detail::Summary)
-                .expect("valid scenario")
-                .report;
-            cells.push(MatrixCell {
-                scenario: scenario.name.clone(),
-                variant: *variant,
-                report,
-            });
-        }
-    }
-    cells
-}
-
-/// Like [`run_matrix`] but runs cells on a pool of worker threads. The
-/// result is *identical* to the sequential version (each cell derives its
-/// own seed, so execution order cannot matter) — only wall-clock time
-/// changes; run_all uses this to keep the full suite quick.
-pub fn run_matrix_parallel(
-    scenarios: &[Scenario],
-    variants: &[SystemVariant],
-    seed: u64,
-    workers: usize,
-) -> Vec<MatrixCell> {
-    assert!(workers > 0, "run_matrix_parallel: workers must be positive");
-    let jobs: Vec<(usize, &Scenario, SystemVariant)> = scenarios
+    let configs: Vec<PipelineConfig> = scenarios
         .iter()
-        .enumerate()
-        .flat_map(|(i, s)| variants.iter().map(move |&v| (i, s, v)))
+        .map(|scenario| PipelineConfig::calibrated(scenario, seed))
         .collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let mut slots: Vec<Option<MatrixCell>> = (0..jobs.len()).map(|_| None).collect();
-    let slot_refs: Vec<std::sync::Mutex<&mut Option<MatrixCell>>> =
-        slots.iter_mut().map(std::sync::Mutex::new).collect();
-
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..workers.min(jobs.len()) {
-            scope.spawn(|_| loop {
-                let job = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if job >= jobs.len() {
-                    break;
+    let jobs = scenarios
+        .iter()
+        .zip(&configs)
+        .enumerate()
+        .flat_map(|(scenario_index, (scenario, config))| {
+            variants.iter().map(move |&variant| {
+                move || {
+                    let cell_seed = seed
+                        .wrapping_mul(1_000_003)
+                        .wrapping_add(scenario_index as u64);
+                    let report = run(scenario, config, variant, cell_seed, Detail::Summary)
+                        .expect("valid scenario")
+                        .report;
+                    MatrixCell {
+                        scenario: scenario.name.clone(),
+                        variant,
+                        report,
+                    }
                 }
-                let (scenario_index, scenario, variant) = jobs[job];
-                let config = PipelineConfig::calibrated(scenario, seed);
-                let cell_seed = seed
-                    .wrapping_mul(1_000_003)
-                    .wrapping_add(scenario_index as u64);
-                let report = run(scenario, &config, variant, cell_seed, Detail::Summary)
-                    .expect("valid scenario")
-                    .report;
-                **slot_refs[job].lock().expect("slot lock") = Some(MatrixCell {
-                    scenario: scenario.name.clone(),
-                    variant,
-                    report,
-                });
-            });
-        }
-    })
-    .expect("worker panicked");
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every job filled its slot"))
-        .collect()
+            })
+        })
+        .collect();
+    run_jobs_on(threads, jobs)
 }
 
 /// Finds the cell for a given scenario/variant pair.
@@ -140,7 +104,7 @@ mod tests {
         let scenarios: Vec<Scenario> =
             vec![video::stationary().with_duration(SimDuration::from_secs(3))];
         let variants = [SystemVariant::NoCache, SystemVariant::Full];
-        let cells = run_matrix(&scenarios, &variants, 1);
+        let cells = run_matrix(&scenarios, &variants, 1, NonZeroUsize::MIN);
         assert_eq!(cells.len(), 2);
         assert!(cell(&cells, "stationary", SystemVariant::Full).is_some());
         assert!(cell(&cells, "stationary", SystemVariant::NoImu).is_none());
@@ -150,28 +114,27 @@ mod tests {
     }
 
     #[test]
-    fn matrix_is_deterministic() {
-        let scenarios = vec![video::stationary().with_duration(SimDuration::from_secs(2))];
-        let a = run_matrix(&scenarios, &[SystemVariant::Full], 9);
-        let b = run_matrix(&scenarios, &[SystemVariant::Full], 9);
-        assert_eq!(a[0].report.latencies_ms, b[0].report.latencies_ms);
-    }
-
-    #[test]
-    fn parallel_matrix_matches_sequential_exactly() {
+    fn matrix_is_identical_at_every_thread_count() {
         let scenarios = vec![
             video::stationary().with_duration(SimDuration::from_secs(3)),
             video::slow_pan().with_duration(SimDuration::from_secs(3)),
         ];
         let variants = [SystemVariant::NoCache, SystemVariant::Full];
-        let sequential = run_matrix(&scenarios, &variants, 5);
-        let parallel = super::run_matrix_parallel(&scenarios, &variants, 5, 4);
-        assert_eq!(sequential.len(), parallel.len());
-        for (a, b) in sequential.iter().zip(&parallel) {
-            assert_eq!(a.scenario, b.scenario);
-            assert_eq!(a.variant, b.variant);
-            assert_eq!(a.report.latencies_ms, b.report.latencies_ms);
-            assert_eq!(a.report.path_counts, b.report.path_counts);
+        let one = run_matrix(&scenarios, &variants, 5, NonZeroUsize::MIN);
+        for threads in [1, 4] {
+            let again = run_matrix(
+                &scenarios,
+                &variants,
+                5,
+                NonZeroUsize::new(threads).unwrap(),
+            );
+            assert_eq!(one.len(), again.len());
+            for (a, b) in one.iter().zip(&again) {
+                assert_eq!(a.scenario, b.scenario);
+                assert_eq!(a.variant, b.variant);
+                assert_eq!(a.report.latencies_ms, b.report.latencies_ms);
+                assert_eq!(a.report.path_counts, b.report.path_counts);
+            }
         }
     }
 

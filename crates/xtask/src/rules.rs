@@ -119,14 +119,6 @@ const SIM_FILES: &[&str] = &["crates/bench/src/sweep.rs"];
 /// than simulate, so the RNG and hash-order checks stay out.
 const WALL_CLOCK_CRATES: &[&str] = &["bench"];
 
-/// The one legitimate home of wall-clock reads: perf measurement code,
-/// whose whole job is timing real execution. Everything else in
-/// [`WALL_CLOCK_CRATES`] must stay on simulated time.
-const WALL_CLOCK_MEASUREMENT_FILES: &[&str] = &[
-    "crates/bench/src/perf.rs",
-    "crates/bench/src/bin/perf_smoke.rs",
-];
-
 /// Split labels reserved for one home file. The fleet engine's lane
 /// streams own `"shard"`: a `split("shard")` anywhere else would read
 /// as (and could silently correlate with) a per-shard stream, so rule S
@@ -433,15 +425,12 @@ fn push(
 /// iteration over identifiers declared as `HashMap`/`HashSet`. The full
 /// rule applies to simulation crates (plus [`SIM_FILES`], minus the
 /// [`SERVICE_RUNTIME_FILES`] that run real sockets); harness crates get
-/// the wall-clock half only, with the perf measurement files carved
-/// out.
+/// the wall-clock half only.
 fn check_determinism(ctx: &FileContext, out: &mut Vec<Violation>) {
     let sim = (SIM_CRATES.contains(&ctx.crate_name())
         && !SERVICE_RUNTIME_FILES.contains(&ctx.rel_path.as_str()))
         || SIM_FILES.contains(&ctx.rel_path.as_str());
-    let wall_clock = sim
-        || (WALL_CLOCK_CRATES.contains(&ctx.crate_name())
-            && !WALL_CLOCK_MEASUREMENT_FILES.contains(&ctx.rel_path.as_str()));
+    let wall_clock = sim || WALL_CLOCK_CRATES.contains(&ctx.crate_name());
     if !sim && !wall_clock {
         return;
     }
@@ -499,9 +488,9 @@ fn check_determinism(ctx: &FileContext, out: &mut Vec<Violation>) {
                 out,
                 Rule::Determinism,
                 line,
-                format!("wall-clock `{}` outside the perf measurement files", t.text),
+                format!("wall-clock `{}` in a simulation or harness crate", t.text),
                 "use the simulated clock (simcore::SimTime); real timing belongs in \
-                 crates/bench/src/perf.rs or the perf_smoke binary",
+                 benchmark/, outside the workspace",
             );
         }
         if !sim {

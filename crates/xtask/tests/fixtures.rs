@@ -73,20 +73,6 @@ fn harness_crate_gets_the_wall_clock_half_only() {
 }
 
 #[test]
-fn perf_measurement_files_may_read_the_wall_clock() {
-    for home in [
-        "crates/bench/src/perf.rs",
-        "crates/bench/src/bin/perf_smoke.rs",
-    ] {
-        let hits = lint("bad", "determinism", home, 0);
-        assert!(
-            !hits.iter().any(|&(r, _)| r == Rule::Determinism),
-            "{home}: got {hits:?}"
-        );
-    }
-}
-
-#[test]
 fn edge_protocol_files_get_the_full_determinism_rule() {
     // The edge crate's protocol/codec/cache half feeds seeded sim runs,
     // so it is a simulation crate for rule D: all four checks fire.
@@ -109,7 +95,7 @@ fn edge_protocol_files_get_the_full_determinism_rule() {
 #[test]
 fn edge_service_runtime_is_exempt_from_determinism() {
     // The server and client halves run real sockets with read/write
-    // deadlines; rule D stays out entirely, like the perf files.
+    // deadlines; rule D stays out entirely.
     for home in ["crates/edge/src/server.rs", "crates/edge/src/client.rs"] {
         let hits = lint("bad", "determinism", home, 0);
         assert!(

@@ -86,7 +86,6 @@ fn allow_census_is_pinned() {
             "crates/reuse/src/store.rs: determinism",
             "crates/reuse/src/store.rs: determinism",
             "crates/reuse/src/store.rs: determinism",
-            "crates/reuse/src/store.rs: determinism",
         ],
         "allow census drifted"
     );
