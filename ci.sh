@@ -34,6 +34,10 @@ echo "== benchmark smoke (every workload's output checks, ~17 s) =="
 # for comparison — performance is measured by benchmark/run.sh alone
 # (see benchmark/README.md).
 bash benchmark/run.sh --smoke
+# A PR may not change the benchmark. A build that rewrote
+# benchmark/Cargo.lock (some crate's dependency list drifted) or a stray
+# edit under benchmark/ fails here rather than at the driver.
+git diff --exit-code -- BENCHMARK.json benchmark/
 
 echo "== sweep smoke (informational: tiny grid, exercises resume) =="
 # Never gates on timings; runs the built-in 2x2 smoke grid twice into a

@@ -1,62 +1,36 @@
 //! Index selection as data: one serde-able enum, one factory.
 //!
-//! Every index used to have its own constructor shape
-//! (`LinearScan::new(dim)`, `LshIndex::new(dim, LshConfig)`, …), which
-//! meant anything that wanted a *configurable* index — the cache, the
-//! pipeline, the benchmarks — had to re-invent this enum privately.
-//! [`IndexConfig`] is that enum, once, in the crate that owns the
-//! indexes; [`build`] is the only way to construct one.
+//! Anything that wants a *configurable* index — the cache, the backend
+//! tests that run the store over both — names an [`IndexConfig`], and
+//! [`build`] is the only way to construct an index from one.
 
 use serde::{Deserialize, Serialize};
 
 use crate::kdtree::KdTree;
 use crate::linear::LinearScan;
-use crate::lsh::{LshConfig, LshIndex};
-use crate::nsw::{NswConfig, NswIndex};
 use crate::NnIndex;
 
-/// Which nearest-neighbour index backs a cache, plus its tuning.
+/// Which exact nearest-neighbour index backs a cache. Both answer every
+/// query identically; they differ only in cost.
 ///
-/// Serializes with externally-tagged variant names (`"Linear"`,
-/// `"KdTree"`, `"Lsh"`, `"Nsw"`) so experiment configs can pin the
-/// backend in JSON.
+/// Serializes as the bare variant name (`"Linear"`, `"KdTree"`) so
+/// experiment configs can pin the backend in JSON.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
 pub enum IndexConfig {
-    /// Exact linear scan over the flat buffer — the correctness
-    /// reference, and the fastest index below a few hundred entries.
+    /// Linear scan over the flat buffer — the cache's default.
     #[default]
     Linear,
-    /// Exact k-d tree; helps in low dimension, converges to the scan in
-    /// high dimension.
+    /// k-d tree; prunes on clustered keys, converges to the scan on
+    /// uniform high-dimensional ones.
     KdTree,
-    /// Sign-random-projection LSH with the given tuning.
-    Lsh(LshConfig),
-    /// Navigable-small-world graph with the given tuning.
-    Nsw(NswConfig),
 }
 
 impl IndexConfig {
-    /// Validates the nested tuning (the dimension is checked at
-    /// [`build`] time).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the nested config is invalid.
-    pub fn validate(&self) {
-        match self {
-            IndexConfig::Linear | IndexConfig::KdTree => {}
-            IndexConfig::Lsh(config) => config.validate(),
-            IndexConfig::Nsw(config) => config.validate(),
-        }
-    }
-
     /// The `kind()` string of the index this config builds.
     pub fn name(&self) -> &'static str {
         match self {
             IndexConfig::Linear => "linear",
             IndexConfig::KdTree => "kdtree",
-            IndexConfig::Lsh(_) => "lsh",
-            IndexConfig::Nsw(_) => "nsw",
         }
     }
 }
@@ -66,13 +40,11 @@ impl IndexConfig {
 ///
 /// # Panics
 ///
-/// Panics if `dim == 0` or the nested tuning is invalid.
+/// Panics if `dim == 0`.
 pub fn build(dim: usize, config: &IndexConfig) -> Box<dyn NnIndex> {
     match config {
         IndexConfig::Linear => Box::new(LinearScan::with_dim(dim)),
         IndexConfig::KdTree => Box::new(KdTree::with_dim(dim)),
-        IndexConfig::Lsh(lsh) => Box::new(LshIndex::with_config(dim, *lsh)),
-        IndexConfig::Nsw(nsw) => Box::new(NswIndex::with_config(dim, *nsw)),
     }
 }
 
@@ -83,14 +55,7 @@ mod tests {
 
     #[test]
     fn builds_every_backend_with_matching_kind() {
-        let configs = [
-            IndexConfig::Linear,
-            IndexConfig::KdTree,
-            IndexConfig::Lsh(LshConfig::default()),
-            IndexConfig::Nsw(NswConfig::default()),
-        ];
-        for config in configs {
-            config.validate();
+        for config in [IndexConfig::Linear, IndexConfig::KdTree] {
             let mut index = build(4, &config);
             assert_eq!(index.kind(), config.name());
             assert_eq!(index.dim(), 4);
@@ -107,12 +72,7 @@ mod tests {
 
     #[test]
     fn round_trips_through_json() {
-        let config = IndexConfig::Lsh(LshConfig {
-            tables: 4,
-            bits: 10,
-            seed: 7,
-            probe_radius: 1,
-        });
+        let config = IndexConfig::KdTree;
         let json = serde_json::to_string(&config).unwrap();
         let back: IndexConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(back, config);
@@ -121,17 +81,20 @@ mod tests {
             serde_json::to_string(&IndexConfig::Linear).unwrap(),
             "\"Linear\""
         );
+        // A config written for a removed approximate backend is refused,
+        // not quietly built as something else.
+        for stale in ["\"Lsh\"", "{\"Nsw\":{\"m\":16,\"ef\":64}}"] {
+            let err = serde_json::from_str::<IndexConfig>(stale).unwrap_err();
+            assert!(
+                err.to_string().contains("unknown variant"),
+                "{stale}: {err}"
+            );
+        }
     }
 
     #[test]
     #[should_panic(expected = "dim must be positive")]
     fn zero_dim_rejected() {
         build(0, &IndexConfig::Linear);
-    }
-
-    #[test]
-    #[should_panic(expected = "ef must be at least m")]
-    fn nested_tuning_validated() {
-        IndexConfig::Nsw(NswConfig { m: 8, ef: 2 }).validate();
     }
 }

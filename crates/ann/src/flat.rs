@@ -1,26 +1,16 @@
-//! The shared flat-buffer key store behind every index.
+//! The contiguous key store behind [`LinearScan`](crate::LinearScan),
+//! and the bounded `(distance, id)` selection both indexes share.
 //!
-//! PR 4 gave `LinearScan` contiguous structure-of-arrays storage — one
-//! row-major `f32` buffer kept dense by swap-remove — so scans walk
-//! memory linearly and the chunked distance kernel auto-vectorizes. This
-//! module extracts that storage so the approximate indexes (LSH, NSW,
-//! k-d tree) sit on the same layout instead of chasing a
-//! `FeatureVector` allocation per entry.
-//!
-//! On top of the exact `f32` rows the buffer can keep a *quantized
-//! mirror*: one `u8` code per component under a single global
-//! `(lo, scale)` so candidate rows can be scored with the 16-lane
-//! integer kernel ([`features::distance::squared_euclidean_u8`]) before
-//! the survivors are re-ranked exactly. The mirror is an accelerator,
-//! never an authority — [`FlatBuffer::rerank_rows_into`] always reads
-//! the `f32` rows with the exact f64 kernel, so reported distances are
-//! bit-identical to a plain scan over the same rows (the exactness
-//! invariant: approximate indexes may *miss* neighbours, but never
-//! report wrong distances).
+//! One row-major `f32` buffer kept dense by swap-remove, so a scan walks
+//! memory linearly and the chunked distance kernel auto-vectorizes.
+//! [`FlatBuffer::rerank_rows_into`] scores rows with the exact f64
+//! kernel and keeps the `k` best through [`push_bounded`], whose strict
+//! `(distance, id)` order is the tie-break contract every index answers
+//! under.
 
 use std::collections::HashMap;
 
-use features::distance::{squared_euclidean_flat_within, squared_euclidean_u8};
+use features::distance::squared_euclidean_flat_within;
 
 use crate::index::Neighbor;
 
@@ -51,70 +41,12 @@ pub(crate) fn push_bounded(out: &mut Vec<Neighbor>, k: usize, candidate: Neighbo
     out.insert(pos, candidate);
 }
 
-/// Quantized mirror of the key rows: one code per component under a
-/// single global `(lo, scale)` shared by every row, so two rows' codes
-/// are directly comparable with integer arithmetic.
-#[derive(Debug, Clone, Default)]
-struct QuantMirror {
-    /// Codes, row-major, parallel to the `f32` rows.
-    codes: Vec<u8>,
-    /// Smallest value the current params cover.
-    lo: f32,
-    /// Largest value the current params cover.
-    hi: f32,
-    /// Code step: `value ≈ lo + code · scale`; `0` while all stored
-    /// components are equal (every code is then 0).
-    scale: f32,
-}
-
-impl QuantMirror {
-    fn code_of(&self, x: f32) -> u8 {
-        if self.scale <= 0.0 {
-            return 0;
-        }
-        (((x - self.lo) / self.scale).round() as i32).clamp(0, 255) as u8
-    }
-
-    /// Grows `[lo, hi]` to cover `key`, returning whether the params
-    /// changed (existing codes are then stale and must be recomputed).
-    /// Growth pads the moving edge by 1/8 of the new span so a slowly
-    /// expanding key population amortizes its re-quantizations.
-    fn cover(&mut self, key: &[f32], first: bool) -> bool {
-        let mut kmin = f32::INFINITY;
-        let mut kmax = f32::NEG_INFINITY;
-        for &x in key {
-            kmin = kmin.min(x);
-            kmax = kmax.max(x);
-        }
-        if first {
-            self.lo = kmin;
-            self.hi = kmax;
-            self.scale = (self.hi - self.lo) / 255.0;
-            return true;
-        }
-        if kmin >= self.lo && kmax <= self.hi {
-            return false;
-        }
-        let pad = ((kmax.max(self.hi) - kmin.min(self.lo)) / 8.0).max(0.0);
-        if kmin < self.lo {
-            self.lo = kmin - pad;
-        }
-        if kmax > self.hi {
-            self.hi = kmax + pad;
-        }
-        self.scale = (self.hi - self.lo) / 255.0;
-        true
-    }
-}
-
-/// Contiguous structure-of-arrays key storage with id bookkeeping and an
-/// optional quantized mirror.
+/// Contiguous structure-of-arrays key storage with id bookkeeping.
 ///
 /// Rows are kept dense by swap-remove: removing a row moves the last row
-/// into the hole, in both the `f32` buffer and the mirror, and the
-/// id↔row maps are patched to match. Insertion with an existing id
-/// replaces the row in place (no reordering), so consumers that scan in
-/// row order see exactly the insertion order a `LinearScan` always had.
+/// into the hole and the id↔row maps are patched to match. Insertion
+/// with an existing id replaces the row in place (no reordering), so a
+/// scan in row order sees insertion order.
 #[derive(Debug, Clone, Default)]
 pub struct FlatBuffer {
     dim: usize,
@@ -124,12 +56,10 @@ pub struct FlatBuffer {
     keys: Vec<f32>,
     /// id → row (swap-remove keeps this dense).
     positions: HashMap<u64, usize>,
-    /// The quantized mirror, when this buffer was built with one.
-    quant: Option<QuantMirror>,
 }
 
 impl FlatBuffer {
-    /// An empty buffer for rows of dimension `dim`, exact storage only.
+    /// An empty buffer for rows of dimension `dim`.
     ///
     /// # Panics
     ///
@@ -140,18 +70,6 @@ impl FlatBuffer {
             dim,
             ..FlatBuffer::default()
         }
-    }
-
-    /// Like [`new`](Self::new) but also maintaining the quantized `u8`
-    /// mirror for shortlist scoring.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dim == 0`.
-    pub fn new_quantized(dim: usize) -> FlatBuffer {
-        let mut buffer = FlatBuffer::new(dim);
-        buffer.quant = Some(QuantMirror::default());
-        buffer
     }
 
     /// Row dimension.
@@ -167,11 +85,6 @@ impl FlatBuffer {
     /// True when no rows are stored.
     pub fn is_empty(&self) -> bool {
         self.ids.is_empty()
-    }
-
-    /// True when this buffer maintains the quantized mirror.
-    pub fn is_quantized(&self) -> bool {
-        self.quant.is_some()
     }
 
     /// The row holding `id`, if present.
@@ -227,7 +140,7 @@ impl FlatBuffer {
             key.len(),
             self.dim
         );
-        let created = match self.positions.get(&id) {
+        match self.positions.get(&id) {
             Some(&row) => {
                 self.keys[row * self.dim..(row + 1) * self.dim].copy_from_slice(key);
                 false
@@ -238,30 +151,7 @@ impl FlatBuffer {
                 self.keys.extend_from_slice(key);
                 true
             }
-        };
-        if let Some(mut quant) = self.quant.take() {
-            let first = self.ids.len() == 1 && created;
-            if quant.cover(key, first) {
-                // Params moved: every stored code is stale. Recode all
-                // rows — O(n·dim), but the range stabilizes quickly so
-                // this amortizes to a constant per insert.
-                quant.codes.clear();
-                for &x in &self.keys {
-                    quant.codes.push(quant.code_of(x));
-                }
-            } else if created {
-                for &x in key {
-                    quant.codes.push(quant.code_of(x));
-                }
-            } else {
-                let row = self.positions[&id];
-                for (offset, &x) in key.iter().enumerate() {
-                    quant.codes[row * self.dim + offset] = quant.code_of(x);
-                }
-            }
-            self.quant = Some(quant);
         }
-        created
     }
 
     /// Removes `id`'s row by swap-remove, returning whether it existed.
@@ -273,78 +163,31 @@ impl FlatBuffer {
         if row < self.ids.len() {
             self.positions.insert(self.ids[row], row);
         }
-        // Mirror the swap-remove in the flat buffers: the last row moves
-        // into the vacated slot, the buffers shrink by one row.
+        // Mirror the swap-remove in the key buffer: the last row moves
+        // into the vacated slot, the buffer shrinks by one row.
         let last = self.ids.len();
         if row < last {
             self.keys
                 .copy_within(last * self.dim..(last + 1) * self.dim, row * self.dim);
         }
         self.keys.truncate(last * self.dim);
-        if let Some(quant) = &mut self.quant {
-            if row < last {
-                quant
-                    .codes
-                    .copy_within(last * self.dim..(last + 1) * self.dim, row * self.dim);
-            }
-            quant.codes.truncate(last * self.dim);
-        }
         true
     }
 
-    /// Removes every row. Quantization params are re-derived from the
-    /// first insert after the clear, so a long-lived buffer re-tightens
-    /// its code resolution when its population is replaced.
+    /// Removes every row.
     pub fn clear(&mut self) {
         self.ids.clear();
         self.keys.clear();
         self.positions.clear();
-        if let Some(quant) = &mut self.quant {
-            quant.codes.clear();
-        }
     }
 
-    /// Quantizes `query` under the buffer's current params into `out`
-    /// (cleared first), so it can be scored against stored rows with
-    /// [`qdist`](Self::qdist).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer has no quantized mirror or
-    /// `query.len() != self.dim()`.
-    pub fn quantize_query_into(&self, query: &[f32], out: &mut Vec<u8>) {
-        let quant = self
-            .quant
-            .as_ref()
-            .expect("quantize_query_into: buffer has no quantized mirror");
-        assert_eq!(query.len(), self.dim, "FlatBuffer: query dim mismatch");
-        out.clear();
-        out.extend(query.iter().map(|&x| quant.code_of(x)));
-    }
-
-    /// Approximate squared distance (in code units) between `row` and a
-    /// query quantized by [`quantize_query_into`](Self::quantize_query_into).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer has no quantized mirror or `row` is out of
-    /// range.
-    pub fn qdist(&self, row: usize, qquery: &[u8]) -> u64 {
-        let quant = self
-            .quant
-            .as_ref()
-            .expect("qdist: buffer has no quantized mirror");
-        squared_euclidean_u8(&quant.codes[row * self.dim..(row + 1) * self.dim], qquery)
-    }
-
-    /// Exact re-rank: scores each row in `rows` against `query` with the
-    /// exact f64 kernel (early-exit bounded) and keeps the `k` nearest
-    /// in `out` (cleared first), ascending by `(squared distance, id)`.
+    /// Scores each row in `rows` against `query` with the exact f64
+    /// kernel (early-exit bounded) and keeps the `k` nearest in `out`
+    /// (cleared first), ascending by `(squared distance, id)`.
     /// Distances are left *squared* — callers apply the final `sqrt`
     /// once, after selection.
     ///
-    /// Passing `0..self.len()` makes this exactly the `LinearScan` hot
-    /// loop; approximate indexes pass their shortlisted rows instead.
+    /// Passing `0..self.len()` is the `LinearScan` hot loop.
     pub fn rerank_rows_into(
         &self,
         rows: impl Iterator<Item = usize>,
@@ -384,12 +227,8 @@ mod tests {
     use super::*;
     use features::distance::squared_euclidean_flat;
 
-    fn filled(dim: usize, rows: &[(u64, Vec<f32>)], quantized: bool) -> FlatBuffer {
-        let mut buffer = if quantized {
-            FlatBuffer::new_quantized(dim)
-        } else {
-            FlatBuffer::new(dim)
-        };
+    fn filled(dim: usize, rows: &[(u64, Vec<f32>)]) -> FlatBuffer {
+        let mut buffer = FlatBuffer::new(dim);
         for (id, key) in rows {
             buffer.insert(*id, key);
         }
@@ -405,7 +244,6 @@ mod tests {
                 (20, vec![2.0, 3.0]),
                 (30, vec![4.0, 5.0]),
             ],
-            false,
         );
         assert_eq!(b.len(), 3);
         assert!(!b.insert(20, &[9.0, 9.0]), "replace is not a create");
@@ -426,7 +264,7 @@ mod tests {
     #[test]
     fn rerank_over_all_rows_is_an_exact_scan() {
         let rows: Vec<(u64, Vec<f32>)> = (0..50u64).map(|i| (i, vec![i as f32, 0.5])).collect();
-        let b = filled(2, &rows, false);
+        let b = filled(2, &rows);
         let mut out = Vec::new();
         b.rerank_rows_into(0..b.len(), &[20.2, 0.5], 3, &mut out);
         assert_eq!(out.len(), 3);
@@ -439,60 +277,8 @@ mod tests {
     }
 
     #[test]
-    fn quantized_mirror_scores_identical_rows_at_zero() {
-        let rows: Vec<(u64, Vec<f32>)> = (0..20u64)
-            .map(|i| (i, vec![i as f32 * 0.3 - 2.0, 1.0 - i as f32 * 0.1]))
-            .collect();
-        let b = filled(2, &rows, true);
-        assert!(b.is_quantized());
-        let mut q = Vec::new();
-        for (id, key) in &rows {
-            b.quantize_query_into(key, &mut q);
-            assert_eq!(b.qdist(b.row_of(*id).unwrap(), &q), 0, "row {id}");
-        }
-    }
-
-    #[test]
-    fn quantized_scores_track_true_distances_through_range_growth() {
-        // Inserts that repeatedly widen the range force re-quantization;
-        // afterwards near rows must still score far below far rows.
-        let mut b = FlatBuffer::new_quantized(1);
-        for i in 0..64u64 {
-            // Alternate sides so the covered range grows both ways.
-            let x = if i % 2 == 0 { i as f32 } else { -(i as f32) };
-            b.insert(i, &[x]);
-        }
-        let mut q = Vec::new();
-        b.quantize_query_into(&[10.0], &mut q);
-        let near = b.qdist(b.row_of(10).unwrap(), &q);
-        let far = b.qdist(b.row_of(62).unwrap(), &q);
-        assert!(near < far, "near {near} vs far {far}");
-        // Swap-remove keeps the mirror parallel.
-        assert!(b.remove(10));
-        b.quantize_query_into(&[62.0], &mut q);
-        assert_eq!(b.qdist(b.row_of(62).unwrap(), &q), 0);
-    }
-
-    #[test]
-    fn constant_rows_quantize_to_zero_codes() {
-        let b = filled(3, &[(1, vec![4.2; 3]), (2, vec![4.2; 3])], true);
-        let mut q = Vec::new();
-        b.quantize_query_into(&[4.2; 3], &mut q);
-        assert_eq!(q, vec![0, 0, 0]);
-        assert_eq!(b.qdist(0, &q), 0);
-    }
-
-    #[test]
     #[should_panic(expected = "dim must be positive")]
     fn zero_dim_rejected() {
         FlatBuffer::new(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "no quantized mirror")]
-    fn quantize_requires_mirror() {
-        let b = FlatBuffer::new(2);
-        let mut q = Vec::new();
-        b.quantize_query_into(&[0.0, 0.0], &mut q);
     }
 }

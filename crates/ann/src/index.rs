@@ -1,88 +1,31 @@
-//! The index abstraction shared by every search structure.
-
-use std::collections::BinaryHeap;
+//! The index abstraction shared by both search structures.
 
 use features::FeatureVector;
 
-/// One query result: an entry id and its (exact) distance to the query.
+/// One query result: an entry id and its exact distance to the query.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Neighbor {
     /// The id the entry was inserted under.
     pub id: u64,
-    /// Euclidean distance to the query (always exact — approximate indexes
-    /// may miss neighbours, but never report wrong distances).
+    /// Euclidean distance to the query.
     pub distance: f64,
 }
 
-/// Ordered-by-distance entry for a best-first search frontier (min-heap
-/// via inverted `Ord`).
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct HeapCandidate {
-    pub(crate) distance: f64,
-    pub(crate) node: usize,
-}
-
-impl Eq for HeapCandidate {}
-impl Ord for HeapCandidate {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Min-heap: closer first.
-        other.distance.total_cmp(&self.distance)
-    }
-}
-impl PartialOrd for HeapCandidate {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Reusable per-query working memory for [`NnIndex::nearest_into`].
+/// The working-memory argument of [`NnIndex::nearest_into`] — empty.
 ///
-/// Each index family uses the subset it needs — LSH the candidate/
-/// shortlist buffers, NSW the visited stamps and frontier heap — but the
-/// scratch is one concrete type so it can travel behind `dyn NnIndex`
-/// without the caller knowing which index is live (the cache swaps
-/// indexes at runtime during migration). After the first few queries the
-/// buffers reach their working size and the whole lookup path is
-/// allocation-free.
-///
-/// A scratch carries no results, only capacity: any scratch works with
-/// any index and queries are read-only, so reusing one across indexes
-/// (or after a migration) is always correct.
+/// Both indexes select straight into the caller's output buffer and need
+/// no other per-query memory. The type and the `scratch` parameter
+/// remain only because `benchmark/src/probes.rs` names both and a PR may
+/// not edit `benchmark/`: this is the one deliberate leftover of the
+/// approximate indexes' removal, for the next `benchmark` PR to drop
+/// together with the parameter.
 #[derive(Debug, Clone, Default)]
-pub struct IndexScratch {
-    /// Candidate ids gathered before ranking (LSH bucket union).
-    pub(crate) candidates: Vec<u64>,
-    /// The query's quantized codes under the index buffer's params.
-    pub(crate) qquery: Vec<u8>,
-    /// Bounded `(approx score, id)` shortlist, ascending.
-    pub(crate) shortlist: Vec<(u64, u64)>,
-    /// Per-node visit stamps (graph search); a node is visited in the
-    /// current query iff `visited[node] == epoch`.
-    pub(crate) visited: Vec<u32>,
-    /// The stamp of the current query.
-    pub(crate) epoch: u32,
-    /// Best-first search frontier.
-    pub(crate) frontier: BinaryHeap<HeapCandidate>,
-    /// Beam of `(squared distance, node)` results, ascending.
-    pub(crate) beam: Vec<(f64, usize)>,
-}
+pub struct IndexScratch;
 
 impl IndexScratch {
-    /// An empty scratch; buffers grow to their working size on first use.
+    /// The (empty) scratch.
     pub fn new() -> IndexScratch {
-        IndexScratch::default()
-    }
-
-    /// Stamps a fresh query epoch and returns it, resetting every visit
-    /// mark in O(1) — except once per `u32` wrap, where the stamps are
-    /// cleared for real to keep stale marks from aliasing.
-    pub(crate) fn next_epoch(&mut self) -> u32 {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.visited.iter_mut().for_each(|v| *v = 0);
-            self.epoch = 1;
-        }
-        self.epoch
+        IndexScratch
     }
 }
 
@@ -117,17 +60,15 @@ pub trait NnIndex: Send {
     fn remove(&mut self, id: u64) -> bool;
 
     /// The primary query path: writes the up-to-`k` nearest entries to
-    /// `query` into `out` (cleared first), ascending by distance, using
-    /// `scratch` for working memory. Approximate indexes may return
-    /// fewer or slightly farther entries, but reported distances are
-    /// always exact.
+    /// `query` into `out` (cleared first), ascending by `(distance, id)`
+    /// — the whole answer is identical across indexes. `scratch` is
+    /// unused (see [`IndexScratch`]).
     ///
     /// This is the *required* method — every index implements its real
     /// search here, allocation-free in steady state (enforced by xtask
     /// rule A), and the allocating [`nearest`](NnIndex::nearest) is just
     /// a convenience wrapper over it. Callers on the hot path hold a
-    /// reusable [`IndexScratch`] and output buffer; any scratch works
-    /// with any index.
+    /// reusable output buffer.
     ///
     /// # Panics
     ///
@@ -141,8 +82,8 @@ pub trait NnIndex: Send {
     );
 
     /// Convenience wrapper over [`nearest_into`](NnIndex::nearest_into)
-    /// that allocates a fresh scratch and result buffer per call — fine
-    /// for tests and cold paths, wasteful per frame.
+    /// that allocates a fresh result buffer per call — fine for tests
+    /// and cold paths, wasteful per frame.
     ///
     /// # Panics
     ///
@@ -157,7 +98,7 @@ pub trait NnIndex: Send {
     /// Removes all entries.
     fn clear(&mut self);
 
-    /// A short name for reports (`"linear"`, `"kdtree"`, `"lsh"`).
+    /// A short name for reports (`"linear"`, `"kdtree"`).
     fn kind(&self) -> &'static str;
 }
 
@@ -194,18 +135,6 @@ mod tests {
         };
         assert_eq!(n, n.clone());
         assert_eq!(format!("{n:?}"), "Neighbor { id: 7, distance: 1.5 }");
-    }
-
-    #[test]
-    fn epoch_wrap_clears_stale_visit_marks() {
-        let mut scratch = IndexScratch::new();
-        scratch.visited = vec![u32::MAX - 1, 3, 0];
-        scratch.epoch = u32::MAX - 1;
-        // Wrapping to 0 must clear the stamps and restart at 1, so the
-        // pre-wrap mark in slot 0 cannot alias the new epoch.
-        assert_eq!(scratch.next_epoch(), u32::MAX);
-        assert_eq!(scratch.next_epoch(), 1);
-        assert_eq!(scratch.visited, vec![0, 0, 0]);
     }
 
     #[test]

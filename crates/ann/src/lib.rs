@@ -1,26 +1,25 @@
 //! Nearest-neighbour search for the approximate cache.
 //!
 //! A cache lookup is a k-nearest-neighbour query over the cached
-//! signatures. Four interchangeable indexes implement [`NnIndex`], all
-//! backed by the contiguous [`FlatBuffer`] key storage and the chunked
-//! flat distance kernels, and all constructed through one serde-able
-//! [`IndexConfig`] + [`build`] factory:
+//! signatures. Two interchangeable **exact** indexes implement
+//! [`NnIndex`], both scoring rows with the chunked flat distance kernel
+//! and selecting through one bounded `(distance, id)` buffer, and both
+//! constructed through one serde-able [`IndexConfig`] + [`build`]
+//! factory:
 //!
-//! - [`LinearScan`] — exact, `O(n)` per query; the correctness reference
-//!   and the fastest choice below a few hundred entries.
-//! - [`KdTree`] — exact, logarithmic-ish in low dimension; degrades
-//!   towards linear as dimension grows (the classic curse).
-//! - [`LshIndex`] — sign-random-projection LSH, sublinear candidate
-//!   generation with quantized shortlist scoring; approximate but
-//!   tunable via tables × bits.
-//! - [`NswIndex`] — navigable-small-world graph; the scalable choice at
-//!   fleet-size caches.
+//! - [`LinearScan`] — `O(n)` per query over the contiguous
+//!   [`FlatBuffer`]; the cache's default and what every workload runs.
+//! - [`KdTree`] — branch-and-bound over median splits; prunes well on
+//!   clustered, cache-shaped keys and degrades towards the scan on
+//!   uniform high-dimensional ones.
+//!
+//! Their answers are bit-identical — same ids, same order (distance
+//! ties break by id), `to_bits`-equal distances — to each other and to
+//! the never-optimized `ReferenceLinearScan` oracle, so which one a
+//! cache uses is a cost decision only, never a behavioural one.
 //!
 //! The primary query path is [`NnIndex::nearest_into`]: callers hold a
-//! reusable [`IndexScratch`] and output buffer, and steady-state lookups
-//! allocate nothing. Approximate indexes may miss neighbours but never
-//! report wrong distances — shortlists are always re-ranked with the
-//! exact f64 kernel before anything is returned.
+//! reusable output buffer and steady-state lookups allocate nothing.
 //!
 //! On top of the raw neighbour list sits [`aknn`]: the *homogenized
 //! adaptive k-NN* hit test (after FoggyCache's A-kNN) that decides whether
@@ -46,8 +45,6 @@ pub mod flat;
 pub mod index;
 pub mod kdtree;
 pub mod linear;
-pub mod lsh;
-pub mod nsw;
 
 pub use aknn::{AknnConfig, AknnOutcome, DecideScratch, MissReason};
 pub use config::{build, IndexConfig};
@@ -55,5 +52,3 @@ pub use flat::FlatBuffer;
 pub use index::{IndexScratch, Neighbor, NnIndex};
 pub use kdtree::KdTree;
 pub use linear::LinearScan;
-pub use lsh::{LshConfig, LshIndex};
-pub use nsw::{NswConfig, NswIndex};

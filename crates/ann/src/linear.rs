@@ -73,9 +73,7 @@ impl NnIndex for LinearScan {
         out: &mut Vec<Neighbor>,
     ) {
         check_query(self.flat.dim(), query, k);
-        let _ = scratch; // an exact scan needs no working memory
-                         // Re-ranking every row *is* the exact bounded scan (early-exit
-                         // kernel + bounded (distance, id) selection).
+        let _ = scratch;
         self.flat
             .rerank_rows_into(0..self.flat.len(), query.as_slice(), k, out);
         for n in out {

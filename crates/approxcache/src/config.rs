@@ -345,15 +345,6 @@ impl PipelineConfig {
         self
     }
 
-    /// Replaces the cache's nearest-neighbour index backend, keeping
-    /// everything else. `IndexConfig::Linear` is the default and the only
-    /// backend with exhaustive recall; approximate backends (LSH, NSW)
-    /// trade recall for sublinear lookups at large cache sizes.
-    pub fn with_index(mut self, index: reuse::IndexConfig) -> PipelineConfig {
-        self.cache = self.cache.clone().with_index(index);
-        self
-    }
-
     /// Enables or disables periodic cache expiry.
     pub fn with_expiry(mut self, expiry: Option<CacheExpiry>) -> PipelineConfig {
         self.expiry = expiry;

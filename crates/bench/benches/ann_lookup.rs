@@ -1,12 +1,13 @@
-//! R-11 — index comparison: lookup latency of linear scan vs kd-tree vs
-//! LSH as the cache grows. Demonstrates the claim the cost model relies
-//! on: lookups are microseconds while inference is tens of milliseconds,
-//! and the linear scan is unbeatable at mobile cache sizes.
+//! R-11 — index comparison: lookup latency of the two exact indexes,
+//! linear scan and kd-tree, as the cache grows. Demonstrates the claim
+//! the cost model relies on: lookups are microseconds while inference is
+//! tens of milliseconds. Keys here are uniform — the tree's worst case
+//! at d = 64, where its bound rarely prunes and it tracks the scan.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use ann::{IndexConfig, LshConfig, NnIndex, NswConfig};
+use ann::{IndexConfig, NnIndex};
 use features::projection::random_vectors;
 use simcore::SimRng;
 
@@ -29,17 +30,9 @@ fn bench_lookup(c: &mut Criterion) {
         build(linear.as_mut(), &keys);
         let mut kdtree = ann::build(DIM, &IndexConfig::KdTree);
         build(kdtree.as_mut(), &keys);
-        let mut lsh = ann::build(DIM, &IndexConfig::Lsh(LshConfig::default()));
-        build(lsh.as_mut(), &keys);
-        let mut nsw = ann::build(DIM, &IndexConfig::Nsw(NswConfig::default()));
-        build(nsw.as_mut(), &keys);
 
-        let indexes: [(&str, &dyn NnIndex); 4] = [
-            ("linear", linear.as_ref()),
-            ("kdtree", kdtree.as_ref()),
-            ("lsh", lsh.as_ref()),
-            ("nsw", nsw.as_ref()),
-        ];
+        let indexes: [(&str, &dyn NnIndex); 2] =
+            [("linear", linear.as_ref()), ("kdtree", kdtree.as_ref())];
         for (name, index) in indexes {
             group.bench_with_input(BenchmarkId::new(name, size), &size, |b, _| {
                 let mut i = 0;
@@ -61,20 +54,15 @@ fn bench_insert(c: &mut Criterion) {
     let mut group = c.benchmark_group("ann_insert");
     let mut rng = SimRng::seed(2);
     let keys = random_vectors(1_000, DIM, &mut rng);
-    group.bench_function("linear_1k", |b| {
-        b.iter(|| {
-            let mut index = ann::build(DIM, &IndexConfig::Linear);
-            build(index.as_mut(), &keys);
-            black_box(index.len())
+    for config in [IndexConfig::Linear, IndexConfig::KdTree] {
+        group.bench_function(format!("{}_1k", config.name()), |b| {
+            b.iter(|| {
+                let mut index = ann::build(DIM, &config);
+                build(index.as_mut(), &keys);
+                black_box(index.len())
+            });
         });
-    });
-    group.bench_function("lsh_1k", |b| {
-        b.iter(|| {
-            let mut index = ann::build(DIM, &IndexConfig::Lsh(LshConfig::default()));
-            build(index.as_mut(), &keys);
-            black_box(index.len())
-        });
-    });
+    }
     group.finish();
 }
 

@@ -1,11 +1,11 @@
 //! R-13 — key-generation and wire-codec microbenchmarks: the per-frame
-//! fixed costs of the caching machinery (projection, hashing,
-//! normalization) and the encode/decode cost of peer messages.
+//! fixed costs of the caching machinery (projection, hashing) and the
+//! encode/decode cost of peer messages.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use features::{projection::random_vectors, Normalizer, RandomProjection, SimHasher};
+use features::{projection::random_vectors, RandomProjection, SimHasher};
 use p2pnet::{P2pMessage, RemoteHit, WireEntry};
 use simcore::SimRng;
 
@@ -16,7 +16,6 @@ fn bench_key_generation(c: &mut Criterion) {
     let projection = RandomProjection::new(256, 64, 7);
     let hasher = SimHasher::new(64, 7);
     let keys = projection.project_all(&descriptors);
-    let normalizer = Normalizer::fit(&keys).unwrap();
 
     group.bench_function("project_256_to_64", |b| {
         let mut i = 0;
@@ -32,14 +31,6 @@ fn bench_key_generation(c: &mut Criterion) {
             let k = &keys[i % keys.len()];
             i += 1;
             black_box(hasher.hash(k))
-        });
-    });
-    group.bench_function("normalize_64", |b| {
-        let mut i = 0;
-        b.iter(|| {
-            let k = &keys[i % keys.len()];
-            i += 1;
-            black_box(normalizer.apply(k).unwrap())
         });
     });
     group.finish();

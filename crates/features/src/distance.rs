@@ -180,39 +180,6 @@ pub fn squared_euclidean_flat_within(a: &[f32], b: &[f32], bound: f64) -> Option
     Some(acc)
 }
 
-/// Squared Euclidean distance between two rows of 8-bit quantization
-/// codes, in code units — the shortlist-scoring kernel for approximate
-/// indexes.
-///
-/// Both rows must be quantized under the *same* (min, scale) so the code
-/// difference is proportional to the value difference; multiplying the
-/// result by `scale²` recovers an approximation of the true squared
-/// distance. The integer arithmetic auto-vectorizes far wider than the
-/// f64 kernel (16 lanes of u8 per 128-bit register instead of 2 of f64),
-/// which is the whole point: score many candidates cheaply, then re-rank
-/// the survivors with [`squared_euclidean_flat`] so reported distances
-/// stay exact.
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ.
-pub fn squared_euclidean_u8(a: &[u8], b: &[u8]) -> u64 {
-    assert_eq!(
-        a.len(),
-        b.len(),
-        "distance: dimension mismatch ({} vs {})",
-        a.len(),
-        b.len()
-    );
-    a.iter()
-        .zip(b)
-        .map(|(&x, &y)| {
-            let d = x as i32 - y as i32;
-            (d * d) as u64
-        })
-        .sum()
-}
-
 /// The pre-optimisation scalar kernel, kept as the equivalence oracle for
 /// the chunked kernel (proptests pin bit-equality).
 #[doc(hidden)]
@@ -319,20 +286,6 @@ mod tests {
         let x = fv(&[1.0, 0.0]);
         assert_eq!(cosine(&z, &x), 2.0);
         assert_eq!(cosine(&z, &z), 2.0);
-    }
-
-    #[test]
-    fn squared_u8_matches_hand_computation() {
-        assert_eq!(squared_euclidean_u8(&[0, 10, 255], &[0, 13, 250]), 34);
-        assert_eq!(squared_euclidean_u8(&[7; 16], &[7; 16]), 0);
-        // The extreme row pair stays well inside u64.
-        assert_eq!(squared_euclidean_u8(&[0; 64], &[255; 64]), 64 * 255 * 255);
-    }
-
-    #[test]
-    #[should_panic(expected = "dimension mismatch")]
-    fn squared_u8_rejects_mismatched_lengths() {
-        squared_euclidean_u8(&[1, 2], &[1]);
     }
 
     #[test]
@@ -470,23 +423,6 @@ mod proptests {
                 }
                 None => prop_assert!(full > bound),
             }
-        }
-
-        /// The u8 code kernel is a metric-compatible score: symmetric,
-        /// zero exactly on identical rows, and equal to the f64 kernel on
-        /// the dequantized values when `scale == 1` (codes are values).
-        #[test]
-        fn u8_kernel_agrees_with_float_kernel_on_codes(
-            a in proptest::collection::vec(proptest::strategy::any::<u8>(), 1..64),
-            b in proptest::collection::vec(proptest::strategy::any::<u8>(), 64),
-        ) {
-            let b = &b[..a.len()];
-            let ab = squared_euclidean_u8(&a, b);
-            prop_assert_eq!(ab, squared_euclidean_u8(b, &a));
-            prop_assert_eq!(squared_euclidean_u8(&a, &a), 0);
-            let af: Vec<f32> = a.iter().map(|&c| c as f32).collect();
-            let bf: Vec<f32> = b.iter().map(|&c| c as f32).collect();
-            prop_assert_eq!(ab as f64, squared_euclidean_flat(&af, &bf));
         }
 
         /// The cached norm is the norm: caching must not change the value,

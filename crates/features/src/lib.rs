@@ -13,8 +13,6 @@
 //!   approximately preserving relative distances.
 //! - [`PerceptualHash`] — a 64-bit SimHash signature for cheap
 //!   pre-filtering and exact-match caching baselines.
-//! - [`Normalizer`] — per-dimension standardization fitted on sample data,
-//!   so distance thresholds are comparable across feature spaces.
 //!
 //! # Example
 //!
@@ -29,14 +27,12 @@
 //! ```
 
 pub mod distance;
-pub mod normalize;
 pub mod phash;
 pub mod projection;
 pub mod quantize;
 pub mod vector;
 
 pub use distance::Metric;
-pub use normalize::Normalizer;
 pub use phash::{PerceptualHash, SimHasher};
 pub use projection::RandomProjection;
 pub use quantize::QuantizedVector;

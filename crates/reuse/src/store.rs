@@ -88,7 +88,6 @@ impl CacheConfig {
         assert!(self.capacity > 0, "CacheConfig: capacity must be positive");
         self.aknn.validate();
         self.admission.validate();
-        self.index.validate();
     }
 }
 
@@ -830,12 +829,8 @@ mod tests {
     }
 
     #[test]
-    fn works_with_lsh_and_kdtree_backends() {
-        for kind in [
-            IndexConfig::Lsh(ann::LshConfig::default()),
-            IndexConfig::KdTree,
-            IndexConfig::Nsw(ann::NswConfig::default()),
-        ] {
+    fn works_with_both_index_backends() {
+        for kind in [IndexConfig::Linear, IndexConfig::KdTree] {
             let mut c: ApproxCache<u32> = ApproxCache::new(CacheConfig::new(16).with_index(kind));
             c.insert(
                 fv(&[1.0, 2.0]),
@@ -1005,12 +1000,7 @@ mod proptests {
     }
 
     fn backend() -> impl Strategy<Value = IndexConfig> {
-        prop_oneof![
-            Just(IndexConfig::Linear),
-            Just(IndexConfig::KdTree),
-            Just(IndexConfig::Lsh(ann::LshConfig::default())),
-            Just(IndexConfig::Nsw(ann::NswConfig::default())),
-        ]
+        prop_oneof![Just(IndexConfig::Linear), Just(IndexConfig::KdTree)]
     }
 
     proptest! {

@@ -24,10 +24,6 @@ fn decide_in(votes: &[Vote]) -> Vec<Vote> {
     v.to_vec()
 }
 
-fn beam_search_into(nodes: &[u64]) -> Vec<u64> {
-    nodes.to_vec()
-}
-
 fn search_into(rows: &[u64]) -> Vec<u64> {
     let mut out = Vec::new();
     out.extend(rows);
@@ -36,8 +32,4 @@ fn search_into(rows: &[u64]) -> Vec<u64> {
 
 fn rerank_rows_into(rows: &[u64]) -> String {
     format!("{rows:?}")
-}
-
-fn quantize_query_into(query: &[f64]) -> Vec<u8> {
-    query.iter().map(|&x| x as u8).collect()
 }

@@ -31,11 +31,6 @@ fn decide_in(votes: &[Vote]) -> usize {
     snapshot.len()
 }
 
-fn beam_search_into(nodes: &[u64], scratch: &mut Scratch) {
-    scratch.beam.clear();
-    scratch.beam.extend_from_slice(nodes);
-}
-
 fn search_into(rows: &[u64], out: &mut Vec<u64>) {
     out.clear();
     out.extend_from_slice(rows);
@@ -45,12 +40,5 @@ fn rerank_rows_into(rows: &[u64], out: &mut Vec<(f64, u64)>) {
     out.clear();
     for &row in rows {
         out.push((row as f64, row));
-    }
-}
-
-fn quantize_query_into(query: &[f64], out: &mut Vec<u8>) {
-    out.clear();
-    for &x in query {
-        out.push(x as u8);
     }
 }

@@ -132,7 +132,7 @@ const PANIC_CRATES: &[&str] = &["reuse", "approxcache", "p2pnet"];
 /// Directory where rules L and G apply: the sharded store's concurrent
 /// core. Its deadlock-freedom argument is that no thread ever holds two
 /// shard locks at once, so every acquisition must be the only live one.
-pub(crate) const LOCK_SCOPE_PREFIX: &str = "crates/reuse/src/concurrent/";
+pub const LOCK_SCOPE_PREFIX: &str = "crates/reuse/src/concurrent/";
 
 /// Files that *define* unit newtypes: raw-number arithmetic on unit
 /// names is their job.
@@ -870,22 +870,21 @@ fn check_seed_splits(ctx: &FileContext, out: &mut Vec<Violation>) {
 }
 
 /// Fns that are hot-path everywhere: the per-frame A-kNN kernels plus
-/// the per-lookup index internals they fan out to (the NSW beam search,
-/// the kd-tree recursion, the flat-buffer re-rank and query
-/// quantization). All of these run on every cache lookup; the scratch
-/// plumbing exists precisely so they stay allocation-free.
-const HOT_FNS_ANYWHERE: &[&str] = &[
+/// the per-lookup index internals they fan out to (the kd-tree
+/// recursion and the flat-buffer scan). All of these run on every cache
+/// lookup; the caller-held output buffers exist precisely so they stay
+/// allocation-free. `selflint` checks every name here is still a `fn`
+/// somewhere in the linted tree.
+pub const HOT_FNS_ANYWHERE: &[&str] = &[
     "nearest_into",
     "decide_in",
-    "beam_search_into",
     "search_into",
     "rerank_rows_into",
-    "quantize_query_into",
 ];
 
 /// Fns that are hot-path within the concurrent core (shard operations
 /// executed under the shard lock).
-const HOT_FNS_CONCURRENT: &[&str] = &["lookup", "insert"];
+pub const HOT_FNS_CONCURRENT: &[&str] = &["lookup", "insert"];
 
 /// Allocation patterns rule A flags inside hot fns.
 const ALLOC_METHODS: &[&str] = &["clone", "to_vec", "collect"];

@@ -5,6 +5,9 @@
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
+use xtask::lexer::lex;
+use xtask::rules::{HOT_FNS_ANYWHERE, HOT_FNS_CONCURRENT, LOCK_SCOPE_PREFIX};
+use xtask::tree::Tree;
 use xtask::{lint_repo, load_budget};
 
 fn repo_root() -> PathBuf {
@@ -69,9 +72,18 @@ fn allow_census_is_pinned() {
     // Every `xtask-allow(rule)` in linted (non-fixture, non-xtask)
     // sources is an audited escape hatch. Adding one requires updating
     // this census — that is the review hook, not a formality.
-    let root = repo_root();
     let mut sites: Vec<(String, String)> = Vec::new();
-    collect_allows(&root.join("crates"), &root, &mut sites);
+    for (rel, text) in linted_sources() {
+        for line in text.lines() {
+            let Some(idx) = line.find("xtask-allow(") else {
+                continue;
+            };
+            let rest = &line[idx + "xtask-allow(".len()..];
+            if let Some(end) = rest.find(')') {
+                sites.push((rel.clone(), rest[..end].to_string()));
+            }
+        }
+    }
     sites.sort();
     let census: Vec<String> = sites
         .iter()
@@ -91,9 +103,46 @@ fn allow_census_is_pinned() {
     );
 }
 
-/// Walks `crates/*/src/**/*.rs` exactly like the linter (skipping the
-/// xtask crate and fixtures) and records `xtask-allow(<rule>):` markers.
-fn collect_allows(dir: &Path, root: &Path, out: &mut Vec<(String, String)>) {
+#[test]
+fn every_hot_fn_name_is_defined_in_the_tree() {
+    // Rule A matches fns by name, so a name whose fn was renamed or
+    // deleted stops guarding anything without a single test failing.
+    let fns: Vec<(String, String)> = linted_sources()
+        .into_iter()
+        .flat_map(|(rel, text)| {
+            let tree = Tree::new(&lex(&text).tokens);
+            let names: Vec<String> = tree.fns().iter().map(|f| f.name.clone()).collect();
+            names.into_iter().map(move |name| (rel.clone(), name))
+        })
+        .collect();
+    let defined = |name: &str, prefix: &str| {
+        fns.iter()
+            .any(|(rel, f)| f == name && rel.starts_with(prefix))
+    };
+    for name in HOT_FNS_ANYWHERE {
+        assert!(
+            defined(name, "crates/"),
+            "no `fn {name}` in the linted tree"
+        );
+    }
+    for name in HOT_FNS_CONCURRENT {
+        assert!(
+            defined(name, LOCK_SCOPE_PREFIX),
+            "no `fn {name}` in the concurrent core"
+        );
+    }
+}
+
+/// `(repo-relative path, text)` of every `crates/*/src/**/*.rs` the
+/// linter walks (the xtask crate and fixtures are skipped).
+fn linted_sources() -> Vec<(String, String)> {
+    let root = repo_root();
+    let mut out = Vec::new();
+    collect_sources(&root.join("crates"), &root, &mut out);
+    out
+}
+
+fn collect_sources(dir: &Path, root: &Path, out: &mut Vec<(String, String)>) {
     let entries = match std::fs::read_dir(dir) {
         Ok(e) => e,
         Err(_) => return,
@@ -109,19 +158,10 @@ fn collect_allows(dir: &Path, root: &Path, out: &mut Vec<(String, String)>) {
             if rel == "crates/xtask" || rel.ends_with("/fixtures") {
                 continue;
             }
-            collect_allows(&path, root, out);
+            collect_sources(&path, root, out);
         } else if rel.starts_with("crates/") && rel.contains("/src/") && rel.ends_with(".rs") {
-            let Ok(text) = std::fs::read_to_string(&path) else {
-                continue;
-            };
-            for line in text.lines() {
-                let Some(idx) = line.find("xtask-allow(") else {
-                    continue;
-                };
-                let rest = &line[idx + "xtask-allow(".len()..];
-                if let Some(end) = rest.find(')') {
-                    out.push((rel.clone(), rest[..end].to_string()));
-                }
+            if let Ok(text) = std::fs::read_to_string(&path) {
+                out.push((rel, text));
             }
         }
     }
