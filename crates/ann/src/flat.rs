@@ -4,7 +4,8 @@
 //! One row-major `f32` buffer kept dense by swap-remove, so a scan walks
 //! memory linearly and the chunked distance kernel auto-vectorizes.
 //! [`FlatBuffer::rerank_rows_into`] scores rows with the exact f64
-//! kernel and keeps the `k` best through [`push_bounded`], whose strict
+//! kernel and keeps the `k` best within a squared-distance limit
+//! through [`push_bounded`], whose strict
 //! `(distance, id)` order is the tie-break contract every index answers
 //! under.
 
@@ -39,6 +40,17 @@ pub(crate) fn push_bounded(out: &mut Vec<Neighbor>, k: usize, candidate: Neighbo
     }
     let pos = out.partition_point(|n| closer(n, &candidate));
     out.insert(pos, candidate);
+}
+
+/// The squared distance beyond which no candidate can enter `out`: its
+/// tail (the k-th best so far, itself within `limit`) once `out` is
+/// full, the caller's `limit` while there is still room. Both indexes
+/// bound the distance kernel with it; the kd-tree also prunes with it.
+pub(crate) fn selection_bound(out: &[Neighbor], k: usize, limit: f64) -> f64 {
+    match out.last() {
+        Some(worst) if out.len() == k => worst.distance,
+        _ => limit,
+    }
 }
 
 /// Contiguous structure-of-arrays key storage with id bookkeeping.
@@ -182,10 +194,11 @@ impl FlatBuffer {
     }
 
     /// Scores each row in `rows` against `query` with the exact f64
-    /// kernel (early-exit bounded) and keeps the `k` nearest in `out`
-    /// (cleared first), ascending by `(squared distance, id)`.
-    /// Distances are left *squared* — callers apply the final `sqrt`
-    /// once, after selection.
+    /// kernel (early-exit bounded) and keeps in `out` (cleared first) the
+    /// `k` nearest of those whose squared distance is `<= limit`,
+    /// ascending by `(squared distance, id)`. Distances are left
+    /// *squared* — callers apply the final `sqrt` once, after selection.
+    /// `f64::INFINITY` is no limit.
     ///
     /// Passing `0..self.len()` is the `LinearScan` hot loop.
     pub fn rerank_rows_into(
@@ -193,19 +206,16 @@ impl FlatBuffer {
         rows: impl Iterator<Item = usize>,
         query: &[f32],
         k: usize,
+        limit: f64,
         out: &mut Vec<Neighbor>,
     ) {
         out.clear();
         for row in rows {
-            // Once the selection buffer is full, its tail is the current
-            // k-th best: rows whose partial sum already exceeds it can be
+            // Rows whose partial sum already exceeds the bound are
             // abandoned mid-kernel without changing the result (squared
             // terms only grow the sum, and the exit is strict so distance
             // ties still reach the id tie-break).
-            let bound = match out.last() {
-                Some(worst) if out.len() == k => worst.distance,
-                _ => f64::INFINITY,
-            };
+            let bound = selection_bound(out, k, limit);
             let key = &self.keys[row * self.dim..(row + 1) * self.dim];
             let Some(distance) = squared_euclidean_flat_within(key, query, bound) else {
                 continue;
@@ -266,7 +276,7 @@ mod tests {
         let rows: Vec<(u64, Vec<f32>)> = (0..50u64).map(|i| (i, vec![i as f32, 0.5])).collect();
         let b = filled(2, &rows);
         let mut out = Vec::new();
-        b.rerank_rows_into(0..b.len(), &[20.2, 0.5], 3, &mut out);
+        b.rerank_rows_into(0..b.len(), &[20.2, 0.5], 3, f64::INFINITY, &mut out);
         assert_eq!(out.len(), 3);
         assert_eq!(out[0].id, 20);
         assert_eq!(out[1].id, 21);
@@ -274,6 +284,23 @@ mod tests {
         // Distances are squared and exact.
         let expect = squared_euclidean_flat(&[20.0, 0.5], &[20.2, 0.5]);
         assert_eq!(out[0].distance.to_bits(), expect.to_bits());
+    }
+
+    #[test]
+    fn rerank_limit_is_inclusive_on_the_squared_distance() {
+        let rows: Vec<(u64, Vec<f32>)> = (0..10u64).map(|i| (i, vec![i as f32])).collect();
+        let b = filled(1, &rows);
+        let mut out = Vec::new();
+        // Squared distances from 4.0 are 0, 1, 1, 4, 4, 9, …: a limit of
+        // exactly 4 keeps five rows, and k still caps the answer.
+        b.rerank_rows_into(0..b.len(), &[4.0], 8, 4.0, &mut out);
+        let ids: Vec<u64> = out.iter().map(|n| n.id).collect();
+        assert_eq!(ids, [4, 3, 5, 2, 6]);
+        b.rerank_rows_into(0..b.len(), &[4.0], 2, 4.0, &mut out);
+        let ids: Vec<u64> = out.iter().map(|n| n.id).collect();
+        assert_eq!(ids, [4, 3]);
+        b.rerank_rows_into(0..b.len(), &[20.0], 2, 4.0, &mut out);
+        assert!(out.is_empty(), "nothing within the limit");
     }
 
     #[test]

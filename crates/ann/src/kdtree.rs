@@ -4,8 +4,8 @@ use std::collections::HashMap;
 
 use features::{distance::squared_euclidean_flat_within, FeatureVector};
 
-use crate::flat::push_bounded;
-use crate::index::{check_insert, check_query, IndexScratch, Neighbor, NnIndex};
+use crate::flat::{push_bounded, selection_bound};
+use crate::index::{check_insert, check_query, finish_within, squared_limit, Neighbor, NnIndex};
 
 /// Exact nearest-neighbour search via a k-d tree.
 ///
@@ -15,11 +15,22 @@ use crate::index::{check_insert, check_query, IndexScratch, Neighbor, NnIndex};
 /// triggers are checked on every insert *and* remove, so a long-running
 /// sim can never degrade to scanning mostly-dead nodes. In low
 /// dimension queries are logarithmic. At d = 64 the outcome depends on
-/// the keys: on uniform ones the branch-and-bound bound rarely prunes
-/// and performance approaches the linear scan (what `R-11` shows); on
-/// clustered, cache-shaped ones it prunes well — the last recorded
-/// frontier read 2.9 / 23 / 282 µs per lookup at 256 / 4096 / 65 536
-/// entries against the scan's 6.0 / 91 / 1401.
+/// the keys *and on the query*. On uniform keys the branch-and-bound
+/// bound rarely prunes and performance approaches the linear scan (what
+/// `R-11` shows). On clustered, cache-shaped keys a query **near** a
+/// cluster finds its k-th best early and prunes well — the last recorded
+/// frontier, all near queries, read 2.9 / 23 / 282 µs per lookup at
+/// 256 / 4096 / 65 536 entries against the scan's 6.0 / 91 / 1401 — but
+/// a query **far** from every cluster never gets a tight bound: with
+/// 8192 clustered keys an unbounded far query costs the tree ~840 µs
+/// against the scan's ~330, and under the benchmark's 70/30 near/far mix
+/// the tree as default index lost end to end (`edge-lookup` p50 2.99 ms
+/// against 2.58). Bounding the search by the hit threshold
+/// ([`NnIndex::nearest_within_into`]) gives a far query a bound from the
+/// first node and cuts that cost to about a fifth; a split plane is
+/// still rarely farther than the threshold from a query in a unit-scale
+/// key space, so most nodes are visited and the bounded scan stays ahead
+/// on far queries (Criterion `ann_lookup_clustered`, EXPERIMENTS R-11).
 ///
 /// Keys live in one contiguous row-major `f32` buffer parallel to the
 /// node table (tombstoned rows stay until a rebuild, keeping node
@@ -169,18 +180,26 @@ impl KdTree {
         Some(node_index)
     }
 
-    /// Branch-and-bound recursion: keeps the k nearest (squared
-    /// distances) in `out` via the shared `push_bounded`, bounding the
-    /// distance kernel by the current k-th best so dominated rows abort
-    /// mid-kernel.
-    fn search_into(&self, node: Option<usize>, query: &[f32], k: usize, out: &mut Vec<Neighbor>) {
+    /// Branch-and-bound recursion: keeps in `out`, via the shared
+    /// `push_bounded`, the k nearest (squared distances) of the entries
+    /// within the squared `limit`. One bound — the current k-th best
+    /// once `out` is full, the caller's `limit` until then — cuts both
+    /// the distance kernel (dominated rows abort mid-kernel) and the far
+    /// side of each split, so a query with nothing within the limit is
+    /// no longer forced through the whole tree at an infinite bound just
+    /// because `out` never fills.
+    fn search_into(
+        &self,
+        node: Option<usize>,
+        query: &[f32],
+        k: usize,
+        limit: f64,
+        out: &mut Vec<Neighbor>,
+    ) {
         let Some(idx) = node else { return };
         let n = &self.nodes[idx];
         if !n.deleted {
-            let bound = match out.last() {
-                Some(worst) if out.len() == k => worst.distance,
-                _ => f64::INFINITY,
-            };
+            let bound = selection_bound(out, k, limit);
             if let Some(d2) = squared_euclidean_flat_within(self.key_row(idx), query, bound) {
                 push_bounded(
                     out,
@@ -198,13 +217,13 @@ impl KdTree {
         } else {
             (n.right, n.left)
         };
-        self.search_into(near, query, k, out);
+        self.search_into(near, query, k, limit, out);
         // Prune the far side only if the splitting plane is strictly
-        // farther than the current k-th best: an entry on the plane at
-        // exactly that distance can still win the id tie-break.
-        let worst = out.last().map_or(f64::INFINITY, |b| b.distance);
-        if out.len() < k || diff * diff <= worst {
-            self.search_into(far, query, k, out);
+        // farther than the bound: an entry on the plane at exactly the
+        // k-th distance can still win the id tie-break, and one at
+        // exactly the limit is still within it.
+        if diff * diff <= selection_bound(out, k, limit) {
+            self.search_into(far, query, k, limit, out);
         }
     }
 }
@@ -242,20 +261,23 @@ impl NnIndex for KdTree {
         true
     }
 
-    fn nearest_into(
+    fn nearest_within_into(
         &self,
         query: &FeatureVector,
         k: usize,
-        scratch: &mut IndexScratch,
+        max_distance: f64,
         out: &mut Vec<Neighbor>,
     ) {
-        check_query(self.dim, query, k);
-        let _ = scratch;
+        check_query(self.dim, query, k, max_distance);
         out.clear();
-        self.search_into(self.root, query.as_slice(), k, out);
-        for n in out.iter_mut() {
-            n.distance = n.distance.sqrt();
-        }
+        self.search_into(
+            self.root,
+            query.as_slice(),
+            k,
+            squared_limit(max_distance),
+            out,
+        );
+        finish_within(out, max_distance);
     }
 
     fn clear(&mut self) {

@@ -9,17 +9,23 @@
 //!
 //! - [`LinearScan`] — `O(n)` per query over the contiguous
 //!   [`FlatBuffer`]; the cache's default and what every workload runs.
-//! - [`KdTree`] — branch-and-bound over median splits; prunes well on
-//!   clustered, cache-shaped keys and degrades towards the scan on
-//!   uniform high-dimensional ones.
+//! - [`KdTree`] — branch-and-bound over median splits; prunes well for
+//!   queries near a cluster of cache-shaped keys, degrades towards the
+//!   scan on uniform high-dimensional keys, and falls behind it on
+//!   queries far from every key (measured numbers on [`KdTree`]).
 //!
 //! Their answers are bit-identical — same ids, same order (distance
 //! ties break by id), `to_bits`-equal distances — to each other and to
 //! the never-optimized `ReferenceLinearScan` oracle, so which one a
 //! cache uses is a cost decision only, never a behavioural one.
 //!
-//! The primary query path is [`NnIndex::nearest_into`]: callers hold a
-//! reusable output buffer and steady-state lookups allocate nothing.
+//! The one search both implement is [`NnIndex::nearest_within_into`]:
+//! the `k` nearest among the entries within a distance bound
+//! (inclusive, exact), which is what the hit test below can use — a
+//! cache lookup passes its distance threshold, and
+//! [`NnIndex::nearest_into`] is the same search with the bound at
+//! infinity. Callers hold a reusable output buffer and steady-state
+//! lookups allocate nothing.
 //!
 //! On top of the raw neighbour list sits [`aknn`]: the *homogenized
 //! adaptive k-NN* hit test (after FoggyCache's A-kNN) that decides whether

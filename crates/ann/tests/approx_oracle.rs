@@ -14,7 +14,14 @@
 //! splitting plane, and — after a rebuild's median split — coordinates
 //! equal to the split value on *both* sides of it.
 //!
-//! A second property pins **determinism**: two indexes built with the same
+//! The **bounded** query — `nearest_within_into(q, k, r)`, the search
+//! every cache lookup runs with `r` = the hit test's distance threshold
+//! — is held to the same standard under the same churn: it equals the
+//! reference's full ranking filtered by `distance <= r` and cut to `k`,
+//! for `r` = 0, `r` = exactly a neighbour's distance (inclusive), a
+//! radius between two neighbours, and `∞`.
+//!
+//! A further property pins **determinism**: two indexes built with the same
 //! config over the same insertion sequence answer every query with
 //! identical ids and bit-identical distances, which is what lets peers
 //! share cache entries and lets golden results stay byte-stable.
@@ -142,6 +149,77 @@ proptest! {
                     let verdict = same_answer(name, &out, &oracle.nearest(&query, k));
                     prop_assert!(verdict.is_ok(), "step {step}: {verdict:?}");
                 }
+            }
+        }
+    }
+
+    /// The bounded search is the reference's full ranking, filtered by
+    /// `distance <= r` and cut to `k` — ids and distance bits — at the
+    /// radii where an off-by-an-ulp seed or a strict comparison would
+    /// show: zero (exact duplicates only; the grid half of the cases
+    /// has them), exactly a returned neighbour's distance (which must
+    /// be included), halfway between two neighbours, and infinity
+    /// (which must be `nearest_into`).
+    #[test]
+    fn bounded_answer_is_the_filtered_reference_under_churn(
+        seed in 0u64..1_000_000,
+        dim in 1usize..12,
+        grid in any::<bool>(),
+        ops in proptest::collection::vec((0u64..40, 0u8..4), 1..240),
+        k in 1usize..8,
+    ) {
+        let draw = |salt: u64| {
+            if grid {
+                grid_coords(seed ^ salt, dim)
+            } else {
+                coords(seed ^ salt, dim)
+            }
+        };
+        let mut scratch = IndexScratch::new();
+        let mut out: Vec<Neighbor> = Vec::new();
+        let mut unbounded: Vec<Neighbor> = Vec::new();
+        for (name, config) in backends() {
+            let mut index = build(dim, &config);
+            let mut oracle = ReferenceLinearScan::new(dim);
+            for (step, &(id, action)) in ops.iter().enumerate() {
+                if action == 0 {
+                    prop_assert_eq!(index.remove(id), oracle.remove(id));
+                } else {
+                    let key = fv(&draw(0xA11C_E000 + step as u64));
+                    index.insert(id, key.clone());
+                    oracle.insert(id, key);
+                }
+                if oracle.is_empty() || !(step % 8 == 7 || step + 1 == ops.len()) {
+                    continue;
+                }
+                // On the grid a query is a cached key about one time in
+                // three, so radius 0 has something to find.
+                let query = if grid && step % 3 == 0 {
+                    fv(&draw(0xA11C_E000 + step as u64))
+                } else {
+                    fv(&draw(0xFACE_0000 + step as u64))
+                };
+                let ranking = oracle.nearest(&query, oracle.len());
+                let mut radii = vec![0.0, f64::INFINITY];
+                for pair in ranking.windows(2) {
+                    radii.push(pair[0].distance);
+                    radii.push((pair[0].distance + pair[1].distance) / 2.0);
+                }
+                radii.extend(ranking.last().map(|n| n.distance));
+                for r in radii {
+                    let want: Vec<Neighbor> = ranking
+                        .iter()
+                        .filter(|n| n.distance <= r)
+                        .take(k)
+                        .copied()
+                        .collect();
+                    index.nearest_within_into(&query, k, r, &mut out);
+                    let verdict = same_answer(name, &out, &want);
+                    prop_assert!(verdict.is_ok(), "step {step}, r = {r:e}: {verdict:?}");
+                }
+                index.nearest_into(&query, k, &mut scratch, &mut unbounded);
+                index.nearest_within_into(&query, k, f64::INFINITY, &mut out);
+                prop_assert_eq!(&out, &unbounded);
             }
         }
     }

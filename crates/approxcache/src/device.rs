@@ -833,15 +833,16 @@ impl Device {
                 let out_bytes = request.encoded_len();
                 edge.counters.record_queries_sent(1);
                 // The server sees every query — losses are modelled on
-                // the reply leg — and an overloaded server sheds the
-                // batch instead of answering (a 503 is a handful of
-                // header bytes on the wire).
+                // the reply leg — and a server that is overloaded, or
+                // cannot take the key, turns the batch away instead of
+                // answering (a 503 or a 400 is a handful of header bytes
+                // on the wire).
                 let (reply, back_bytes) = match edge.cache.apply_batch(&request, now) {
                     Ok(response) => {
                         let bytes = response.encoded_len();
                         (response.replies.into_iter().next(), bytes)
                     }
-                    Err(edge::Overloaded) => (None, 64),
+                    Err(_) => (None, 64),
                 };
                 let rtt = edge
                     .transport

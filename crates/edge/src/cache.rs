@@ -6,9 +6,12 @@
 //! `edge-server` binary. All mutation goes through
 //! [`apply_batch`](EdgeCache::apply_batch), which admits a batch only
 //! while the in-flight frame count stays under the configured queue
-//! limit and otherwise rejects with [`Overloaded`] *immediately* — the
-//! edge tier never blocks a mobile caller, because a device can always
-//! fall back to local inference for less than the cost of waiting.
+//! limit and otherwise rejects with [`BatchError::Overloaded`]
+//! *immediately* — the edge tier never blocks a mobile caller, because
+//! a device can always fall back to local inference for less than the
+//! cost of waiting. A batch carrying a key of another dimension than
+//! the cache's is turned away whole, before the store sees any of it
+//! ([`BatchError::KeyDimension`]).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -31,7 +34,7 @@ pub struct EdgeCacheConfig {
     /// the calibrated device threshold).
     pub distance_threshold: f64,
     /// Most request frames allowed in flight at once; a batch that would
-    /// exceed this is rejected with [`Overloaded`].
+    /// exceed this is rejected with [`BatchError::Overloaded`].
     pub queue_limit: usize,
 }
 
@@ -61,17 +64,58 @@ impl EdgeCacheConfig {
     }
 }
 
-/// The typed rejection when a batch would exceed the queue limit.
+/// Why [`EdgeCache::apply_batch`] turned a whole batch away. Either way
+/// the store was not touched and no reply was produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Overloaded;
+pub enum BatchError {
+    /// The batch would exceed the queue limit — shed it, retry later or
+    /// fall back to local inference (`503` over HTTP).
+    Overloaded,
+    /// A frame's key has another dimension than the keys this cache
+    /// holds; the first key a cache admits fixes its dimension. The
+    /// request is well-formed on the wire but can never be served
+    /// (`400` over HTTP).
+    KeyDimension {
+        /// Position of the offending frame in the batch.
+        frame: usize,
+        /// That frame's key dimension.
+        got: usize,
+        /// The dimension of the cache's keys.
+        expected: usize,
+    },
+}
 
-impl std::fmt::Display for Overloaded {
+impl std::fmt::Display for BatchError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "edge cache overloaded: queue limit exceeded")
+        match self {
+            BatchError::Overloaded => write!(f, "edge cache overloaded: queue limit exceeded"),
+            BatchError::KeyDimension {
+                frame,
+                got,
+                expected,
+            } => write!(
+                f,
+                "frame {frame}: key dimension {got} does not match the cache's {expected}"
+            ),
+        }
     }
 }
 
-impl std::error::Error for Overloaded {}
+impl std::error::Error for BatchError {}
+
+/// A batch's claim on the bounded queue, given back when it drops — on
+/// every way out of [`EdgeCache::apply_batch`], an unwinding panic
+/// included, so a failed batch can never leak its slots.
+struct QueueSlots<'a> {
+    in_flight: &'a AtomicUsize,
+    cost: usize,
+}
+
+impl Drop for QueueSlots<'_> {
+    fn drop(&mut self) {
+        self.in_flight.fetch_sub(self.cost, Ordering::AcqRel);
+    }
+}
 
 /// Totals of everything the edge tier did, merged into `RunReport`.
 ///
@@ -92,7 +136,7 @@ pub struct EdgeCounters {
     pub inserts: u64,
     /// Gossip-advertisement frames applied.
     pub gossip_entries: u64,
-    /// Batches rejected with [`Overloaded`].
+    /// Batches rejected with [`BatchError::Overloaded`].
     pub overloads: u64,
     /// Lookup frames devices handed to the WAN (delivered or not).
     pub queries_sent: u64,
@@ -205,6 +249,9 @@ pub struct EdgeCache {
     counters: Arc<Mutex<EdgeCounters>>,
     in_flight: Arc<AtomicUsize>,
     queue_limit: usize,
+    /// The dimension every key of this cache has: fixed by the first
+    /// admitted request that carries a key, `0` until then.
+    key_dim: Arc<AtomicUsize>,
 }
 
 impl EdgeCache {
@@ -220,37 +267,76 @@ impl EdgeCache {
             counters: Arc::new(Mutex::new(EdgeCounters::default())),
             in_flight: Arc::new(AtomicUsize::new(0)),
             queue_limit: config.queue_limit,
+            key_dim: Arc::new(AtomicUsize::new(0)),
         })
     }
 
     /// Applies one batch, answering every frame in order, or rejects it
-    /// outright when the in-flight frame count would exceed the queue
-    /// limit. Never blocks: the caller decides whether to retry, shed,
-    /// or fall back to local inference.
+    /// outright: when the in-flight frame count would exceed the queue
+    /// limit, or when a key's dimension is not the cache's (the store
+    /// would panic on it). Never blocks: the caller decides whether to
+    /// retry, shed, or fall back to local inference.
     pub fn apply_batch(
         &self,
         request: &BatchRequest,
         now: SimTime,
-    ) -> Result<BatchResponse, Overloaded> {
+    ) -> Result<BatchResponse, BatchError> {
         // An empty batch still occupies one queue slot: it costs a parse
         // and a reply, and a flood of them must still trip backpressure.
         let cost = request.frames.len().max(1);
         let before = self.in_flight.fetch_add(cost, Ordering::AcqRel);
+        let _slots = QueueSlots {
+            in_flight: &self.in_flight,
+            cost,
+        };
         if before + cost > self.queue_limit {
-            self.in_flight.fetch_sub(cost, Ordering::AcqRel);
             self.counters.lock().record_overload();
-            return Err(Overloaded);
+            return Err(BatchError::Overloaded);
         }
+        self.admit_key_dims(request.frames.iter().map(|f| f.key().dim()))
+            .map_err(|(frame, got, expected)| BatchError::KeyDimension {
+                frame,
+                got,
+                expected,
+            })?;
         let mut replies = Vec::with_capacity(request.frames.len());
-        {
-            let mut counters = self.counters.lock();
-            counters.record_batch();
-            for frame in &request.frames {
-                replies.push(self.apply_frame(frame, now, &mut counters));
+        let mut counters = self.counters.lock();
+        counters.record_batch();
+        for frame in &request.frames {
+            replies.push(self.apply_frame(frame, now, &mut counters));
+        }
+        Ok(BatchResponse { replies })
+    }
+
+    /// Holds a request's key dimensions against the cache's, which the
+    /// first admitted key fixes for good. `Err` is `(position, its
+    /// dimension, the dimension expected)`; a refused request claims
+    /// nothing.
+    fn admit_key_dims(
+        &self,
+        dims: impl Iterator<Item = usize> + Clone,
+    ) -> Result<(), (usize, usize, usize)> {
+        let Some(first) = dims.clone().next() else {
+            return Ok(());
+        };
+        // The atomic publishes nothing but itself.
+        let claimed = self.key_dim.load(Ordering::Acquire);
+        let expected = if claimed == 0 { first } else { claimed };
+        if let Some((at, got)) = dims.enumerate().find(|&(_, dim)| dim != expected) {
+            return Err((at, got, expected));
+        }
+        if claimed == 0 {
+            // Two first requests may race; the loser must agree with the
+            // winner like any later request.
+            match self
+                .key_dim
+                .compare_exchange(0, expected, Ordering::AcqRel, Ordering::Acquire)
+            {
+                Err(winner) if winner != expected => return Err((0, expected, winner)),
+                _ => {}
             }
         }
-        self.in_flight.fetch_sub(cost, Ordering::AcqRel);
-        Ok(BatchResponse { replies })
+        Ok(())
     }
 
     fn apply_frame(&self, frame: &Frame, now: SimTime, counters: &mut EdgeCounters) -> Reply {
@@ -313,6 +399,12 @@ impl EdgeCache {
         *self.counters.lock()
     }
 
+    /// Request frames admitted and not yet answered — what the queue
+    /// limit bounds. Back to zero whenever no batch is being applied.
+    pub fn in_flight(&self) -> usize {
+        self.in_flight.load(Ordering::Acquire)
+    }
+
     /// Entries currently cached.
     pub fn len(&self) -> usize {
         self.cache.len()
@@ -343,11 +435,17 @@ impl EdgeCache {
 
     /// Restores entries from a [`snapshot_blob`](Self::snapshot_blob)
     /// through the normal insert path; returns how many were restored.
+    /// A snapshot whose keys are not all of the cache's dimension is
+    /// refused whole.
     pub fn restore_blob(&self, blob: &[u8], now: SimTime) -> Result<usize, String> {
         let json = crate::compress::decompress(blob).map_err(|e| e.to_string())?;
         let json = String::from_utf8(json).map_err(|e| e.to_string())?;
         let snapshot: reuse::CacheSnapshot<u32> =
             serde_json::from_str(&json).map_err(|e| e.to_string())?;
+        self.admit_key_dims(snapshot.entries.iter().map(|e| e.key.dim()))
+            .map_err(|(_, got, expected)| {
+                format!("snapshot key dimension {got} does not match the cache's {expected}")
+            })?;
         Ok(self.cache.restore(&snapshot, now))
     }
 }
@@ -466,7 +564,7 @@ mod tests {
         let err = edge
             .apply_batch(&BatchRequest { device: 1, frames }, SimTime::ZERO)
             .unwrap_err();
-        assert_eq!(err, Overloaded);
+        assert_eq!(err, BatchError::Overloaded);
         let c = edge.counters();
         assert_eq!(c.overloads, 1);
         assert_eq!(c.batches, 0, "rejected batches are not counted accepted");
@@ -482,6 +580,131 @@ mod tests {
             SimTime::ZERO,
         );
         assert!(ok.is_ok());
+    }
+
+    #[test]
+    fn mixed_dimension_batch_is_refused_whole_and_leaks_no_slots() {
+        let edge = cache_with_limit(4);
+        let insert = |components: &[f32]| Frame::Insert {
+            key: key(components),
+            label: 5,
+            confidence: 0.9,
+        };
+        let lookup = |components: &[f32]| Frame::Lookup {
+            key: key(components),
+        };
+        let batch = |frames: Vec<Frame>| BatchRequest { device: 1, frames };
+        edge.apply_batch(&batch(vec![insert(&[0.0, 0.0])]), SimTime::ZERO)
+            .unwrap();
+        let before = edge.counters();
+
+        // As many bad lookups as the queue has slots: on the parent each
+        // one panicked inside the store and kept its slot for good.
+        for _ in 0..4 {
+            let err = edge
+                .apply_batch(&batch(vec![lookup(&[0.0, 0.0, 0.0])]), SimTime::ZERO)
+                .unwrap_err();
+            assert_eq!(
+                err,
+                BatchError::KeyDimension {
+                    frame: 0,
+                    got: 3,
+                    expected: 2
+                }
+            );
+            assert_eq!(
+                format!("{err}"),
+                "frame 0: key dimension 3 does not match the cache's 2"
+            );
+            assert_eq!(edge.in_flight(), 0);
+        }
+        // A bad frame anywhere refuses the batch before the good frames
+        // ahead of it reach the store.
+        let err = edge
+            .apply_batch(
+                &batch(vec![insert(&[9.0, 9.0]), insert(&[1.0, 2.0, 3.0])]),
+                SimTime::ZERO,
+            )
+            .unwrap_err();
+        assert!(matches!(err, BatchError::KeyDimension { frame: 1, .. }));
+        assert_eq!(edge.len(), 1, "nothing of a refused batch is applied");
+        assert_eq!(edge.counters(), before, "a refused batch counts nowhere");
+
+        // Nor does it fix the dimension of a cache that had none yet.
+        let fresh = cache_with_limit(4);
+        let err = fresh
+            .apply_batch(
+                &batch(vec![lookup(&[1.0, 2.0, 3.0]), lookup(&[1.0, 2.0])]),
+                SimTime::ZERO,
+            )
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            BatchError::KeyDimension {
+                frame: 1,
+                got: 2,
+                expected: 3
+            }
+        ));
+        fresh
+            .apply_batch(&batch(vec![insert(&[0.0, 0.0])]), SimTime::ZERO)
+            .unwrap();
+
+        // Every slot is free again: a full-width valid batch goes through.
+        let full = batch((0..4).map(|_| lookup(&[0.0, 0.05])).collect());
+        let resp = edge.apply_batch(&full, SimTime::ZERO).unwrap();
+        assert!(resp.replies.iter().all(|r| matches!(r, Reply::Hit(_))));
+        assert_eq!(edge.in_flight(), 0);
+    }
+
+    #[test]
+    fn first_key_fixes_the_dimension_even_for_a_lookup_or_a_snapshot() {
+        let edge = cache_with_limit(8);
+        let lookup = BatchRequest {
+            device: 1,
+            frames: vec![Frame::Lookup {
+                key: key(&[0.0, 0.0, 0.0]),
+            }],
+        };
+        assert_eq!(
+            edge.apply_batch(&lookup, SimTime::ZERO).unwrap().replies,
+            vec![Reply::Miss]
+        );
+        let narrow = cache_with_limit(8);
+        narrow
+            .apply_batch(
+                &BatchRequest {
+                    device: 1,
+                    frames: vec![Frame::Insert {
+                        key: key(&[1.0, 1.0]),
+                        label: 1,
+                        confidence: 0.9,
+                    }],
+                },
+                SimTime::ZERO,
+            )
+            .unwrap();
+        let err = edge
+            .restore_blob(&narrow.snapshot_blob(SimTime::ZERO), SimTime::ZERO)
+            .unwrap_err();
+        assert!(err.contains("dimension 2"), "{err}");
+        assert!(edge.is_empty());
+    }
+
+    #[test]
+    fn queue_slots_come_back_when_a_batch_unwinds() {
+        let edge = cache_with_limit(4);
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            edge.in_flight.fetch_add(3, Ordering::AcqRel);
+            let _slots = QueueSlots {
+                in_flight: &edge.in_flight,
+                cost: 3,
+            };
+            assert_eq!(edge.in_flight(), 3);
+            panic!("worker died mid-batch");
+        }));
+        assert!(died.is_err());
+        assert_eq!(edge.in_flight(), 0);
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //!   with varint+XOR-delta key coding; [`compress`] the LZ77 snapshot
 //!   compressor; [`cache`] the [`EdgeCache`] wrapping
 //!   [`reuse::SharedCache`] behind batched operations with
-//!   bounded-queue backpressure ([`Overloaded`], never blocking). The
+//!   bounded-queue backpressure ([`BatchError::Overloaded`], never
+//!   blocking). The
 //!   simulation drives these types directly — same code, virtual time.
 //! - **Service half** (runtime): [`server`] is a hand-rolled threaded
 //!   HTTP/1.1 server over `std::net::TcpListener` with a fixed worker
@@ -27,7 +28,7 @@ pub mod compress;
 pub mod protocol;
 pub mod server;
 
-pub use cache::{EdgeCache, EdgeCacheConfig, EdgeCounters, Overloaded};
+pub use cache::{BatchError, EdgeCache, EdgeCacheConfig, EdgeCounters};
 pub use client::{ClientError, EdgeClient};
 pub use compress::{compress, decompress, CompressError};
 pub use protocol::{BatchRequest, BatchResponse, DecodeError, EdgeHit, Frame, Reply};

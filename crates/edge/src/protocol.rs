@@ -271,6 +271,13 @@ fn take_key(buf: &mut &[u8]) -> Result<FeatureVector, DecodeError> {
 // ---------------------------------------------------------------------
 
 impl Frame {
+    /// The feature-space key every frame kind carries.
+    pub fn key(&self) -> &FeatureVector {
+        match self {
+            Frame::Lookup { key } | Frame::Insert { key, .. } | Frame::GossipAd { key, .. } => key,
+        }
+    }
+
     fn encode_into(&self, buf: &mut BytesMut) {
         match self {
             Frame::Lookup { key } => {

@@ -10,7 +10,7 @@
 //!
 //! | route            | body                                   | answers |
 //! |------------------|----------------------------------------|---------|
-//! | `POST /batch`    | [`BatchRequest`] wire bytes            | `200` [`BatchResponse`] wire bytes, `400` on a codec error, `503` on overload |
+//! | `POST /batch`    | [`BatchRequest`] wire bytes            | `200` [`BatchResponse`] wire bytes, `400` on a codec error or a key of the wrong dimension, `503` on overload |
 //! | `GET /snapshot`  | —                                      | `200` compressed canonical snapshot |
 //! | `GET /health`    | —                                      | `200` one-line counter summary |
 //! | `POST /shutdown` | — (only with [`ServerConfig::allow_shutdown`]) | `200`, then the server drains and exits |
@@ -34,7 +34,7 @@ use std::time::{Duration, Instant};
 
 use simcore::SimTime;
 
-use crate::cache::EdgeCache;
+use crate::cache::{BatchError, EdgeCache};
 use crate::protocol::BatchRequest;
 
 /// Largest request body the server will read.
@@ -325,8 +325,12 @@ fn handle_connection(
                     let wire = response.encode();
                     let _ = write_response(stream, 200, "application/octet-stream", &wire);
                 }
-                Err(_) => {
+                Err(BatchError::Overloaded) => {
                     let _ = write_response(stream, 503, "text/plain", b"overloaded\n");
+                }
+                Err(e @ BatchError::KeyDimension { .. }) => {
+                    let msg = format!("bad batch: {e}\n");
+                    let _ = write_response(stream, 400, "text/plain", msg.as_bytes());
                 }
             },
             Err(e) => {

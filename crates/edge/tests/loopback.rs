@@ -184,6 +184,74 @@ fn malformed_bodies_get_400_and_unknown_routes_404() {
 }
 
 #[test]
+fn wrong_dimension_batch_gets_400_and_costs_no_worker_or_queue_slot() {
+    let config = EdgeCacheConfig {
+        capacity: 64,
+        distance_threshold: 1.0,
+        queue_limit: 4,
+    };
+    let cache = EdgeCache::new(config).unwrap();
+    let workers = 2;
+    let server = EdgeServer::start(
+        "127.0.0.1:0",
+        cache.clone(),
+        ServerConfig {
+            workers,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind ephemeral port");
+    let client = EdgeClient::new(server.addr().to_string()).with_timeout(Duration::from_secs(10));
+
+    let insert = BatchRequest {
+        device: 1,
+        frames: vec![Frame::Insert {
+            key: key(&[0.0, 0.0, 0.0]),
+            label: 11,
+            confidence: 0.95,
+        }],
+    };
+    client.batch(&insert).expect("valid insert");
+
+    // Well-formed on the wire, but the key has two components where the
+    // cached keys have three. More of them than the server has workers
+    // or the queue has slots: on the parent each one killed a worker and
+    // kept its slot, and the server answered nothing afterwards.
+    let wrong = BatchRequest {
+        device: 2,
+        frames: vec![Frame::Lookup {
+            key: key(&[0.0, 0.0]),
+        }],
+    };
+    for _ in 0..(workers + config.queue_limit + 1) {
+        match client.batch(&wrong) {
+            Err(ClientError::Http { status: 400, body }) => {
+                assert!(body.contains("key dimension 2"), "unexpected body: {body}");
+            }
+            other => panic!("expected 400, got {other:?}"),
+        }
+    }
+
+    assert!(client.health().expect("health").starts_with("ok:"));
+    let lookup = BatchRequest {
+        device: 2,
+        frames: (0..config.queue_limit)
+            .map(|_| Frame::Lookup {
+                key: key(&[0.0, 0.05, 0.0]),
+            })
+            .collect(),
+    };
+    let replies = client.batch(&lookup).expect("valid batch").replies;
+    assert!(replies.iter().all(|r| matches!(r, Reply::Hit(_))));
+    assert_eq!(cache.in_flight(), 0);
+    let counters = cache.counters();
+    assert_eq!(counters.overloads, 0);
+    assert_eq!(counters.batches, 2, "refused batches are not counted");
+
+    server.stop();
+}
+
+#[test]
 fn shutdown_route_is_gated_and_clean() {
     let cache = EdgeCache::new(EdgeCacheConfig::default()).unwrap();
 

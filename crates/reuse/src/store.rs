@@ -8,7 +8,7 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 pub use ann::IndexConfig;
-use ann::{AknnConfig, AknnOutcome, DecideScratch, IndexScratch, MissReason, Neighbor, NnIndex};
+use ann::{AknnConfig, AknnOutcome, DecideScratch, MissReason, Neighbor, NnIndex};
 use features::FeatureVector;
 use simcore::SimTime;
 
@@ -171,10 +171,7 @@ impl fmt::Debug for FrequencyGate<'_> {
 /// whole lookup path is allocation-free.
 #[derive(Debug)]
 struct LookupScratch<L> {
-    /// The index's own working memory (candidate buffers, visit stamps,
-    /// frontier heap — whatever the live index family needs).
-    index: IndexScratch,
-    /// Raw index results, filled by `nearest_into`.
+    /// Raw index results, filled by `nearest_within_into`.
     neighbors: Vec<Neighbor>,
     /// Neighbours joined with their entry's label: `(distance, label, id)`.
     labeled: Vec<(f64, L, u64)>,
@@ -185,7 +182,6 @@ struct LookupScratch<L> {
 impl<L> Default for LookupScratch<L> {
     fn default() -> Self {
         LookupScratch {
-            index: IndexScratch::new(),
             neighbors: Vec::new(),
             labeled: Vec::new(),
             decide: DecideScratch::new(),
@@ -354,12 +350,27 @@ impl<L: Copy + Eq + Hash + fmt::Debug> ApproxCache<L> {
             return LookupResult::Miss(MissReason::EmptyIndex);
         };
         let LookupScratch {
-            index: index_scratch,
             neighbors,
             labeled,
             decide,
         } = &mut self.scratch;
-        index.nearest_into(key, self.config.aknn.k, index_scratch, neighbors);
+        // The vote discards every neighbour beyond the threshold, so the
+        // index is asked only for those within it (the threshold as it
+        // stands now — adaptive controllers move it between lookups). The
+        // in-threshold members of the top-k are the top-k of the
+        // in-threshold set: the verdict is the unbounded one, except that
+        // "nothing within the threshold" arrives as an empty answer.
+        index.nearest_within_into(
+            key,
+            self.config.aknn.k,
+            self.config.aknn.distance_threshold,
+            neighbors,
+        );
+        if neighbors.is_empty() && !index.is_empty() {
+            self.stats.record_miss(MissReason::TooFar);
+            self.stats.debug_assert_balanced();
+            return LookupResult::Miss(MissReason::TooFar);
+        }
         // Neighbours without a backing entry (an index/store desync) are
         // dropped from the vote instead of crashing the device. One pass
         // builds the labelled list that both the vote and the
@@ -466,12 +477,11 @@ impl<L: Copy + Eq + Hash + fmt::Debug> ApproxCache<L> {
 
         // Near-duplicate refresh.
         if self.config.admission.dedup_distance > 0.0 {
-            index.nearest_into(
-                &key,
-                1,
-                &mut self.scratch.index,
-                &mut self.scratch.neighbors,
-            );
+            // Unbounded on purpose: bounded by `dedup_distance` the
+            // write path runs about twice as fast, faster than the
+            // benchmark's traced `edge-ingest` client can record yet
+            // (ROADMAP item 7) — see DESIGN.md "Performance model".
+            index.nearest_within_into(&key, 1, f64::INFINITY, &mut self.scratch.neighbors);
             if let Some(nearest) = self.scratch.neighbors.first() {
                 if nearest.distance <= self.config.admission.dedup_distance {
                     if let Some(entry) = self.entries.get_mut(&nearest.id) {

@@ -33,3 +33,9 @@ fn search_into(rows: &[u64]) -> Vec<u64> {
 fn rerank_rows_into(rows: &[u64]) -> String {
     format!("{rows:?}")
 }
+
+fn nearest_within_into(candidates: &[f64], max_distance: f64) -> Vec<f64> {
+    let mut kept = Vec::new();
+    kept.extend(candidates.iter().filter(|c| **c <= max_distance));
+    kept.clone()
+}

@@ -18,11 +18,18 @@ impl Shard {
     }
 }
 
-fn nearest_into(candidates: &[f64], out: &mut Vec<f64>) {
+fn nearest_within_into(candidates: &[f64], max_distance: f64, out: &mut Vec<f64>) {
     out.clear();
     for c in candidates {
-        out.push(c * 2.0);
+        if *c <= max_distance {
+            out.push(c * 2.0);
+        }
     }
+}
+
+fn nearest_into(candidates: &[f64], out: &mut Vec<f64>) {
+    // The unbounded wrapper: delegates, allocates nothing itself.
+    nearest_within_into(candidates, f64::INFINITY, out);
 }
 
 fn decide_in(votes: &[Vote]) -> usize {

@@ -871,11 +871,14 @@ fn check_seed_splits(ctx: &FileContext, out: &mut Vec<Violation>) {
 
 /// Fns that are hot-path everywhere: the per-frame A-kNN kernels plus
 /// the per-lookup index internals they fan out to (the kd-tree
-/// recursion and the flat-buffer scan). All of these run on every cache
-/// lookup; the caller-held output buffers exist precisely so they stay
-/// allocation-free. `selflint` checks every name here is still a `fn`
-/// somewhere in the linted tree.
+/// recursion and the flat-buffer scan). `nearest_within_into` is the
+/// search every index implements and every cache lookup calls;
+/// `nearest_into` is its unbounded wrapper. All of these run on every
+/// cache lookup; the caller-held output buffers exist precisely so they
+/// stay allocation-free. `selflint` checks every name here is still a
+/// `fn` somewhere in the linted tree.
 pub const HOT_FNS_ANYWHERE: &[&str] = &[
+    "nearest_within_into",
     "nearest_into",
     "decide_in",
     "search_into",
@@ -891,8 +894,8 @@ const ALLOC_METHODS: &[&str] = &["clone", "to_vec", "collect"];
 
 /// Rule A. Flags allocations (`Vec::new`, `Box::new`, `format!`,
 /// `vec!`, `.clone()`, `.to_vec()`, `.collect()`) inside the designated
-/// hot-path fn bodies. These fns run per frame — `nearest_into` /
-/// `decide_in` on every lookup, shard `lookup` / `insert` under the
+/// hot-path fn bodies. These fns run per frame — `nearest_within_into`
+/// / `decide_in` on every lookup, shard `lookup` / `insert` under the
 /// shard lock — and the flat-buffer kernels exist precisely so they
 /// stay allocation-free.
 fn check_alloc(ctx: &FileContext, out: &mut Vec<Violation>) {
