@@ -82,7 +82,7 @@ fi
 
 echo "== miri (informational: concurrent store under the interpreter) =="
 # Never gates: nightly + Miri are optional on CI boxes. When present,
-# interprets the sharded-store suite to catch UB the type system can't.
+# interprets the concurrent-store suite to catch UB the type system can't.
 if command -v rustup >/dev/null 2>&1 \
     && rustup toolchain list 2>/dev/null | grep -q nightly \
     && rustup component list --toolchain nightly 2>/dev/null \

@@ -24,7 +24,7 @@ use simcore::{LatencyDigest, SimDuration};
 fn arb_cache_stats() -> impl Strategy<Value = CacheStats> {
     (
         proptest::collection::vec(0u64..1_000, 5),
-        proptest::collection::vec(0u64..1_000, 8),
+        proptest::collection::vec(0u64..1_000, 6),
     )
         .prop_map(|(balance, rest)| {
             let mut stats = CacheStats::default();
@@ -42,8 +42,6 @@ fn arb_cache_stats() -> impl Strategy<Value = CacheStats> {
             stats.evictions = rest.next().unwrap_or(0);
             stats.removals = rest.next().unwrap_or(0);
             stats.expirations = rest.next().unwrap_or(0);
-            stats.sketch_rejected = rest.next().unwrap_or(0);
-            stats.weight_evictions = rest.next().unwrap_or(0);
             stats
         })
 }

@@ -1,11 +1,11 @@
 //! R-13 — key-generation and wire-codec microbenchmarks: the per-frame
-//! fixed costs of the caching machinery (projection, hashing) and the
+//! fixed costs of the caching machinery (key projection) and the
 //! encode/decode cost of peer messages.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use features::{projection::random_vectors, RandomProjection, SimHasher};
+use features::{projection::random_vectors, RandomProjection};
 use p2pnet::{P2pMessage, RemoteHit, WireEntry};
 use simcore::SimRng;
 
@@ -14,8 +14,6 @@ fn bench_key_generation(c: &mut Criterion) {
     let mut rng = SimRng::seed(1);
     let descriptors = random_vectors(64, 256, &mut rng);
     let projection = RandomProjection::new(256, 64, 7);
-    let hasher = SimHasher::new(64, 7);
-    let keys = projection.project_all(&descriptors);
 
     group.bench_function("project_256_to_64", |b| {
         let mut i = 0;
@@ -23,14 +21,6 @@ fn bench_key_generation(c: &mut Criterion) {
             let d = &descriptors[i % descriptors.len()];
             i += 1;
             black_box(projection.project(d))
-        });
-    });
-    group.bench_function("simhash_64", |b| {
-        let mut i = 0;
-        b.iter(|| {
-            let k = &keys[i % keys.len()];
-            i += 1;
-            black_box(hasher.hash(k))
         });
     });
     group.finish();

@@ -1,10 +1,9 @@
-//! Distance metrics over feature vectors and hashes.
+//! Distance metrics over feature vectors.
 //!
 //! The approximate-cache hit test compares a query signature against cached
 //! signatures under one of these metrics. Euclidean distance is the default
 //! (it is what the synthetic feature space and threshold calibration
-//! assume); cosine distance is provided for direction-only signatures, and
-//! Hamming distance serves the perceptual-hash fast path.
+//! assume); cosine distance is provided for direction-only signatures.
 
 // The one module where bit-exact float comparison is the point: metric
 // identities (d(x, x) == 0, symmetry) and calibrated thresholds are
@@ -241,11 +240,6 @@ pub fn cosine(a: &FeatureVector, b: &FeatureVector) -> f64 {
     1.0 - (dot / denom).clamp(-1.0, 1.0)
 }
 
-/// Hamming distance between two 64-bit hashes (bit positions that differ).
-pub fn hamming(a: u64, b: u64) -> u32 {
-    (a ^ b).count_ones()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,13 +280,6 @@ mod tests {
         let x = fv(&[1.0, 0.0]);
         assert_eq!(cosine(&z, &x), 2.0);
         assert_eq!(cosine(&z, &z), 2.0);
-    }
-
-    #[test]
-    fn hamming_counts_differing_bits() {
-        assert_eq!(hamming(0b1010, 0b1010), 0);
-        assert_eq!(hamming(0b1010, 0b0101), 4);
-        assert_eq!(hamming(u64::MAX, 0), 64);
     }
 
     #[test]
@@ -371,14 +358,6 @@ mod proptests {
             let d1 = cosine(&a, &b);
             let d2 = cosine(&a.scale(s), &b);
             prop_assert!((d1 - d2).abs() < 1e-6);
-        }
-
-        /// Hamming is a metric on u64: symmetry + triangle inequality.
-        #[test]
-        fn hamming_metric_axioms(a in any::<u64>(), b in any::<u64>(), c in any::<u64>()) {
-            prop_assert_eq!(hamming(a, b), hamming(b, a));
-            prop_assert_eq!(hamming(a, a), 0);
-            prop_assert!(hamming(a, c) <= hamming(a, b) + hamming(b, c));
         }
 
         /// Squared Euclidean orders pairs identically to Euclidean.

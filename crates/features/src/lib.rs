@@ -7,12 +7,10 @@
 //! - [`FeatureVector`] — the signature type used everywhere (cache keys,
 //!   ANN indexes, wire messages).
 //! - [`distance`] — the metrics the hit test can use (Euclidean, cosine,
-//!   Manhattan; Hamming for hashes).
+//!   Manhattan).
 //! - [`RandomProjection`] — a seeded Johnson–Lindenstrauss projection used
 //!   to compress raw frame descriptors into low-dimensional keys while
 //!   approximately preserving relative distances.
-//! - [`PerceptualHash`] — a 64-bit SimHash signature for cheap
-//!   pre-filtering and exact-match caching baselines.
 //!
 //! # Example
 //!
@@ -27,13 +25,11 @@
 //! ```
 
 pub mod distance;
-pub mod phash;
 pub mod projection;
 pub mod quantize;
 pub mod vector;
 
 pub use distance::Metric;
-pub use phash::{PerceptualHash, SimHasher};
 pub use projection::RandomProjection;
 pub use quantize::QuantizedVector;
 pub use vector::{FeatureError, FeatureVector};

@@ -9,24 +9,20 @@
 //!
 //! Two types, stacked: [`ApproxCache`] is the single-threaded store and
 //! [`SharedCache`] is what callers hold — a cloneable, thread-safe handle
-//! over one or more `ApproxCache` shards.
+//! over one `ApproxCache` behind one lock.
 //!
 //! - [`ApproxCache`] — the store: pluggable ANN index, bounded capacity,
-//!   eviction, admission control, per-operation statistics. One shard's
-//!   body, and the oracle the concurrent store is tested against.
+//!   eviction, admission control, per-operation statistics. The body of
+//!   every `SharedCache`, and the oracle it is tested against.
 //! - [`EvictionPolicy`] — LRU / LFU / TTL / utility-aware victim choice.
 //! - [`AdmissionPolicy`] — confidence floor plus near-duplicate refresh
 //!   (a new observation of a cached subject refreshes the entry instead of
 //!   polluting the index with clones).
 //! - [`calibrate`] — distance-threshold calibration from sample
 //!   same-subject vs cross-class distances.
-//! - [`concurrent`] — [`SharedCache`] and its parts: per-shard locks
-//!   and indexes, TinyLFU frequency admission (lossy access ring →
-//!   count-min sketch behind a bloom doorkeeper), deterministic shard
-//!   routing, frozen point-in-time views for peer queries.
-//! - [`weight`] — cost-aware eviction weights (entry bytes × expected
-//!   recompute latency), so an expensive model's result outlives a cheap
-//!   one's.
+//! - [`concurrent`] — [`SharedCache`]: one lock around one store, plus
+//!   frozen point-in-time views for peer queries and a contents version
+//!   that says when such a view went stale.
 //!
 //! # Example
 //!
@@ -54,15 +50,11 @@ pub mod snapshot;
 pub mod stats;
 pub mod store;
 mod victim;
-pub mod weight;
 
 pub use admission::AdmissionPolicy;
-pub use concurrent::{ConcurrentConfig, FrequencyConfig, SharedCache};
+pub use concurrent::SharedCache;
 pub use entry::{CacheEntry, EntryId, EntrySource};
 pub use evict::EvictionPolicy;
 pub use snapshot::CacheSnapshot;
 pub use stats::CacheStats;
-pub use store::{
-    ApproxCache, CacheConfig, FrequencyGate, IndexConfig, InsertOutcome, LookupResult,
-};
-pub use weight::{RecomputeCostWeighter, Weighter};
+pub use store::{ApproxCache, CacheConfig, IndexConfig, InsertOutcome, LookupResult};

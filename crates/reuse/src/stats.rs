@@ -32,21 +32,6 @@ pub struct CacheStats {
     pub removals: u64,
     /// Entries dropped by age-based expiry sweeps.
     pub expirations: u64,
-    /// Inserts rejected by the TinyLFU frequency sketch (candidate's
-    /// estimated frequency did not beat the victim's). Zero values are
-    /// skipped during serialization so snapshots from stores without
-    /// frequency admission stay byte-identical.
-    #[serde(default, skip_serializing_if = "is_zero")]
-    pub sketch_rejected: u64,
-    /// Capacity evictions chosen by the cost-aware weighter rather than
-    /// the configured policy ordering. Zero-skip, as above.
-    #[serde(default, skip_serializing_if = "is_zero")]
-    pub weight_evictions: u64,
-}
-
-/// Serde helper for the zero-skip fields above.
-fn is_zero(v: &u64) -> bool {
-    *v == 0
 }
 
 impl CacheStats {
@@ -121,18 +106,6 @@ impl CacheStats {
         self.expirations += n;
     }
 
-    /// Records an insert rejected by the TinyLFU frequency sketch.
-    pub fn record_sketch_rejected(&mut self) {
-        self.sketch_rejected += 1;
-    }
-
-    /// Records a capacity eviction chosen by the cost-aware weighter.
-    /// Always paired with [`record_eviction`](Self::record_eviction),
-    /// which counts *all* capacity evictions.
-    pub fn record_weight_eviction(&mut self) {
-        self.weight_evictions += 1;
-    }
-
     /// The lookup-accounting invariant: every lookup ended as exactly one
     /// hit or one categorized miss, and [`misses`](Self::misses) is
     /// consistent with the hit/lookup totals.
@@ -180,8 +153,6 @@ impl CacheStats {
         self.evictions += other.evictions;
         self.removals += other.removals;
         self.expirations += other.expirations;
-        self.sketch_rejected += other.sketch_rejected;
-        self.weight_evictions += other.weight_evictions;
     }
 }
 
@@ -276,37 +247,6 @@ mod tests {
             ..CacheStats::default()
         };
         stats.debug_assert_balanced();
-    }
-
-    #[test]
-    fn new_counters_are_zero_skipped_in_serialization() {
-        // Golden snapshots predate these fields; a store that never used
-        // frequency admission or weighted eviction must serialize exactly
-        // as before.
-        let s = CacheStats {
-            lookups: 2,
-            hits: 2,
-            ..CacheStats::default()
-        };
-        let json = serde_json::to_string(&s).unwrap();
-        assert!(!json.contains("sketch_rejected"));
-        assert!(!json.contains("weight_evictions"));
-        // Non-zero values round-trip, and old payloads default to zero.
-        let mut s = s;
-        s.record_sketch_rejected();
-        s.record_weight_eviction();
-        let json = serde_json::to_string(&s).unwrap();
-        let back: CacheStats = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.sketch_rejected, 1);
-        assert_eq!(back.weight_evictions, 1);
-        let old: CacheStats = serde_json::from_str(
-            "{\"lookups\":1,\"hits\":1,\
-             \"miss_empty\":0,\"miss_too_far\":0,\"miss_not_homogeneous\":0,\
-             \"miss_insufficient_support\":0,\"inserts\":0,\"refreshes\":0,\
-             \"rejected\":0,\"evictions\":0,\"removals\":0,\"expirations\":0}",
-        )
-        .unwrap();
-        assert_eq!(old.sketch_rejected, 0);
     }
 
     #[test]

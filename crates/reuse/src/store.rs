@@ -3,7 +3,6 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
-use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -17,7 +16,6 @@ use crate::entry::{CacheEntry, EntryId, EntrySource};
 use crate::evict::EvictionPolicy;
 use crate::stats::CacheStats;
 use crate::victim::{EntryMeta, VictimChoice, VictimIndex};
-use crate::weight::Weighter;
 
 /// Configuration of an [`ApproxCache`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -147,25 +145,6 @@ impl InsertOutcome {
     }
 }
 
-/// Frequency evidence consulted at the eviction point of a gated insert
-/// (TinyLFU admission): the candidate only displaces the victim when its
-/// estimated access frequency strictly beats the victim's.
-pub struct FrequencyGate<'a> {
-    /// Estimated access frequency of the candidate's routing signature.
-    pub candidate: u64,
-    /// Estimates the access frequency of a cached entry from its key
-    /// (the caller re-derives the routing signature).
-    pub estimate: &'a dyn Fn(&FeatureVector) -> u64,
-}
-
-impl fmt::Debug for FrequencyGate<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FrequencyGate")
-            .field("candidate", &self.candidate)
-            .finish_non_exhaustive()
-    }
-}
-
 /// Reusable per-lookup buffers. Lookups run once per frame; after the
 /// buffers reach their working size (bounded by the hit test's `k`), the
 /// whole lookup path is allocation-free.
@@ -203,14 +182,7 @@ pub struct ApproxCache<L> {
     /// Incremental eviction metadata mirroring `entries` — victim
     /// selection is O(log n) instead of a full scan (see [`VictimIndex`]).
     victims: VictimIndex,
-    /// When set, eviction ignores the policy ordering and drops the
-    /// lowest-weight entry first (cost-aware mode).
-    weighter: Option<Arc<dyn Weighter<L>>>,
     next_id: u64,
-    /// Id allocation step; > 1 when this store is one shard of a
-    /// [`SharedCache`](crate::SharedCache), so shards mint
-    /// disjoint ids without coordinating.
-    id_stride: u64,
     stats: CacheStats,
     scratch: LookupScratch<L>,
 }
@@ -235,59 +207,16 @@ impl<L: Copy + Eq + Hash + fmt::Debug> ApproxCache<L> {
     /// Panics if `config` is invalid.
     pub fn new(config: CacheConfig) -> ApproxCache<L> {
         config.validate();
-        let victims = VictimIndex::new(config.eviction, false);
+        let victims = VictimIndex::new(config.eviction);
         ApproxCache {
             config,
             index: None,
             entries: HashMap::new(),
             victims,
-            weighter: None,
             next_id: 0,
-            id_stride: 1,
             stats: CacheStats::default(),
             scratch: LookupScratch::default(),
         }
-    }
-
-    /// Restricts the ids this store mints to the arithmetic progression
-    /// `offset, offset + stride, offset + 2·stride, …` — shard `i` of `S`
-    /// uses `(i, S)` so ids stay globally unique without a shared
-    /// counter, and `(0, 1)` (the default) reproduces the unsharded
-    /// sequence `0, 1, 2, …` exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stride == 0`, `offset >= stride`, or the store has
-    /// already minted an id.
-    pub fn set_id_namespace(&mut self, offset: u64, stride: u64) {
-        assert!(stride > 0, "set_id_namespace: stride must be positive");
-        assert!(
-            offset < stride,
-            "set_id_namespace: offset {offset} must be < stride {stride}"
-        );
-        assert!(
-            self.next_id == 0 && self.entries.is_empty(),
-            "set_id_namespace: must be called before the first insert"
-        );
-        self.next_id = offset;
-        self.id_stride = stride;
-    }
-
-    /// Switches cost-aware eviction on (`Some`) or off (`None`),
-    /// rebuilding the eviction metadata for the entries already cached.
-    /// While a weighter is set, capacity evictions drop the
-    /// lowest-weight entry first instead of following the configured
-    /// policy ordering.
-    pub fn set_weighter(&mut self, weighter: Option<Arc<dyn Weighter<L>>>) {
-        self.weighter = weighter;
-        let mut victims = VictimIndex::new(self.config.eviction, self.weighter.is_some());
-        // xtask-allow(determinism): set population; the BTreeSet orders
-        // itself, so the map's iteration order is irrelevant.
-        for entry in self.entries.values() {
-            let weight = self.weighter.as_ref().map(|w| w.weight(entry));
-            victims.on_insert(EntryMeta::of(entry), weight);
-        }
-        self.victims = victims;
     }
 
     /// The configuration.
@@ -441,30 +370,6 @@ impl<L: Copy + Eq + Hash + fmt::Debug> ApproxCache<L> {
         source: EntrySource,
         now: SimTime,
     ) -> InsertOutcome {
-        self.insert_gated(key, label, confidence, source, now, None)
-    }
-
-    /// [`insert`](Self::insert) with an optional TinyLFU frequency gate,
-    /// consulted only at the eviction point: when the cache is full and
-    /// the candidate's estimated frequency does not strictly beat the
-    /// victim's, the candidate is turned away and the victim survives —
-    /// one burst of one-off keys can no longer flush the hot working
-    /// set. Confidence admission and near-duplicate refresh run *before*
-    /// the gate, so a refresh of a cached entry is never sketch-rejected.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key`'s dimension differs from previously inserted keys,
-    /// or `confidence` is not finite.
-    pub fn insert_gated(
-        &mut self,
-        key: FeatureVector,
-        label: L,
-        confidence: f64,
-        source: EntrySource,
-        now: SimTime,
-        gate: Option<FrequencyGate<'_>>,
-    ) -> InsertOutcome {
         assert!(confidence.is_finite(), "insert: confidence must be finite");
         let from_peer = source == EntrySource::Peer;
         if !self.config.admission.admits(confidence, from_peer) {
@@ -480,7 +385,7 @@ impl<L: Copy + Eq + Hash + fmt::Debug> ApproxCache<L> {
             // Unbounded on purpose: bounded by `dedup_distance` the
             // write path runs about twice as fast, faster than the
             // benchmark's traced `edge-ingest` client can record yet
-            // (ROADMAP item 7) — see DESIGN.md "Performance model".
+            // (ROADMAP item 1) — see DESIGN.md "Performance model".
             index.nearest_within_into(&key, 1, f64::INFINITY, &mut self.scratch.neighbors);
             if let Some(nearest) = self.scratch.neighbors.first() {
                 if nearest.distance <= self.config.admission.dedup_distance {
@@ -504,27 +409,13 @@ impl<L: Copy + Eq + Hash + fmt::Debug> ApproxCache<L> {
         // cannot influence it.
         if self.entries.len() >= self.config.capacity {
             if let Some(victim) = self.peek_victim(now) {
-                if let Some(gate) = &gate {
-                    let victim_wins = self
-                        .entries
-                        .get(&victim.0)
-                        .is_some_and(|v| gate.candidate <= (gate.estimate)(&v.key));
-                    if victim_wins {
-                        self.stats.record_sketch_rejected();
-                        return InsertOutcome::Rejected;
-                    }
-                }
-                let weighted = self.victims.is_weighted();
                 self.remove_internal(victim);
                 self.stats.record_eviction();
-                if weighted {
-                    self.stats.record_weight_eviction();
-                }
             }
         }
 
         let id = EntryId(self.next_id);
-        self.next_id += self.id_stride;
+        self.next_id += 1;
         self.index
             .get_or_insert_with(|| ann::build(key.dim(), &self.config.index))
             .insert(id.0, key.clone());
@@ -538,17 +429,15 @@ impl<L: Copy + Eq + Hash + fmt::Debug> ApproxCache<L> {
             uses: 0,
             source,
         };
-        let weight = self.weighter.as_ref().map(|w| w.weight(&entry));
-        self.victims.on_insert(EntryMeta::of(&entry), weight);
+        self.victims.on_insert(EntryMeta::of(&entry));
         self.entries.insert(id.0, entry);
         self.stats.record_insert();
         InsertOutcome::Inserted(id)
     }
 
     /// The entry the next capacity eviction would drop at `now`, without
-    /// dropping it. O(log n) for Lru/Lfu/Ttl and cost-aware mode; the
-    /// Utility policy's score depends on `now`, so it keeps the full
-    /// scan.
+    /// dropping it. O(log n) for Lru/Lfu/Ttl; the Utility policy's score
+    /// depends on `now`, so it keeps the full scan.
     pub fn peek_victim(&self, now: SimTime) -> Option<EntryId> {
         match self.victims.victim(now) {
             VictimChoice::Found(id) => Some(id),
@@ -859,107 +748,6 @@ mod tests {
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_rejected() {
         CacheConfig::new(0);
-    }
-
-    #[test]
-    fn id_namespace_strides_and_defaults_to_dense() {
-        let mut c = cache(8);
-        c.set_id_namespace(2, 4);
-        let a = insert_at(&mut c, 0.0, 0, 0).entry().unwrap();
-        let b = insert_at(&mut c, 10.0, 1, 10).entry().unwrap();
-        assert_eq!((a, b), (EntryId(2), EntryId(6)));
-        // The default namespace reproduces the dense sequence.
-        let mut d = cache(8);
-        let a = insert_at(&mut d, 0.0, 0, 0).entry().unwrap();
-        let b = insert_at(&mut d, 10.0, 1, 10).entry().unwrap();
-        assert_eq!((a, b), (EntryId(0), EntryId(1)));
-    }
-
-    #[test]
-    #[should_panic(expected = "before the first insert")]
-    fn id_namespace_rejected_after_first_insert() {
-        let mut c = cache(8);
-        insert_at(&mut c, 0.0, 0, 0);
-        c.set_id_namespace(0, 4);
-    }
-
-    #[test]
-    fn weighter_overrides_policy_and_counts_weight_evictions() {
-        use crate::weight::RecomputeCostWeighter;
-        let mut c = cache(2);
-        // Keys share one dim, so weight differences come from latency:
-        // give everything the same weighter — eviction falls to the
-        // (weight, last_used, id) order, i.e. LRU among equal weights.
-        c.set_weighter(Some(Arc::new(RecomputeCostWeighter::new(
-            simcore::SimDuration::from_millis(100),
-        ))));
-        let id0 = insert_at(&mut c, 0.0, 0, 0).entry().unwrap();
-        let id1 = insert_at(&mut c, 10.0, 1, 10).entry().unwrap();
-        // Touch id0 so id1 is the stalest among equal weights.
-        c.lookup(&fv(&[0.1, 0.0]), SimTime::from_millis(100));
-        insert_at(&mut c, 20.0, 2, 200).entry().unwrap();
-        assert!(c.entry(id0).is_some());
-        assert!(c.entry(id1).is_none(), "stale equal-weight entry evicted");
-        assert_eq!(c.stats().evictions, 1);
-        assert_eq!(c.stats().weight_evictions, 1);
-        // Switching the weighter off restores policy-driven eviction.
-        c.set_weighter(None);
-        insert_at(&mut c, 30.0, 3, 300);
-        assert_eq!(c.stats().evictions, 2);
-        assert_eq!(c.stats().weight_evictions, 1);
-    }
-
-    #[test]
-    fn frequency_gate_protects_victim_from_cold_candidate() {
-        let mut c = cache(1);
-        let id0 = insert_at(&mut c, 0.0, 0, 0).entry().unwrap();
-        // Victim estimates high, candidate low: the insert is refused.
-        let estimate = |_: &FeatureVector| 5u64;
-        let out = c.insert_gated(
-            fv(&[10.0, 0.0]),
-            1,
-            0.9,
-            EntrySource::LocalInference,
-            SimTime::from_millis(10),
-            Some(FrequencyGate {
-                candidate: 3,
-                estimate: &estimate,
-            }),
-        );
-        assert_eq!(out, InsertOutcome::Rejected);
-        assert!(c.entry(id0).is_some(), "victim survives");
-        assert_eq!(c.stats().sketch_rejected, 1);
-        assert_eq!(c.stats().evictions, 0);
-        // A strictly hotter candidate displaces the victim.
-        let out = c.insert_gated(
-            fv(&[10.0, 0.0]),
-            1,
-            0.9,
-            EntrySource::LocalInference,
-            SimTime::from_millis(20),
-            Some(FrequencyGate {
-                candidate: 6,
-                estimate: &estimate,
-            }),
-        );
-        assert!(matches!(out, InsertOutcome::Inserted(_)));
-        assert!(c.entry(id0).is_none());
-        assert_eq!(c.stats().evictions, 1);
-        // Below capacity the gate is never consulted.
-        let mut c = cache(4);
-        let panicky = |_: &FeatureVector| -> u64 { unreachable!("gate consulted below capacity") };
-        let out = c.insert_gated(
-            fv(&[0.0, 0.0]),
-            0,
-            0.9,
-            EntrySource::LocalInference,
-            SimTime::ZERO,
-            Some(FrequencyGate {
-                candidate: 0,
-                estimate: &panicky,
-            }),
-        );
-        assert!(matches!(out, InsertOutcome::Inserted(_)));
     }
 
     #[test]

@@ -11,13 +11,8 @@
 //! The Utility policy scores entries with a ratio of `now`-dependent
 //! idle time, which no static ordering captures; it deliberately keeps
 //! the full scan (see [`VictimChoice::ScanRequired`]).
-//!
-//! A cost-aware mode (built from a [`Weighter`](crate::weight::Weighter))
-//! orders by `(weight, last_used, id)` instead of the configured policy:
-//! the cheapest-to-recompute entry goes first, so an expensive model's
-//! result outlives a cheap one's.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 use simcore::{SimDuration, SimTime};
 
@@ -56,7 +51,7 @@ pub(crate) enum VictimChoice {
     ScanRequired,
 }
 
-/// Per-store (or per-shard) eviction metadata.
+/// Per-store eviction metadata.
 #[derive(Debug)]
 pub(crate) enum VictimIndex {
     /// `(last_used, id)` minimum.
@@ -75,26 +70,11 @@ pub(crate) enum VictimIndex {
     },
     /// No structure maintained: `now`-dependent score, full scan.
     Utility,
-    /// Cost-aware override: `(weight, last_used, id)` minimum, weights
-    /// fixed at insert time by the store's `Weighter`.
-    Weighted {
-        by_weight: BTreeSet<(u64, SimTime, u64)>,
-        /// `id -> weight`, consulted (never iterated) to locate the
-        /// stale tuple on touch/remove.
-        weights: HashMap<u64, u64>,
-    },
 }
 
 impl VictimIndex {
-    /// An empty index for `policy`; `weighted` overrides the policy with
-    /// the cost-aware ordering.
-    pub(crate) fn new(policy: EvictionPolicy, weighted: bool) -> VictimIndex {
-        if weighted {
-            return VictimIndex::Weighted {
-                by_weight: BTreeSet::new(),
-                weights: HashMap::new(),
-            };
-        }
+    /// An empty index for `policy`.
+    pub(crate) fn new(policy: EvictionPolicy) -> VictimIndex {
         match policy {
             EvictionPolicy::Lru => VictimIndex::Lru {
                 by_recency: BTreeSet::new(),
@@ -111,14 +91,8 @@ impl VictimIndex {
         }
     }
 
-    /// True when the cost-aware ordering is active.
-    pub(crate) fn is_weighted(&self) -> bool {
-        matches!(self, VictimIndex::Weighted { .. })
-    }
-
-    /// Registers a new entry. `weight` is required in weighted mode and
-    /// ignored otherwise.
-    pub(crate) fn on_insert(&mut self, meta: EntryMeta, weight: Option<u64>) {
+    /// Registers a new entry.
+    pub(crate) fn on_insert(&mut self, meta: EntryMeta) {
         match self {
             VictimIndex::Lru { by_recency } => {
                 by_recency.insert((meta.last_used, meta.id));
@@ -135,11 +109,6 @@ impl VictimIndex {
                 by_recency.insert((meta.last_used, meta.id));
             }
             VictimIndex::Utility => {}
-            VictimIndex::Weighted { by_weight, weights } => {
-                let w = weight.unwrap_or(1);
-                weights.insert(meta.id, w);
-                by_weight.insert((w, meta.last_used, meta.id));
-            }
         }
     }
 
@@ -160,11 +129,6 @@ impl VictimIndex {
                 by_recency.insert((after.last_used, after.id));
             }
             VictimIndex::Utility => {}
-            VictimIndex::Weighted { by_weight, weights } => {
-                let w = weights.get(&before.id).copied().unwrap_or(1);
-                by_weight.remove(&(w, before.last_used, before.id));
-                by_weight.insert((w, after.last_used, after.id));
-            }
         }
     }
 
@@ -186,11 +150,6 @@ impl VictimIndex {
                 by_recency.remove(&(meta.last_used, meta.id));
             }
             VictimIndex::Utility => {}
-            VictimIndex::Weighted { by_weight, weights } => {
-                if let Some(w) = weights.remove(&meta.id) {
-                    by_weight.remove(&(w, meta.last_used, meta.id));
-                }
-            }
         }
     }
 
@@ -208,10 +167,6 @@ impl VictimIndex {
                 by_recency.clear();
             }
             VictimIndex::Utility => {}
-            VictimIndex::Weighted { by_weight, weights } => {
-                by_weight.clear();
-                weights.clear();
-            }
         }
     }
 
@@ -247,10 +202,6 @@ impl VictimIndex {
                 }
             }
             VictimIndex::Utility => VictimChoice::ScanRequired,
-            VictimIndex::Weighted { by_weight, .. } => match by_weight.first() {
-                Some(&(_, _, id)) => VictimChoice::Found(EntryId(id)),
-                None => VictimChoice::Empty,
-            },
         }
     }
 
@@ -262,7 +213,6 @@ impl VictimIndex {
             VictimIndex::Lfu { by_frequency } => by_frequency.len(),
             VictimIndex::Ttl { by_recency, .. } => by_recency.len(),
             VictimIndex::Utility => 0,
-            VictimIndex::Weighted { by_weight, .. } => by_weight.len(),
         }
     }
 }
@@ -304,7 +254,7 @@ mod tests {
     fn victim_matches_full_scan_on_randomized_workloads() {
         for policy in policies() {
             let mut rng = SimRng::seed(0x5eed).split(policy.name());
-            let mut index = VictimIndex::new(policy, false);
+            let mut index = VictimIndex::new(policy);
             let mut entries: Vec<CacheEntry<u32>> = Vec::new();
             let mut next_id = 0u64;
             for step in 0..600u64 {
@@ -320,7 +270,7 @@ mod tests {
                         ..entry(next_id, 0, 0, 0)
                     };
                     next_id += 1;
-                    index.on_insert(EntryMeta::of(&e), None);
+                    index.on_insert(EntryMeta::of(&e));
                     entries.push(e);
                 } else if action == 1 {
                     // Touch a random entry (a cache hit).
@@ -352,53 +302,18 @@ mod tests {
 
     #[test]
     fn utility_requires_a_scan() {
-        let index = VictimIndex::new(EvictionPolicy::Utility, false);
+        let index = VictimIndex::new(EvictionPolicy::Utility);
         assert_eq!(index.victim(SimTime::ZERO), VictimChoice::ScanRequired);
-        assert!(!index.is_weighted());
-    }
-
-    #[test]
-    fn weighted_mode_evicts_cheapest_first_with_lru_tiebreak() {
-        let mut index = VictimIndex::new(EvictionPolicy::Lru, true);
-        assert!(index.is_weighted());
-        let a = entry(1, 0, 500, 0);
-        let b = entry(2, 0, 100, 0); // LRU entry, but heavy
-        let c = entry(3, 0, 300, 0);
-        index.on_insert(EntryMeta::of(&a), Some(10));
-        index.on_insert(EntryMeta::of(&b), Some(90));
-        index.on_insert(EntryMeta::of(&c), Some(10));
-        // Lightest weight wins; among equal weights, the older use.
-        assert_eq!(
-            index.victim(SimTime::from_millis(1_000)),
-            VictimChoice::Found(EntryId(3))
-        );
-        index.on_remove(EntryMeta::of(&c));
-        assert_eq!(
-            index.victim(SimTime::from_millis(1_000)),
-            VictimChoice::Found(EntryId(1))
-        );
-        // Touching the light entry does not save it from a heavy rival.
-        let before = EntryMeta::of(&a);
-        let mut touched = a.clone();
-        touched.last_used = SimTime::from_millis(2_000);
-        touched.uses += 1;
-        index.on_update(before, EntryMeta::of(&touched));
-        assert_eq!(
-            index.victim(SimTime::from_millis(2_000)),
-            VictimChoice::Found(EntryId(1))
-        );
-        index.clear();
-        assert_eq!(index.victim(SimTime::ZERO), VictimChoice::Empty);
     }
 
     #[test]
     fn ttl_front_expiry_check_is_exact() {
         let max_age = SimDuration::from_millis(100);
-        let mut index = VictimIndex::new(EvictionPolicy::Ttl { max_age }, false);
+        let mut index = VictimIndex::new(EvictionPolicy::Ttl { max_age });
         let fresh = entry(1, 950, 960, 0);
         let stale = entry(2, 0, 999, 9); // old insert, hot use
-        index.on_insert(EntryMeta::of(&fresh), None);
-        index.on_insert(EntryMeta::of(&stale), None);
+        index.on_insert(EntryMeta::of(&fresh));
+        index.on_insert(EntryMeta::of(&stale));
         // Stale entry expired: expiry branch beats the recency order.
         assert_eq!(
             index.victim(SimTime::from_millis(1_000)),

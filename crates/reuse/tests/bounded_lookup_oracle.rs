@@ -8,11 +8,11 @@
 //! set, so the vote sees the same voters.
 //!
 //! This suite holds the store to that claim from outside. It drives a
-//! [`SharedCache`] — both index backends, one shard and four — through
-//! random histories of inserts, lookups, expiry sweeps and threshold
-//! moves, and checks every lookup against an oracle that knows nothing
-//! of the bound: the **unbounded** top-k of [`ReferenceLinearScan`] over
-//! the home shard's entries, fed to [`ann::aknn::decide`]. Equal means
+//! [`SharedCache`] — both index backends — through random histories of
+//! inserts, lookups, expiry sweeps and threshold moves, and checks every
+//! lookup against an oracle that knows nothing of the bound: the
+//! **unbounded** top-k of [`ReferenceLinearScan`] over every cached
+//! entry, fed to [`ann::aknn::decide`]. Equal means
 //! the whole [`LookupResult`] (label, served entry, nearest distance,
 //! support, homogeneity, or the exact [`MissReason`]), the entry a hit
 //! touches and nothing else, and at the end every [`CacheStats`] field.
@@ -29,10 +29,9 @@ use ann::linear::ReferenceLinearScan;
 use ann::{AknnConfig, IndexConfig, MissReason, NnIndex};
 use features::FeatureVector;
 use proptest::prelude::*;
-use reuse::concurrent::route_signature;
 use reuse::{
-    AdmissionPolicy, CacheConfig, CacheEntry, CacheStats, ConcurrentConfig, EntryId, EntrySource,
-    InsertOutcome, LookupResult, SharedCache,
+    AdmissionPolicy, CacheConfig, CacheEntry, CacheStats, EntryId, EntrySource, InsertOutcome,
+    LookupResult, SharedCache,
 };
 use simcore::{SimDuration, SimTime};
 
@@ -54,10 +53,9 @@ fn unit(seed: u64, salt: u64) -> f64 {
     (word(seed, salt) >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// A key around one of four centres spaced two routing cells apart, so a
-/// four-shard store spreads them: on the grid, integer offsets in
-/// `{-2, …, 2}` (duplicates and exact distances abound); off it, jitter
-/// of about a threshold.
+/// A key around one of four centres spaced 8 apart: on the grid, integer
+/// offsets in `{-2, …, 2}` (duplicates and exact distances abound); off
+/// it, jitter of about a threshold.
 fn key(grid: bool, seed: u64, salt: u64) -> FeatureVector {
     let centre = (word(seed, salt) % 4) as f32 * 8.0;
     let components: Vec<f32> = (0..DIM as u64)
@@ -78,8 +76,8 @@ fn key(grid: bool, seed: u64, salt: u64) -> FeatureVector {
     FeatureVector::from_vec(components).unwrap()
 }
 
-/// What an unbounded store would answer: the reference's top-k over the
-/// home shard's `entries`, through the vote, serving the nearest entry
+/// What an unbounded store would answer: the reference's top-k over
+/// `entries`, through the vote, serving the nearest entry
 /// that carries the winning label. Beside it, the distance of the
 /// nearest entry, if there is one.
 fn oracle_lookup(
@@ -143,126 +141,118 @@ proptest! {
         ops in proptest::collection::vec(0u8..20, 1..160),
     ) {
         for index in [IndexConfig::Linear, IndexConfig::KdTree] {
-            for shards in [1usize, 4] {
-                let mut aknn = AknnConfig {
-                    k,
-                    distance_threshold: 1.0,
-                    homogeneity: [0.5, 0.75, 1.0][homogeneity_step],
-                    min_support,
-                };
-                let config = CacheConfig::new(CAPACITY)
-                    .with_aknn(aknn)
-                    .with_admission(AdmissionPolicy {
-                        min_confidence: 0.6,
-                        min_peer_confidence: 0.7,
-                        dedup_distance: 0.25,
-                    })
-                    .with_index(index);
-                let cache: SharedCache<u32> =
-                    SharedCache::with_concurrency(ConcurrentConfig::new(config).with_shards(shards));
-                let mut want_stats = CacheStats::default();
-                let mut last_query: Option<(FeatureVector, f64)> = None;
+            let mut aknn = AknnConfig {
+                k,
+                distance_threshold: 1.0,
+                homogeneity: [0.5, 0.75, 1.0][homogeneity_step],
+                min_support,
+            };
+            let config = CacheConfig::new(CAPACITY)
+                .with_aknn(aknn)
+                .with_admission(AdmissionPolicy {
+                    min_confidence: 0.6,
+                    min_peer_confidence: 0.7,
+                    dedup_distance: 0.25,
+                })
+                .with_index(index);
+            let cache: SharedCache<u32> = SharedCache::new(config);
+            let mut want_stats = CacheStats::default();
+            let mut last_query: Option<(FeatureVector, f64)> = None;
 
-                for (step, &op) in ops.iter().enumerate() {
-                    let salt = step as u64;
-                    let now = SimTime::from_millis(salt * 10);
-                    match op {
-                        // Insert: three labels, so neighbourhoods mix.
-                        0..=8 => {
-                            let label = (word(seed, salt ^ 0x1ABE1) % 3) as u32;
-                            let confidence = 0.5 + unit(seed, salt ^ 0xC0F1) * 0.5;
-                            let source = if word(seed, salt ^ 0x50CE).is_multiple_of(4) {
-                                EntrySource::Peer
-                            } else {
-                                EntrySource::LocalInference
-                            };
-                            let before = cache.len();
-                            match cache.insert(key(grid, seed, salt), label, confidence, source, now) {
-                                InsertOutcome::Inserted(_) => {
-                                    want_stats.record_insert();
-                                    if cache.len() == before {
-                                        want_stats.record_eviction();
-                                    }
+            for (step, &op) in ops.iter().enumerate() {
+                let salt = step as u64;
+                let now = SimTime::from_millis(salt * 10);
+                match op {
+                    // Insert: three labels, so neighbourhoods mix.
+                    0..=8 => {
+                        let label = (word(seed, salt ^ 0x1ABE1) % 3) as u32;
+                        let confidence = 0.5 + unit(seed, salt ^ 0xC0F1) * 0.5;
+                        let source = if word(seed, salt ^ 0x50CE).is_multiple_of(4) {
+                            EntrySource::Peer
+                        } else {
+                            EntrySource::LocalInference
+                        };
+                        let before = cache.len();
+                        match cache.insert(key(grid, seed, salt), label, confidence, source, now) {
+                            InsertOutcome::Inserted(_) => {
+                                want_stats.record_insert();
+                                if cache.len() == before {
+                                    want_stats.record_eviction();
                                 }
-                                InsertOutcome::Refreshed(_) => want_stats.record_refresh(),
-                                InsertOutcome::Rejected => want_stats.record_rejected(),
                             }
-                        }
-                        // Lookup: a fresh key, or the last query again
-                        // (after the threshold may have moved onto it).
-                        9..=15 => {
-                            let query = match &last_query {
-                                Some((q, _)) if op == 15 => q.clone(),
-                                _ => key(grid, seed, salt),
-                            };
-                            let home = (route_signature(&query) % shards as u64) as usize;
-                            let before = cache.snapshot(now);
-                            let resident: Vec<&CacheEntry<u32>> = before
-                                .entries
-                                .iter()
-                                .filter(|e| e.id.0 as usize % shards == home)
-                                .collect();
-                            let (want, nearest) = oracle_lookup(&resident, &query, &aknn);
-                            let got = cache.lookup(&query, now);
-                            prop_assert!(
-                                got == want,
-                                "{:?} × {} shards, step {}: lookup of {:?} at threshold {:e} \
-                                 answered {:?}, the oracle {:?}",
-                                index, shards, step, query.as_slice(),
-                                aknn.distance_threshold, got, want
-                            );
-                            want_stats.record_lookup();
-                            let mut after_want = before.clone();
-                            match want {
-                                LookupResult::Hit { entry, .. } => {
-                                    want_stats.record_hit();
-                                    let touched = after_want
-                                        .entries
-                                        .iter_mut()
-                                        .find(|e| e.id == entry)
-                                        .unwrap();
-                                    touched.uses += 1;
-                                    touched.last_used = now;
-                                }
-                                LookupResult::Miss(reason) => want_stats.record_miss(reason),
-                            }
-                            if let Some(nearest) = nearest.filter(|&d| d > 0.0) {
-                                last_query = Some((query, nearest));
-                            }
-                            // A hit touches the served entry; nothing
-                            // else in the store moves.
-                            prop_assert_eq!(&cache.snapshot(now).entries, &after_want.entries);
-                        }
-                        // Expire: sometimes everything, leaving an index
-                        // that exists but is empty.
-                        16 | 17 => {
-                            let max_age = if op == 17 {
-                                SimDuration::ZERO
-                            } else {
-                                SimDuration::from_millis(50 + word(seed, salt) % 400)
-                            };
-                            let dropped = cache.expire_older_than(now, max_age);
-                            want_stats.record_expirations(dropped as u64);
-                        }
-                        // Move the threshold, as adaptive controllers do:
-                        // onto a grid distance, onto the last query's
-                        // nearest distance exactly, or anywhere.
-                        _ => {
-                            let threshold = match (&last_query, grid) {
-                                (Some((_, nearest)), false) if op == 18 => *nearest,
-                                (_, true) => {
-                                    let choices = grid_thresholds();
-                                    choices[(word(seed, salt) % choices.len() as u64) as usize]
-                                }
-                                _ => 0.2 + unit(seed, salt) * 1.8,
-                            };
-                            cache.set_distance_threshold(threshold);
-                            aknn.distance_threshold = threshold;
+                            InsertOutcome::Refreshed(_) => want_stats.record_refresh(),
+                            InsertOutcome::Rejected => want_stats.record_rejected(),
                         }
                     }
+                    // Lookup: a fresh key, or the last query again
+                    // (after the threshold may have moved onto it).
+                    9..=15 => {
+                        let query = match &last_query {
+                            Some((q, _)) if op == 15 => q.clone(),
+                            _ => key(grid, seed, salt),
+                        };
+                        let before = cache.snapshot(now);
+                        let resident: Vec<&CacheEntry<u32>> = before.entries.iter().collect();
+                        let (want, nearest) = oracle_lookup(&resident, &query, &aknn);
+                        let got = cache.lookup(&query, now);
+                        prop_assert!(
+                            got == want,
+                            "{:?}, step {}: lookup of {:?} at threshold {:e} \
+                             answered {:?}, the oracle {:?}",
+                            index, step, query.as_slice(),
+                            aknn.distance_threshold, got, want
+                        );
+                        want_stats.record_lookup();
+                        let mut after_want = before.clone();
+                        match want {
+                            LookupResult::Hit { entry, .. } => {
+                                want_stats.record_hit();
+                                let touched = after_want
+                                    .entries
+                                    .iter_mut()
+                                    .find(|e| e.id == entry)
+                                    .unwrap();
+                                touched.uses += 1;
+                                touched.last_used = now;
+                            }
+                            LookupResult::Miss(reason) => want_stats.record_miss(reason),
+                        }
+                        if let Some(nearest) = nearest.filter(|&d| d > 0.0) {
+                            last_query = Some((query, nearest));
+                        }
+                        // A hit touches the served entry; nothing
+                        // else in the store moves.
+                        prop_assert_eq!(&cache.snapshot(now).entries, &after_want.entries);
+                    }
+                    // Expire: sometimes everything, leaving an index
+                    // that exists but is empty.
+                    16 | 17 => {
+                        let max_age = if op == 17 {
+                            SimDuration::ZERO
+                        } else {
+                            SimDuration::from_millis(50 + word(seed, salt) % 400)
+                        };
+                        let dropped = cache.expire_older_than(now, max_age);
+                        want_stats.record_expirations(dropped as u64);
+                    }
+                    // Move the threshold, as adaptive controllers do:
+                    // onto a grid distance, onto the last query's
+                    // nearest distance exactly, or anywhere.
+                    _ => {
+                        let threshold = match (&last_query, grid) {
+                            (Some((_, nearest)), false) if op == 18 => *nearest,
+                            (_, true) => {
+                                let choices = grid_thresholds();
+                                choices[(word(seed, salt) % choices.len() as u64) as usize]
+                            }
+                            _ => 0.2 + unit(seed, salt) * 1.8,
+                        };
+                        cache.set_distance_threshold(threshold);
+                        aknn.distance_threshold = threshold;
+                    }
                 }
-                prop_assert_eq!(cache.stats(), want_stats);
             }
+            prop_assert_eq!(cache.stats(), want_stats);
         }
     }
 }

@@ -2,129 +2,50 @@
 //!
 //! Thread scheduling is the one source of nondeterminism the store
 //! cannot remove, so these tests pin down exactly what *is* guaranteed
-//! under it:
-//!
-//! - writers touching **disjoint** routing buckets never contend, and the
-//!   merged snapshot — ids included — is byte-identical whatever the
-//!   worker count, because each shard sees a single writer's sequence;
-//! - writers touching **overlapping** buckets may interleave (so ids may
-//!   differ run to run), but the canonical snapshot (ids erased) and the
-//!   merged operation counters must match a sequential execution exactly.
+//! under it: writers that interleave may permute entry ids run to run,
+//! but the canonical snapshot (ids erased) and the operation counters
+//! must match a sequential execution exactly, and concurrent lookups
+//! never drift the counters.
 //!
 //! The last test pins [`SharedCache::frozen_view`], the fleet engine's
 //! determinism hinge: a view answers like its owner did at the snapshot,
 //! and probing it leaves the owner untouched.
 
-use std::collections::BTreeMap;
 use std::thread;
 
 use ann::MissReason;
 use features::FeatureVector;
 use proptest::prelude::*;
-use reuse::concurrent::route_signature;
-use reuse::{
-    AdmissionPolicy, CacheConfig, ConcurrentConfig, EntrySource, LookupResult, SharedCache,
-};
+use reuse::{AdmissionPolicy, CacheConfig, EntrySource, LookupResult, SharedCache};
 use simcore::{SimDuration, SimTime};
 
 const DIM: usize = 4;
-const SHARDS: usize = 4;
-const KEYS_PER_SHARD: usize = 40;
+const KEYS: usize = 160;
 
-fn config() -> ConcurrentConfig {
-    ConcurrentConfig::new(CacheConfig::new(1024).with_admission(AdmissionPolicy::admit_all()))
-        .with_shards(SHARDS)
+fn store() -> SharedCache<u32> {
+    SharedCache::new(CacheConfig::new(1024).with_admission(AdmissionPolicy::admit_all()))
 }
 
-/// Deterministic keys grouped by their home shard: walk distinct
-/// projection cells until every shard owns `KEYS_PER_SHARD` keys. Only
-/// dimension 0 varies — its Rademacher sign is ±1, never zero, so the
-/// projection genuinely moves with the walk (a constant vector could sit
-/// in the projection's null space and pin every key to one bucket).
-fn keys_by_home_shard() -> BTreeMap<usize, Vec<FeatureVector>> {
-    let mut by_shard: BTreeMap<usize, Vec<FeatureVector>> = BTreeMap::new();
-    for cell in 0..100_000u64 {
-        if by_shard.len() == SHARDS && by_shard.values().all(|keys| keys.len() >= KEYS_PER_SHARD) {
-            return by_shard;
-        }
-        // Spread cells far apart so each key occupies its own bucket.
-        let mut components = vec![0.0f32; DIM];
-        components[0] = cell as f32 * 100.0;
-        let key = FeatureVector::from_vec(components).unwrap();
-        let shard = (route_signature(&key) % SHARDS as u64) as usize;
-        let keys = by_shard.entry(shard).or_default();
-        if keys.len() < KEYS_PER_SHARD {
-            keys.push(key);
-        }
-    }
-    panic!("signature walk failed to cover all {SHARDS} shards");
-}
-
-/// Inserts each shard's key list from `threads` workers (worker `i` owns
-/// shard `i`'s keys when threads == SHARDS; one worker does everything
-/// sequentially when threads == 1) and returns the snapshot JSON.
-fn run_disjoint(threads: usize) -> String {
-    let cache: SharedCache<u32> = SharedCache::with_concurrency(config());
-    let by_shard = keys_by_home_shard();
-    let jobs: Vec<(usize, Vec<FeatureVector>)> = by_shard.into_iter().collect();
-    if threads == 1 {
-        for (shard, keys) in &jobs {
-            for (i, key) in keys.iter().enumerate() {
-                cache.insert(
-                    key.clone(),
-                    *shard as u32,
-                    0.9,
-                    EntrySource::LocalInference,
-                    SimTime::from_millis(i as u64),
-                );
-            }
-        }
-    } else {
-        let handles: Vec<_> = jobs
-            .into_iter()
-            .map(|(shard, keys)| {
-                let cache = cache.clone();
-                thread::spawn(move || {
-                    for (i, key) in keys.iter().enumerate() {
-                        cache.insert(
-                            key.clone(),
-                            shard as u32,
-                            0.9,
-                            EntrySource::LocalInference,
-                            SimTime::from_millis(i as u64),
-                        );
-                    }
-                })
-            })
-            .collect();
-        for handle in handles {
-            handle.join().unwrap();
-        }
-    }
-    cache.snapshot(SimTime::from_secs(60)).to_json().unwrap()
-}
-
-#[test]
-fn disjoint_shard_writers_produce_byte_identical_snapshots() {
-    let sequential = run_disjoint(1);
-    let concurrent = run_disjoint(SHARDS);
-    assert_eq!(
-        sequential, concurrent,
-        "per-shard writer order is deterministic, so even entry ids must match"
-    );
-    // And re-running concurrently is stable too.
-    assert_eq!(concurrent, run_disjoint(SHARDS));
+/// Deterministic keys far enough apart that none dedups against or
+/// answers for another.
+fn keys() -> Vec<FeatureVector> {
+    (0..KEYS)
+        .map(|cell| {
+            let mut components = vec![0.0f32; DIM];
+            components[0] = cell as f32 * 100.0;
+            FeatureVector::from_vec(components).unwrap()
+        })
+        .collect()
 }
 
 #[test]
 fn overlapping_writers_balance_counters_and_canonical_state() {
-    // Every worker inserts every shard's keys, labelled per worker, so
-    // all workers contend on all four shards.
-    let by_shard = keys_by_home_shard();
-    let all_keys: Vec<FeatureVector> = by_shard.into_values().flatten().collect();
+    // Every worker inserts every key, labelled per worker, so all
+    // workers contend on the one lock.
+    let all_keys = keys();
     let workers = 4usize;
 
-    let concurrent: SharedCache<u32> = SharedCache::with_concurrency(config());
+    let concurrent = store();
     let handles: Vec<_> = (0..workers)
         .map(|w| {
             let cache = concurrent.clone();
@@ -154,7 +75,7 @@ fn overlapping_writers_balance_counters_and_canonical_state() {
         handle.join().unwrap();
     }
 
-    let sequential: SharedCache<u32> = SharedCache::with_concurrency(config());
+    let sequential = store();
     for w in 0..workers {
         for (i, key) in all_keys.iter().enumerate() {
             let shifted: Vec<f32> = key
@@ -192,9 +113,8 @@ fn overlapping_writers_balance_counters_and_canonical_state() {
 
 #[test]
 fn lookups_and_inserts_interleave_without_counter_drift() {
-    let cache: SharedCache<u32> = SharedCache::with_concurrency(config());
-    let by_shard = keys_by_home_shard();
-    let all_keys: Vec<FeatureVector> = by_shard.into_values().flatten().collect();
+    let cache = store();
+    let all_keys = keys();
     for (i, key) in all_keys.iter().enumerate() {
         cache.insert(
             key.clone(),
@@ -277,78 +197,73 @@ fn answer(result: LookupResult<u32>) -> Answer {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// After an arbitrary insert/lookup/expire/threshold history on a 1-
-    /// and a 4-shard owner, every probe against the frozen view returns
-    /// what the owner holds at the snapshot — label, nearest distance,
-    /// vote — while the owner's counters and contents version stand
-    /// still. The owner's own lookups run last: they move its counters
-    /// but not its contents, so they still answer as of the snapshot.
+    /// After an arbitrary insert/lookup/expire/threshold history, every
+    /// probe against the frozen view returns what the owner holds at the
+    /// snapshot — label, nearest distance, vote — while the owner's
+    /// counters and contents version stand still. The owner's own
+    /// lookups run last: they move its counters but not its contents, so
+    /// they still answer as of the snapshot.
     #[test]
     fn frozen_view_answers_like_the_owner_without_touching_it(
         ops in proptest::collection::vec(op(), 1..80),
         probes in proptest::collection::vec(-14.0f32..14.0, 1..24),
     ) {
-        for shards in [1usize, SHARDS] {
-            let owner: SharedCache<u32> = SharedCache::with_concurrency(
-                ConcurrentConfig::new(CacheConfig::new(16).with_admission(AdmissionPolicy {
-                    min_confidence: 0.3,
-                    min_peer_confidence: 0.5,
-                    dedup_distance: 0.5,
-                }))
-                .with_shards(shards),
-            );
-            let mut now = SimTime::ZERO;
-            for op in &ops {
-                now += SimDuration::from_millis(7);
-                match *op {
-                    Op::Insert { x, confidence } => {
-                        // The label is a function of the key, so equal
-                        // keys never carry different labels and no probe
-                        // has two answers.
-                        let label = x.to_bits() % 5;
-                        let source = EntrySource::LocalInference;
-                        owner.insert(probe_key(x), label, confidence, source, now);
-                    }
-                    Op::Lookup { x } => {
-                        let _ = owner.lookup(&probe_key(x), now);
-                    }
-                    Op::Expire { max_age_ms } => {
-                        owner.expire_older_than(now, SimDuration::from_millis(max_age_ms));
-                    }
-                    Op::Threshold { value } => owner.set_distance_threshold(value),
+        let owner: SharedCache<u32> =
+            SharedCache::new(CacheConfig::new(16).with_admission(AdmissionPolicy {
+                min_confidence: 0.3,
+                min_peer_confidence: 0.5,
+                dedup_distance: 0.5,
+            }));
+        let mut now = SimTime::ZERO;
+        for op in &ops {
+            now += SimDuration::from_millis(7);
+            match *op {
+                Op::Insert { x, confidence } => {
+                    // The label is a function of the key, so equal keys
+                    // never carry different labels and no probe has two
+                    // answers.
+                    let label = x.to_bits() % 5;
+                    let source = EntrySource::LocalInference;
+                    owner.insert(probe_key(x), label, confidence, source, now);
                 }
+                Op::Lookup { x } => {
+                    let _ = owner.lookup(&probe_key(x), now);
+                }
+                Op::Expire { max_age_ms } => {
+                    owner.expire_older_than(now, SimDuration::from_millis(max_age_ms));
+                }
+                Op::Threshold { value } => owner.set_distance_threshold(value),
             }
+        }
 
-            let view = owner.frozen_view(now);
-            let stats_before = owner.stats();
-            let version_before = owner.contents_version();
-            prop_assert_eq!(view.len(), owner.len());
-            prop_assert_eq!(view.shard_count(), shards);
-            prop_assert_eq!(
-                view.distance_threshold().to_bits(),
-                owner.distance_threshold().to_bits()
-            );
+        let view = owner.frozen_view(now);
+        let stats_before = owner.stats();
+        let version_before = owner.contents_version();
+        prop_assert_eq!(view.len(), owner.len());
+        prop_assert_eq!(
+            view.distance_threshold().to_bits(),
+            owner.distance_threshold().to_bits()
+        );
 
-            // Probe every cached key (hits) and the random points.
-            let keys: Vec<FeatureVector> = owner
-                .snapshot(now)
-                .entries
-                .iter()
-                .map(|e| e.key.clone())
-                .chain(probes.iter().map(|&x| probe_key(x)))
-                .collect();
-            let later = now + SimDuration::from_millis(5);
-            let mut seen = Vec::with_capacity(keys.len());
-            for key in &keys {
-                prop_assert_eq!(view.peek_nearest(key), owner.peek_nearest(key));
-                seen.push(answer(view.lookup(key, later)));
-            }
-            prop_assert_eq!(owner.stats(), stats_before);
-            prop_assert_eq!(owner.contents_version(), version_before);
+        // Probe every cached key (hits) and the random points.
+        let keys: Vec<FeatureVector> = owner
+            .snapshot(now)
+            .entries
+            .iter()
+            .map(|e| e.key.clone())
+            .chain(probes.iter().map(|&x| probe_key(x)))
+            .collect();
+        let later = now + SimDuration::from_millis(5);
+        let mut seen = Vec::with_capacity(keys.len());
+        for key in &keys {
+            prop_assert_eq!(view.peek_nearest(key), owner.peek_nearest(key));
+            seen.push(answer(view.lookup(key, later)));
+        }
+        prop_assert_eq!(owner.stats(), stats_before);
+        prop_assert_eq!(owner.contents_version(), version_before);
 
-            for (key, from_view) in keys.iter().zip(seen) {
-                prop_assert_eq!(answer(owner.lookup(key, later)), from_view);
-            }
+        for (key, from_view) in keys.iter().zip(seen) {
+            prop_assert_eq!(answer(owner.lookup(key, later)), from_view);
         }
     }
 }

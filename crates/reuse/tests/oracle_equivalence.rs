@@ -1,9 +1,8 @@
-//! Oracle equivalence: the concurrent store at one shard with no
-//! frequency admission must be operation-for-operation identical to the
-//! plain single-threaded [`ApproxCache`] that is its shard body. This is the
-//! contract that keeps the golden experiment results byte-identical
-//! across the store rebuild — any divergence here is a regression in the
-//! concurrent core, not a tuning difference.
+//! Oracle equivalence: the concurrent store must be
+//! operation-for-operation identical to the plain single-threaded
+//! [`ApproxCache`] it wraps. This is the contract that keeps the golden
+//! experiment results byte-identical — any divergence here is a
+//! regression in the concurrent core, not a tuning difference.
 //!
 //! The suite drives both backends through identical randomized operation
 //! sequences (lookups, inserts across sources and confidences, expiry
@@ -12,10 +11,7 @@
 //! state after each step.
 
 use features::FeatureVector;
-use reuse::{
-    ApproxCache, CacheConfig, ConcurrentConfig, EntrySource, EvictionPolicy, InsertOutcome,
-    LookupResult, SharedCache,
-};
+use reuse::{ApproxCache, CacheConfig, EntrySource, EvictionPolicy, LookupResult, SharedCache};
 use simcore::{SimDuration, SimRng, SimTime};
 
 const DIM: usize = 8;
@@ -48,7 +44,7 @@ fn source(rng: &mut SimRng) -> EntrySource {
 fn assert_equivalent(policy: EvictionPolicy, seed: u64) {
     let config = CacheConfig::new(8).with_eviction(policy);
     let mut oracle: ApproxCache<u32> = ApproxCache::new(config.clone());
-    let sharded: SharedCache<u32> = SharedCache::new(config);
+    let shared: SharedCache<u32> = SharedCache::new(config);
     let mut rng = SimRng::seed(seed).split(policy.name());
 
     for step in 0..STEPS {
@@ -58,7 +54,7 @@ fn assert_equivalent(policy: EvictionPolicy, seed: u64) {
         if roll < 0.45 {
             let k = key(&mut rng);
             let a: LookupResult<u32> = oracle.lookup(&k, now);
-            let b = sharded.lookup(&k, now);
+            let b = shared.lookup(&k, now);
             assert_eq!(a, b, "lookup diverged at step {step}");
         } else if roll < 0.9 {
             let k = key(&mut rng);
@@ -66,21 +62,21 @@ fn assert_equivalent(policy: EvictionPolicy, seed: u64) {
             let confidence = rng.uniform(0.2, 1.0);
             let src = source(&mut rng);
             let a = oracle.insert(k.clone(), label, confidence, src, now);
-            let b = sharded.insert(k, label, confidence, src, now);
+            let b = shared.insert(k, label, confidence, src, now);
             assert_eq!(a, b, "insert diverged at step {step}");
         } else if roll < 0.98 {
             let max_age = SimDuration::from_millis(rng.index(200) as u64 + 1);
             let a = oracle.expire_older_than(now, max_age);
-            let b = sharded.expire_older_than(now, max_age);
+            let b = shared.expire_older_than(now, max_age);
             assert_eq!(a, b, "expiry count diverged at step {step}");
         } else {
             oracle.clear();
-            sharded.clear();
+            shared.clear();
         }
-        assert_eq!(oracle.len(), sharded.len(), "len diverged at step {step}");
+        assert_eq!(oracle.len(), shared.len(), "len diverged at step {step}");
         assert_eq!(
             *oracle.stats(),
-            sharded.stats(),
+            shared.stats(),
             "counters diverged at step {step}"
         );
     }
@@ -92,17 +88,17 @@ fn assert_equivalent(policy: EvictionPolicy, seed: u64) {
 }
 
 #[test]
-fn sharded_store_matches_oracle_under_lru() {
+fn shared_store_matches_oracle_under_lru() {
     assert_equivalent(EvictionPolicy::Lru, 0x0e_1111);
 }
 
 #[test]
-fn sharded_store_matches_oracle_under_lfu() {
+fn shared_store_matches_oracle_under_lfu() {
     assert_equivalent(EvictionPolicy::Lfu, 0x0e_2222);
 }
 
 #[test]
-fn sharded_store_matches_oracle_under_ttl_and_utility() {
+fn shared_store_matches_oracle_under_ttl_and_utility() {
     for (i, policy) in EvictionPolicy::standard_set().into_iter().enumerate() {
         match policy {
             EvictionPolicy::Lru | EvictionPolicy::Lfu => {} // covered above
@@ -111,20 +107,20 @@ fn sharded_store_matches_oracle_under_ttl_and_utility() {
     }
 }
 
-/// The snapshot of the single-shard store must also match the oracle's:
+/// The snapshot of the shared store must also match the oracle's:
 /// same entries, same ids, same usage metadata.
 #[test]
-fn sharded_snapshot_matches_oracle_snapshot() {
+fn shared_snapshot_matches_oracle_snapshot() {
     let config = CacheConfig::new(16);
     let mut oracle: ApproxCache<u32> = ApproxCache::new(config.clone());
-    let sharded: SharedCache<u32> = SharedCache::new(config);
+    let shared: SharedCache<u32> = SharedCache::new(config);
     let mut rng = SimRng::seed(0x0e_4444);
     for step in 0..300u64 {
         let now = SimTime::from_millis(step * 10);
         let k = key(&mut rng);
         if rng.chance(0.5) {
             oracle.lookup(&k, now);
-            sharded.lookup(&k, now);
+            shared.lookup(&k, now);
         } else {
             let label = rng.index(6) as u32;
             let confidence = rng.uniform(0.2, 1.0);
@@ -135,60 +131,19 @@ fn sharded_snapshot_matches_oracle_snapshot() {
                 EntrySource::LocalInference,
                 now,
             );
-            sharded.insert(k, label, confidence, EntrySource::LocalInference, now);
+            shared.insert(k, label, confidence, EntrySource::LocalInference, now);
         }
     }
     let at = SimTime::from_secs(10);
     // `capture` documents its entry order as arbitrary (it walks a hash
-    // map); the sharded snapshot sorts by id. Normalize the oracle's to
+    // map); the shared snapshot sorts by id. Normalize the oracle's to
     // the same order — ids themselves must still match exactly.
     let mut a = reuse::CacheSnapshot::capture(&oracle, at);
     a.entries.sort_by_key(|e| e.id);
-    let b = sharded.snapshot(at);
+    let b = shared.snapshot(at);
     assert_eq!(
         a.to_json().unwrap(),
         b.to_json().unwrap(),
         "snapshots must serialize identically"
     );
-}
-
-/// Sanity check on the equivalence boundary: the gated insert path with a
-/// frequency config is *allowed* to diverge (it rejects cold candidates),
-/// which is exactly why goldens run with admission disabled.
-#[test]
-fn frequency_admission_is_the_only_divergence() {
-    let config = CacheConfig::new(4).with_admission(reuse::AdmissionPolicy::admit_all());
-    let mut oracle: ApproxCache<u32> = ApproxCache::new(config.clone());
-    let gated: SharedCache<u32> = SharedCache::with_concurrency(
-        ConcurrentConfig::new(config)
-            .with_frequency(reuse::FrequencyConfig::default())
-            .with_sketch_seed(11),
-    );
-    let mut rng = SimRng::seed(0x0e_5555);
-    let mut first_divergence = None;
-    for step in 0..400u64 {
-        let now = SimTime::from_millis(step * 10);
-        let k = key(&mut rng);
-        let label = rng.index(6) as u32;
-        let a = oracle.insert(k.clone(), label, 0.9, EntrySource::LocalInference, now);
-        let b = gated.insert(k, label, 0.9, EntrySource::LocalInference, now);
-        if a != b {
-            // Up to this point both stores held identical state, so the
-            // first difference can only be the gate declining what the
-            // oracle accepted. (Afterwards the contents differ and any
-            // outcome may legitimately diverge.)
-            assert_eq!(
-                b,
-                InsertOutcome::Rejected,
-                "first divergence must be a gate rejection, step {step}"
-            );
-            first_divergence = Some(step);
-            break;
-        }
-    }
-    assert!(
-        first_divergence.is_some(),
-        "a full cache under churn must exercise the gate"
-    );
-    assert!(gated.stats().sketch_rejected > 0);
 }

@@ -45,14 +45,6 @@ impl CacheStats {
         self.expirations += n;
     }
 
-    pub fn record_sketch_rejected(&mut self) {
-        self.sketch_rejected += 1;
-    }
-
-    pub fn record_weight_eviction(&mut self) {
-        self.weight_evictions += 1;
-    }
-
     pub fn merge(&mut self, other: &CacheStats) {
         self.lookups += other.lookups;
         self.hits += other.hits;
@@ -66,8 +58,6 @@ impl CacheStats {
         self.evictions += other.evictions;
         self.removals += other.removals;
         self.expirations += other.expirations;
-        self.sketch_rejected += other.sketch_rejected;
-        self.weight_evictions += other.weight_evictions;
     }
 }
 

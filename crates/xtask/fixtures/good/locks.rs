@@ -1,5 +1,5 @@
-//! Known-good fixture for rule L: one shard lock at a time, the way the
-//! sharded store actually locks.
+//! Known-good fixture for rule L: one lock at a time, the way the
+//! concurrent store locks.
 
 impl Sharded {
     fn len(&self) -> usize {

@@ -14,13 +14,13 @@
 //! - **P panic hygiene** — `unwrap`/`expect`/indexing on hot paths is
 //!   budgeted by `panic_budget.toml`, and the budget only shrinks.
 //! - **L lock discipline** — fast lexical pre-check: the concurrent core
-//!   never holds two shard locks in one statement / under a live guard.
+//!   never takes a second lock in one statement or under a live guard.
 //! - **G lock-order graph** — the cross-file acquired-while-held graph
 //!   over `reuse::concurrent` is certified acyclic (subsumes L).
 //! - **S seed-split discipline** — sibling `split(..)` labels are unique
 //!   per parent scope, so no two RNG child streams silently correlate.
-//! - **A hot-path allocations** — the per-frame kernels and shard
-//!   operations stay allocation-free.
+//! - **A hot-path allocations** — the per-frame kernels and the store's
+//!   lookup/insert stay allocation-free.
 //!
 //! The per-file rules run lexically over the token stream; the
 //! structural rules (G, S, A, T's census) sit on the token tree

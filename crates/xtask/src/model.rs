@@ -221,8 +221,8 @@ fn collect_lock_facts(ctx: &FileContext, facts: &mut LockFacts) {
             }
             // Call sites reached while a lock is held: `self.method(`
             // and bare `method(`. Other receivers are skipped — by-name
-            // resolution cannot tell `shard.cache.lookup(..)` (the inner
-            // store, no shard locks) from a shard method.
+            // resolution cannot tell `cache.lookup(..)` (the inner
+            // store, which takes no lock) from the handle's own method.
             if guards.is_empty() && stmt_locks.is_empty() {
                 continue;
             }
@@ -323,7 +323,7 @@ pub fn lock_graph(files: &[&FileContext]) -> (LockGraph, Vec<Violation>) {
             line,
             rule: Rule::LockGraph,
             message,
-            hint: "impose one global acquisition order (or hold at most one shard lock); \
+            hint: "impose one global acquisition order (or hold at most one lock); \
                    justify a provably ordered pair with `// xtask-allow(lock-graph): <reason>`",
         });
     }

@@ -32,7 +32,7 @@ pub enum Rule {
     /// P: panic sites on hot paths are budgeted and only shrink.
     Panics,
     /// L: fast-path lexical pre-check — the concurrent store never
-    /// holds two shard locks in one statement / under a live guard.
+    /// takes a second lock in one statement or under a live guard.
     Locks,
     /// G: the cross-file lock-order graph over the concurrent core is
     /// acyclic (subsumes L's heuristic; L stays as the cheap pre-check).
@@ -129,9 +129,9 @@ const RESERVED_SPLIT_LABELS: &[(&str, &str)] = &[("\"shard\"", "crates/approxcac
 /// Hot-path crates where rule P applies.
 const PANIC_CRATES: &[&str] = &["reuse", "approxcache", "p2pnet"];
 
-/// Directory where rules L and G apply: the sharded store's concurrent
-/// core. Its deadlock-freedom argument is that no thread ever holds two
-/// shard locks at once, so every acquisition must be the only live one.
+/// Directory where rules L and G apply: the concurrent store. Its one
+/// lock is not reentrant, so a thread that takes it again while holding
+/// it deadlocks; every acquisition must be the only live one.
 pub const LOCK_SCOPE_PREFIX: &str = "crates/reuse/src/concurrent/";
 
 /// Files that *define* unit newtypes: raw-number arithmetic on unit
@@ -174,8 +174,6 @@ pub const COUNTER_REGISTRIES: &[CounterRegistry] = &[
             "evictions",
             "removals",
             "expirations",
-            "sketch_rejected",
-            "weight_evictions",
         ],
     },
     CounterRegistry {
@@ -651,9 +649,9 @@ fn check_counters(ctx: &FileContext, out: &mut Vec<Violation>) {
 
 /// Rule L. Flags a `.lock(` call while another guard binding is live in
 /// an enclosing (or the same) scope, and a second `.lock(` within one
-/// statement. The sharded store's per-shard mutexes are deadlock-free
-/// precisely because no thread ever holds two of them; this rule makes
-/// that invariant survive refactors.
+/// statement. The store lock is a non-reentrant mutex, so a second
+/// acquisition under a live guard deadlocks the thread on itself; this
+/// rule keeps every acquisition the only live one through refactors.
 ///
 /// A guard is considered live from the end of a statement of the exact
 /// shape `let … = <expr>.lock();` until its enclosing block closes.
@@ -716,10 +714,10 @@ fn check_locks(ctx: &FileContext, out: &mut Vec<Violation>) {
                 out,
                 Rule::Locks,
                 line,
-                "`.lock()` while another shard guard is live — holding two shard locks \
-                 risks deadlock"
+                "`.lock()` while another guard is live — holding two locks, or one \
+                 twice, risks deadlock"
                     .to_owned(),
-                "release the first guard before locking again (shard methods take exactly \
+                "release the first guard before locking again (store methods take exactly \
                  one lock), or justify with `// xtask-allow(locks): <reason>`",
             );
         }
@@ -885,8 +883,8 @@ pub const HOT_FNS_ANYWHERE: &[&str] = &[
     "rerank_rows_into",
 ];
 
-/// Fns that are hot-path within the concurrent core (shard operations
-/// executed under the shard lock).
+/// Fns that are hot-path within the concurrent core (store operations
+/// executed under the store lock).
 pub const HOT_FNS_CONCURRENT: &[&str] = &["lookup", "insert"];
 
 /// Allocation patterns rule A flags inside hot fns.
@@ -895,8 +893,8 @@ const ALLOC_METHODS: &[&str] = &["clone", "to_vec", "collect"];
 /// Rule A. Flags allocations (`Vec::new`, `Box::new`, `format!`,
 /// `vec!`, `.clone()`, `.to_vec()`, `.collect()`) inside the designated
 /// hot-path fn bodies. These fns run per frame — `nearest_within_into`
-/// / `decide_in` on every lookup, shard `lookup` / `insert` under the
-/// shard lock — and the flat-buffer kernels exist precisely so they
+/// / `decide_in` on every lookup, the store's `lookup` / `insert` under
+/// the store lock — and the flat-buffer kernels exist precisely so they
 /// stay allocation-free.
 fn check_alloc(ctx: &FileContext, out: &mut Vec<Violation>) {
     let tokens = ctx.tokens();

@@ -55,10 +55,10 @@ fn lock_order_graph_is_nonempty_and_acyclic() {
     let root = repo_root();
     let budget = load_budget(&root).unwrap();
     let report = lint_repo(&root, &budget).unwrap();
-    assert!(
-        report.lock_graph.nodes.len() >= 2,
-        "expected the sharded store's lock families, got {:?}",
-        report.lock_graph.nodes
+    assert_eq!(
+        report.lock_graph.nodes,
+        vec!["self.core.cache".to_string()],
+        "expected the store's one lock family"
     );
     assert!(
         report.lock_graph.cycles().is_empty(),
@@ -92,8 +92,6 @@ fn allow_census_is_pinned() {
     assert_eq!(
         census,
         vec![
-            "crates/reuse/src/concurrent/sharded.rs: panics",
-            "crates/reuse/src/store.rs: determinism",
             "crates/reuse/src/store.rs: determinism",
             "crates/reuse/src/store.rs: determinism",
             "crates/reuse/src/store.rs: determinism",
