@@ -25,6 +25,12 @@ cargo test -q
 echo "== cargo test (workspace) =="
 cargo test --workspace -q
 
+echo "== cargo test (features, optimized: float-kernel exactness) =="
+# LLVM vectorizes the distance and projection kernels only in release
+# builds, so their bit-exactness proptests must also run on the code that
+# ships.
+cargo test --release -q -p features
+
 echo "== verify_claims (headline regression gate) =="
 EXPERIMENT_SECONDS="${EXPERIMENT_SECONDS:-10}" cargo run -q -p bench --bin verify_claims
 

@@ -162,7 +162,7 @@ pub struct Device {
     /// variant has no fast path to guard).
     scene_check: Option<crate::config::SceneCheck>,
     /// The sketch projection backing the scene-change check.
-    scene_sketch: Option<RandomProjection>,
+    scene_sketch: Option<Arc<RandomProjection>>,
     /// Sketch taken when the previous result was last validated.
     validated_sketch: Option<FeatureVector>,
     /// Sketch of the frame currently being processed.
@@ -214,6 +214,71 @@ impl std::fmt::Debug for Device {
     }
 }
 
+/// The key and scene-sketch matrices the devices of one simulation share.
+///
+/// Both are pure functions of the configuration, the variant and the
+/// descriptor width, so [`run`](crate::sim::run) and
+/// [`run_fleet`](crate::fleet::run_fleet) build them once per call and
+/// hand every device an `Arc` to the same two. A [`DeviceBuilder`] given
+/// none builds its own with the same routine.
+#[derive(Debug, Clone)]
+pub(crate) struct Projections {
+    key: Arc<RandomProjection>,
+    scene_sketch: Option<Arc<RandomProjection>>,
+}
+
+impl Projections {
+    /// Builds the matrices a device running `variant` under `config`
+    /// projects raw descriptors of `descriptor_dim` with: the key
+    /// projection, plus the scene sketch when the variant has an IMU fast
+    /// path and `config.scene_check` guards it.
+    pub(crate) fn new(
+        config: &PipelineConfig,
+        variant: SystemVariant,
+        descriptor_dim: usize,
+    ) -> Projections {
+        Projections {
+            key: Arc::new(config.build_projection(descriptor_dim)),
+            scene_sketch: guarded_scene_check(config, variant).map(|check| {
+                Arc::new(RandomProjection::new(
+                    descriptor_dim,
+                    check.sketch_dim,
+                    SCENE_SKETCH_SEED,
+                ))
+            }),
+        }
+    }
+
+    /// Whether these are the matrices [`new`](Self::new) would build for
+    /// the same arguments. Each matrix is a pure function of its
+    /// `(dim_in, dim_out, seed)`, so comparing those suffices.
+    fn built_for(
+        &self,
+        config: &PipelineConfig,
+        variant: SystemVariant,
+        descriptor_dim: usize,
+    ) -> bool {
+        let shape = |p: &RandomProjection| (p.dim_in(), p.dim_out(), p.seed());
+        let sketch_fits = match (&self.scene_sketch, guarded_scene_check(config, variant)) {
+            (None, None) => true,
+            (Some(sketch), Some(check)) => {
+                shape(sketch) == (descriptor_dim, check.sketch_dim, SCENE_SKETCH_SEED)
+            }
+            _ => false,
+        };
+        sketch_fits && shape(&self.key) == (descriptor_dim, config.key_dim, config.projection_seed)
+    }
+}
+
+/// The scene-change guard a device of `variant` runs: it only matters
+/// where a fast path exists to guard.
+fn guarded_scene_check(
+    config: &PipelineConfig,
+    variant: SystemVariant,
+) -> Option<crate::config::SceneCheck> {
+    config.scene_check.filter(|_| variant.imu_enabled())
+}
+
 /// Typed constructor for [`Device`].
 ///
 /// The builder names every required input up front and keeps the
@@ -241,6 +306,7 @@ pub struct DeviceBuilder<'a> {
     variant: SystemVariant,
     device_class: Option<dnnsim::DeviceClass>,
     edge_cache: Option<edge::EdgeCache>,
+    projections: Option<Projections>,
 }
 
 impl<'a> DeviceBuilder<'a> {
@@ -265,6 +331,7 @@ impl<'a> DeviceBuilder<'a> {
             variant: SystemVariant::Full,
             device_class: None,
             edge_cache: None,
+            projections: None,
         }
     }
 
@@ -291,6 +358,15 @@ impl<'a> DeviceBuilder<'a> {
         self
     }
 
+    /// Injects the key and scene-sketch matrices the simulation built
+    /// once for all its devices. A set built for another descriptor
+    /// width, key width, seed or scene guard is not used: the device
+    /// builds its own, as it does when nothing is injected.
+    pub(crate) fn projections(mut self, projections: Projections) -> DeviceBuilder<'a> {
+        self.projections = Some(projections);
+        self
+    }
+
     /// Builds the device.
     pub fn build(self) -> Device {
         let variant = self.variant;
@@ -299,7 +375,10 @@ impl<'a> DeviceBuilder<'a> {
             config.device_class = class;
         }
         let effective = variant.apply(&config);
-        let projection = Arc::new(effective.build_projection(self.descriptor_dim));
+        let projections = match self.projections {
+            Some(shared) if shared.built_for(&effective, variant, self.descriptor_dim) => shared,
+            _ => Projections::new(&effective, variant, self.descriptor_dim),
+        };
         let device_rng = SimRng::seed(self.seed).split_index("device", self.id.0 as u64);
         let cache = SharedCache::new(effective.cache.clone());
         let dnn: Box<dyn InferenceBackend> = match &effective.cascade_little {
@@ -321,10 +400,6 @@ impl<'a> DeviceBuilder<'a> {
             .peer
             .as_ref()
             .map_or_else(p2pnet::LinkSpec::ideal, |p| p.link);
-        // The guard only matters where a fast path exists to guard.
-        let scene_check = effective.scene_check.filter(|_| variant.imu_enabled());
-        let scene_sketch = scene_check
-            .map(|sc| RandomProjection::new(self.descriptor_dim, sc.sketch_dim, SCENE_SKETCH_SEED));
         let trace = effective
             .trace_capacity
             .map_or_else(TraceRing::disabled, TraceRing::new);
@@ -363,7 +438,7 @@ impl<'a> DeviceBuilder<'a> {
         Device {
             id: self.id,
             variant,
-            projection,
+            projection: projections.key,
             cache,
             exact_cache: ExactCache::new(effective.key_dim, effective.projection_seed),
             dnn,
@@ -387,8 +462,8 @@ impl<'a> DeviceBuilder<'a> {
             rng: device_rng,
             outcomes: Vec::new(),
             pending_advertisement: None,
-            scene_check,
-            scene_sketch,
+            scene_check: guarded_scene_check(&effective, variant),
+            scene_sketch: projections.scene_sketch,
             validated_sketch: None,
             frame_sketch: None,
             trace,
@@ -429,7 +504,10 @@ impl Device {
         &self.outcomes
     }
 
-    /// The shared projection (peers must use an identical one).
+    /// The key projection. Peers must use an identical one; the devices
+    /// of one [`run`](crate::sim::run) or
+    /// [`run_fleet`](crate::fleet::run_fleet) call all hold the same
+    /// matrix.
     pub fn projection(&self) -> &RandomProjection {
         &self.projection
     }
@@ -1892,5 +1970,78 @@ mod tests {
             delivered * 2 > attempts,
             "delivered {delivered}/{attempts}; retries should beat 50%"
         );
+    }
+
+    fn bits(v: &FeatureVector) -> Vec<u32> {
+        v.as_slice().iter().map(|c| c.to_bits()).collect()
+    }
+
+    fn sketch(d: &Device) -> &RandomProjection {
+        d.scene_sketch
+            .as_deref()
+            .expect("Full runs the scene guard")
+    }
+
+    #[test]
+    fn devices_built_from_one_projection_set_share_its_matrices() {
+        let u = universe();
+        let config = PipelineConfig::new();
+        let shared = Projections::new(&config, SystemVariant::Full, 256);
+        let with_shared =
+            |id| DeviceBuilder::new(DeviceId(id), &config, &u, 256, 99).projections(shared.clone());
+        let a = with_shared(0).build();
+        let b = with_shared(1).build();
+        let standalone = DeviceBuilder::new(DeviceId(2), &config, &u, 256, 99).build();
+        assert!(std::ptr::eq(a.projection(), b.projection()));
+        assert!(std::ptr::eq(a.projection(), &*shared.key));
+        assert!(std::ptr::eq(sketch(&a), sketch(&b)));
+        assert!(!std::ptr::eq(a.projection(), standalone.projection()));
+        for class in 0..8 {
+            let x = u.center(ClassId(class));
+            let key = bits(&standalone.projection().project(x));
+            assert_eq!(bits(&a.projection().project(x)), key);
+            assert_eq!(bits(&b.projection().project(x)), key);
+            let sketched = bits(&sketch(&standalone).project(x));
+            assert_eq!(bits(&sketch(&a).project(x)), sketched);
+        }
+    }
+
+    #[test]
+    fn a_projection_set_built_for_another_shape_is_not_used() {
+        let u = universe();
+        let config = PipelineConfig::new();
+        let narrower = PipelineConfig {
+            key_dim: 32,
+            ..config.clone()
+        };
+        let reseeded = PipelineConfig {
+            projection_seed: 7,
+            ..config.clone()
+        };
+        let foreign = [
+            Projections::new(&narrower, SystemVariant::Full, 256),
+            Projections::new(&reseeded, SystemVariant::Full, 256),
+            Projections::new(&config, SystemVariant::Full, 128),
+            // Built for a variant without the scene guard: no sketch.
+            Projections::new(&config, SystemVariant::NoImu, 256),
+        ];
+        let own = Projections::new(&config, SystemVariant::Full, 256);
+        for set in foreign {
+            let d = DeviceBuilder::new(DeviceId(0), &config, &u, 256, 99)
+                .projections(set.clone())
+                .build();
+            assert!(!std::ptr::eq(d.projection(), &*set.key));
+            let sketch_rebuilt = set
+                .scene_sketch
+                .as_deref()
+                .is_none_or(|s| !std::ptr::eq(sketch(&d), s));
+            assert!(sketch_rebuilt, "a foreign set must be rebuilt whole");
+            let x = u.center(ClassId(1));
+            assert_eq!(bits(&d.projection().project(x)), bits(&own.key.project(x)));
+            assert_eq!(
+                bits(&sketch(&d).project(x)),
+                bits(&own.scene_sketch.as_deref().expect("Full").project(x))
+            );
+        }
     }
 }

@@ -51,7 +51,9 @@ use simcore::{SimDuration, SimRng, SimTime};
 
 use crate::baseline::SystemVariant;
 use crate::config::{device_traces, PipelineConfig};
-use crate::device::{advertisement_message, Device, DeviceBuilder, DeviceId, FrameOutcome};
+use crate::device::{
+    advertisement_message, Device, DeviceBuilder, DeviceId, FrameOutcome, Projections,
+};
 use crate::error::ConfigError;
 use crate::report::RunReport;
 use crate::sim::{window_of, Scenario};
@@ -198,6 +200,7 @@ pub fn run_fleet(
     let universe = ClassUniverse::generate(&scenario.scene, &mut world_rng);
     let mut world = World::generate(&universe, &scenario.scene, &mut world_rng);
     let renderer = FrameRenderer::new(&scenario.scene);
+    let projections = Projections::new(config, variant, scenario.scene.descriptor_dim);
 
     // Ground-truth motion (already per-device-seeded inside).
     let traces: Vec<MotionTrace> = device_traces(
@@ -241,6 +244,7 @@ pub fn run_fleet(
             .map(|(s, &(lo, hi))| {
                 let root = &root;
                 let universe = &universe;
+                let projections = &projections;
                 let traces = &traces;
                 let job = move || {
                     let synthesizer = ImuSynthesizer::default();
@@ -254,7 +258,8 @@ pub fn run_fleet(
                             scenario.scene.descriptor_dim,
                             seed,
                         )
-                        .variant(variant);
+                        .variant(variant)
+                        .projections(projections.clone());
                         if let Some(classes) = &scenario.device_classes {
                             if let Some(&class) = classes.get(d % classes.len()) {
                                 builder = builder.device_class(class);

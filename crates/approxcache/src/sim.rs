@@ -22,7 +22,9 @@ use simcore::{EventQueue, SimDuration, SimRng, SimTime};
 
 use crate::baseline::SystemVariant;
 use crate::config::{device_traces, PipelineConfig};
-use crate::device::{advertisement_message, Device, DeviceBuilder, DeviceId, FrameOutcome};
+use crate::device::{
+    advertisement_message, Device, DeviceBuilder, DeviceId, FrameOutcome, Projections,
+};
 use crate::error::ConfigError;
 use crate::report::RunReport;
 
@@ -298,6 +300,7 @@ pub fn run(
     let universe = ClassUniverse::generate(&scenario.scene, &mut world_rng);
     let mut world = World::generate(&universe, &scenario.scene, &mut world_rng);
     let renderer = FrameRenderer::new(&scenario.scene);
+    let projections = Projections::new(config, variant, scenario.scene.descriptor_dim);
 
     // Motion: ground truth + per-device noisy IMU streams.
     let traces: Vec<MotionTrace> = device_traces(
@@ -327,7 +330,8 @@ pub fn run(
                 scenario.scene.descriptor_dim,
                 seed,
             )
-            .variant(variant);
+            .variant(variant)
+            .projections(projections.clone());
             if let Some(classes) = &scenario.device_classes {
                 if let Some(&class) = classes.get(d % classes.len()) {
                     builder = builder.device_class(class);

@@ -10,7 +10,15 @@
 //!   Manhattan).
 //! - [`RandomProjection`] — a seeded Johnson–Lindenstrauss projection used
 //!   to compress raw frame descriptors into low-dimensional keys while
-//!   approximately preserving relative distances.
+//!   approximately preserving relative distances. Its matrix is stored in
+//!   blocks of 8 rows, so [`RandomProjection::project`] runs 8 independent
+//!   accumulators and still returns the bits of a row-at-a-time dot
+//!   product.
+//!
+//! The float kernels (`project` and
+//! [`distance::squared_euclidean_flat`]) are pinned bit-for-bit to scalar
+//! references by proptests; `ci.sh` runs them in release mode too,
+//! because only optimized builds vectorize these loops.
 //!
 //! # Example
 //!

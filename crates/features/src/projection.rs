@@ -7,19 +7,23 @@
 //! approximate-cache hit test needs from its key space.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use simcore::SimRng;
 
 use crate::vector::FeatureVector;
+
+/// How many output rows [`RandomProjection::project`] accumulates side by
+/// side: one block of the stored matrix.
+const LANES: usize = 8;
 
 /// A fixed `dim_in → dim_out` Gaussian projection matrix, deterministic in
 /// its seed.
 ///
 /// Every device in a collaborative deployment must build keys with the
 /// *same* projection (otherwise peer lookups compare incompatible spaces),
-/// so the matrix is a pure function of `(dim_in, dim_out, seed)` and
-/// devices just share the seed.
+/// so the matrix is a pure function of `(dim_in, dim_out, seed)`: devices
+/// agree by sharing the seed, and one simulation's devices share one
+/// matrix.
 ///
 /// # Example
 ///
@@ -33,14 +37,17 @@ use crate::vector::FeatureVector;
 /// // Deterministic: same seed, same key.
 /// assert_eq!(RandomProjection::new(128, 16, 7).project(&x), y);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RandomProjection {
     dim_in: usize,
     dim_out: usize,
     seed: u64,
-    /// Row-major `dim_out × dim_in` matrix, scaled by `1/sqrt(dim_out)` so
-    /// expected squared norms are preserved.
-    matrix: Vec<f32>,
+    /// The `dim_out × dim_in` matrix, scaled by `1/sqrt(dim_out)` so
+    /// expected squared norms are preserved, stored in blocks of
+    /// [`LANES`] rows: `blocks × dim_in × LANES`, element `(r, j)` at
+    /// `((r / LANES) * dim_in + j) * LANES + r % LANES`. The rows past
+    /// `dim_out` in the last block are zero.
+    blocks: Vec<f32>,
 }
 
 impl RandomProjection {
@@ -52,16 +59,19 @@ impl RandomProjection {
     pub fn new(dim_in: usize, dim_out: usize, seed: u64) -> RandomProjection {
         assert!(dim_in > 0, "RandomProjection: dim_in must be positive");
         assert!(dim_out > 0, "RandomProjection: dim_out must be positive");
-        let mut rng = SimRng::seed(seed).split("random-projection");
-        let scale = 1.0 / (dim_out as f64).sqrt();
-        let matrix = (0..dim_in * dim_out)
-            .map(|_| (rng.std_normal() * scale) as f32)
-            .collect();
+        let rows = draw_rows(dim_in, dim_out, seed);
+        let mut blocks = vec![0.0f32; dim_out.div_ceil(LANES) * dim_in * LANES];
+        for (r, row) in rows.chunks_exact(dim_in).enumerate() {
+            let block = (r / LANES) * dim_in * LANES;
+            for (j, &m) in row.iter().enumerate() {
+                blocks[block + j * LANES + r % LANES] = m;
+            }
+        }
         RandomProjection {
             dim_in,
             dim_out,
             seed,
-            matrix,
+            blocks,
         }
     }
 
@@ -82,6 +92,13 @@ impl RandomProjection {
 
     /// Projects `input` into the key space.
     ///
+    /// Each block of [`LANES`] rows is walked once, input index by input
+    /// index, with one `f64` accumulator per row. Every accumulator sees
+    /// the same products, added in the same ascending order, as a
+    /// row-at-a-time dot product, so the key is bit-identical to it. The
+    /// eight chains are independent, which lets the compiler vectorize
+    /// them.
+    ///
     /// # Panics
     ///
     /// Panics if `input.dim() != dim_in`.
@@ -95,25 +112,29 @@ impl RandomProjection {
         );
         let x = input.as_slice();
         let mut out = vec![0.0f32; self.dim_out];
-        for (r, out_c) in out.iter_mut().enumerate() {
-            let row = &self.matrix[r * self.dim_in..(r + 1) * self.dim_in];
-            let mut acc = 0.0f64;
-            for (a, b) in row.iter().zip(x) {
-                acc += *a as f64 * *b as f64;
+        let blocks = self.blocks.chunks_exact(self.dim_in * LANES);
+        for (block, out_block) in blocks.zip(out.chunks_mut(LANES)) {
+            let mut acc = [0.0f64; LANES];
+            for (column, &xj) in block.chunks_exact(LANES).zip(x) {
+                for (a, &m) in acc.iter_mut().zip(column) {
+                    *a += m as f64 * xj as f64;
+                }
             }
-            *out_c = acc as f32;
+            for (o, a) in out_block.iter_mut().zip(acc) {
+                *o = a as f32;
+            }
         }
         FeatureVector::from_vec(out).expect("projection of finite input is finite")
     }
+}
 
-    /// Projects a batch of vectors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any input's dimension differs from `dim_in`.
-    pub fn project_all(&self, inputs: &[FeatureVector]) -> Vec<FeatureVector> {
-        inputs.iter().map(|v| self.project(v)).collect()
-    }
+/// The scaled Gaussian matrix in row-major `dim_out × dim_in` draw order.
+fn draw_rows(dim_in: usize, dim_out: usize, seed: u64) -> Vec<f32> {
+    let mut rng = SimRng::seed(seed).split("random-projection");
+    let scale = 1.0 / (dim_out as f64).sqrt();
+    (0..dim_in * dim_out)
+        .map(|_| (rng.std_normal() * scale) as f32)
+        .collect()
 }
 
 /// Generates `count` random Gaussian vectors of dimension `dim` — a helper
@@ -195,24 +216,13 @@ mod tests {
     }
 
     #[test]
-    fn project_all_matches_individual() {
-        let p = RandomProjection::new(16, 4, 5);
-        let mut rng = SimRng::seed(10);
-        let vs = random_vectors(5, 16, &mut rng);
-        let batch = p.project_all(&vs);
-        for (v, b) in vs.iter().zip(&batch) {
-            assert_eq!(&p.project(v), b);
-        }
-    }
-
-    #[test]
     fn distances_roughly_preserved() {
         // JL property: with dim_out = 32 the pairwise distance distortion
         // on a small sample should be modest.
         let p = RandomProjection::new(128, 32, 11);
         let mut rng = SimRng::seed(12);
         let vs = random_vectors(20, 128, &mut rng);
-        let projected = p.project_all(&vs);
+        let projected: Vec<FeatureVector> = vs.iter().map(|v| p.project(v)).collect();
         let mut max_distortion: f64 = 0.0;
         for i in 0..vs.len() {
             for j in (i + 1)..vs.len() {
@@ -230,6 +240,45 @@ mod proptests {
     use super::*;
     use crate::distance::euclidean;
     use proptest::prelude::*;
+
+    /// The row-at-a-time kernel the blocked one replaced, kept verbatim
+    /// as the exactness oracle. `matrix` is the row-major draw.
+    fn project_ref(matrix: &[f32], dim_in: usize, dim_out: usize, x: &[f32]) -> Vec<f32> {
+        let mut out = vec![0.0f32; dim_out];
+        for (r, out_c) in out.iter_mut().enumerate() {
+            let row = &matrix[r * dim_in..(r + 1) * dim_in];
+            let mut acc = 0.0f64;
+            for (a, b) in row.iter().zip(x) {
+                acc += *a as f64 * *b as f64;
+            }
+            *out_c = acc as f32;
+        }
+        out
+    }
+
+    /// Components spanning eight decades in both signs (and exact zeros).
+    fn mixed_component() -> impl Strategy<Value = f32> {
+        (-4i32..4, -1.0f32..1.0).prop_map(|(exp, m)| m * 10f32.powi(exp))
+    }
+
+    /// Sets `x[k]` so that `row · x` nearly cancels. The `f64` rounding
+    /// of the sum is then large against the result, so a sum taken in
+    /// any other order than the reference's shows in the `f32` output;
+    /// without the cancellation it almost never does.
+    fn cancel_row(x: &mut [f32], row: &[f32], k: usize) {
+        let rest: f64 = (0..x.len())
+            .filter(|&j| j != k)
+            .map(|j| row[j] as f64 * x[j] as f64)
+            .sum();
+        let cancelling = (-rest / row[k] as f64) as f32;
+        if cancelling.is_finite() {
+            x[k] = cancelling;
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|c| c.to_bits()).collect()
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
@@ -252,6 +301,32 @@ mod proptests {
                         "orig {orig}, proj {proj}");
                 }
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The blocked kernel is bit-identical to the row-at-a-time
+        /// reference for every output size from 1 to 64 (partial blocks,
+        /// and whole ones like the 16-row sketch and the 64-row key) and
+        /// every input size from 1 to 300 (the 256-wide descriptor
+        /// included), with one row's sum driven to near-cancellation.
+        #[test]
+        fn blocked_kernel_is_bit_exact(
+            mut x in proptest::collection::vec(mixed_component(), 1..301),
+            dim_out in 1usize..65,
+            seed in any::<u64>(),
+            pick in any::<usize>(),
+        ) {
+            let dim_in = x.len();
+            let matrix = draw_rows(dim_in, dim_out, seed);
+            let r = pick % dim_out;
+            cancel_row(&mut x, &matrix[r * dim_in..(r + 1) * dim_in], pick % dim_in);
+            let p = RandomProjection::new(dim_in, dim_out, seed);
+            let blocked = p.project(&FeatureVector::from_vec(x.clone()).unwrap());
+            let expected = project_ref(&matrix, dim_in, dim_out, &x);
+            prop_assert_eq!(bits(blocked.as_slice()), bits(&expected));
         }
     }
 }
