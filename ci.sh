@@ -31,6 +31,11 @@ echo "== cargo test (features, optimized: float-kernel exactness) =="
 # ships.
 cargo test --release -q -p features
 
+echo "== cargo test (ann, optimized: block-scan exactness) =="
+# The head-block scan vectorizes only in release builds too; its
+# proptest against the row-at-a-time scan must run on that code.
+cargo test --release -q -p ann
+
 echo "== verify_claims (headline regression gate) =="
 EXPERIMENT_SECONDS="${EXPERIMENT_SECONDS:-10}" cargo run -q -p bench --bin verify_claims
 

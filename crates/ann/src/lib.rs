@@ -8,7 +8,8 @@
 //! factory:
 //!
 //! - [`LinearScan`] — `O(n)` per query over the contiguous
-//!   [`FlatBuffer`]; the cache's default and what every workload runs.
+//!   [`FlatBuffer`], eight rows per step through its head blocks; the
+//!   cache's default and what every workload runs.
 //! - [`KdTree`] — branch-and-bound over median splits; prunes well for
 //!   queries near a cluster of cache-shaped keys, degrades towards the
 //!   scan on uniform high-dimensional keys, and falls behind it on

@@ -14,10 +14,12 @@ use crate::index::{check_insert, check_query, finish_within, squared_limit, Neig
 /// entries (the common regime for a per-app mobile cache) nothing beats
 /// it, which is why it is the cache's default index.
 ///
-/// Keys live in a [`FlatBuffer`] (structure-of-arrays, row-major, kept
-/// dense by swap-remove) so a scan walks memory linearly and the chunked
-/// distance kernel auto-vectorizes; candidates go through a bounded
-/// selection buffer instead of scoring every entry into a fresh `Vec`.
+/// Keys live in a [`FlatBuffer`] (each key's first chunk in transposed
+/// head blocks of eight rows, the rest row-major, kept dense by
+/// swap-remove) so a scan scores eight rows per step and reads the rest
+/// of a row only when its first chunk is within the bound; candidates go
+/// through a bounded selection buffer instead of scoring every entry
+/// into a fresh `Vec`.
 /// See DESIGN.md "Performance model & hot path".
 ///
 /// # Example
@@ -73,13 +75,8 @@ impl NnIndex for LinearScan {
         out: &mut Vec<Neighbor>,
     ) {
         check_query(self.flat.dim(), query, k, max_distance);
-        self.flat.rerank_rows_into(
-            0..self.flat.len(),
-            query.as_slice(),
-            k,
-            squared_limit(max_distance),
-            out,
-        );
+        self.flat
+            .block_scan_into(query.as_slice(), k, squared_limit(max_distance), out);
         finish_within(out, max_distance);
     }
 

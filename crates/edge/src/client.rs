@@ -9,10 +9,8 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
+use crate::compress::MAX_SNAPSHOT;
 use crate::protocol::{BatchRequest, BatchResponse, DecodeError};
-
-/// Largest response body the client will read.
-const MAX_BODY: usize = 64 * 1024 * 1024;
 
 /// Why a client call failed.
 #[derive(Debug)]
@@ -175,7 +173,8 @@ impl EdgeClient {
                         .trim()
                         .parse::<usize>()
                         .map_err(|_| ClientError::Malformed("content-length"))?;
-                    if parsed > MAX_BODY {
+                    // The largest snapshot is the biggest body the server sends.
+                    if parsed > MAX_SNAPSHOT {
                         return Err(ClientError::Malformed("body too large"));
                     }
                     content_length = Some(parsed);
@@ -190,9 +189,9 @@ impl EdgeClient {
             }
             None => {
                 // `Connection: close` responses without a length run to
-                // EOF (bounded by MAX_BODY).
+                // EOF (bounded by MAX_SNAPSHOT).
                 let mut body = Vec::new();
-                reader.take(MAX_BODY as u64).read_to_end(&mut body)?;
+                reader.take(MAX_SNAPSHOT as u64).read_to_end(&mut body)?;
                 body
             }
         };

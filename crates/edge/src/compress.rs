@@ -29,8 +29,11 @@ const MIN_MATCH: usize = 4;
 const MAX_MATCH: usize = 127 + MIN_MATCH;
 /// How far back a match may reach.
 const WINDOW: usize = 64 * 1024;
-/// Largest uncompressed size a decoder will agree to reconstruct.
-pub const MAX_DECOMPRESSED: usize = 256 * 1024 * 1024;
+/// Largest snapshot the edge tier exchanges, in bytes: the most a
+/// decoder will agree to reconstruct, and the most a client will read
+/// as a response body. One cap for both, so a body the client accepts
+/// cannot expand past it inside `restore_blob`.
+pub const MAX_SNAPSHOT: usize = 64 * 1024 * 1024;
 
 /// Why a compressed blob failed to decompress.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -178,7 +181,7 @@ pub fn decompress(mut input: &[u8]) -> Result<Vec<u8>, CompressError> {
         return Err(CompressError::BadVersion(version));
     }
     let declared = take_varint(&mut input)?;
-    if declared > MAX_DECOMPRESSED as u64 {
+    if declared > MAX_SNAPSHOT as u64 {
         return Err(CompressError::Corrupt("declared length over cap"));
     }
     let declared = declared as usize;
@@ -311,5 +314,29 @@ mod tests {
             decompress(&forged),
             Err(CompressError::Corrupt("declared length over cap"))
         );
+    }
+
+    #[test]
+    fn one_byte_over_the_snapshot_cap_is_refused_before_allocating() {
+        // A four-byte-header blob that declares MAX_SNAPSHOT + 1 bytes and
+        // carries no tokens: refused on the declaration alone, where a
+        // decoder that trusted it would reserve first and then report the
+        // stream as truncated.
+        let mut forged = BytesMut::new();
+        forged.put_u8(MAGIC_Z);
+        forged.put_u8(VERSION_Z);
+        put_varint(&mut forged, MAX_SNAPSHOT as u64 + 1);
+        assert!(forged.len() < 8);
+        assert_eq!(
+            decompress(&forged),
+            Err(CompressError::Corrupt("declared length over cap"))
+        );
+        // At the cap itself the declaration is accepted and the missing
+        // tokens are what fails.
+        let mut at_cap = BytesMut::new();
+        at_cap.put_u8(MAGIC_Z);
+        at_cap.put_u8(VERSION_Z);
+        put_varint(&mut at_cap, MAX_SNAPSHOT as u64);
+        assert_eq!(decompress(&at_cap), Err(CompressError::Truncated));
     }
 }

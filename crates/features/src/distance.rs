@@ -81,8 +81,15 @@ pub fn squared_euclidean(a: &FeatureVector, b: &FeatureVector) -> f64 {
 }
 
 /// How many difference terms [`squared_euclidean_flat`] evaluates per
-/// chunk before folding them into the accumulator.
-const LANES: usize = 8;
+/// chunk before folding them into the accumulator. Also the width of a
+/// head block: [`squared_euclidean_head_block`] scores the first chunk of
+/// `LANES` rows at once.
+pub const LANES: usize = 8;
+
+/// Components in one head block: `LANES` rows × their first `LANES`
+/// components, stored transposed (component `j` of row `r` at
+/// `j * LANES + r`).
+pub const HEAD_BLOCK: usize = LANES * LANES;
 
 /// Squared Euclidean distance over raw `f32` slices — the hot-path kernel
 /// behind every nearest-neighbour scan.
@@ -144,7 +151,28 @@ pub fn squared_euclidean_flat(a: &[f32], b: &[f32]) -> f64 {
 /// # Panics
 ///
 /// Panics if the slice lengths differ.
+#[inline]
 pub fn squared_euclidean_flat_within(a: &[f32], b: &[f32], bound: f64) -> Option<f64> {
+    squared_euclidean_resume_within(a, b, 0.0, bound)
+}
+
+/// [`squared_euclidean_flat_within`] resumed from a partial sum: `acc`
+/// is the sum over the components that precede `a` and `b`, which must
+/// start on a chunk boundary (a multiple of [`LANES`]) of the full
+/// vectors. The remaining chunks are folded onto `acc` in the reference
+/// order with the same strict early exit, so resuming after a head
+/// block's partial sum gives the full kernel's bits.
+///
+/// # Panics
+///
+/// Panics if the slice lengths differ.
+#[inline]
+pub fn squared_euclidean_resume_within(
+    a: &[f32],
+    b: &[f32],
+    mut acc: f64,
+    bound: f64,
+) -> Option<f64> {
     assert_eq!(
         a.len(),
         b.len(),
@@ -155,7 +183,6 @@ pub fn squared_euclidean_flat_within(a: &[f32], b: &[f32], bound: f64) -> Option
     let split = a.len() - a.len() % LANES;
     let (a_main, a_tail) = a.split_at(split);
     let (b_main, b_tail) = b.split_at(split);
-    let mut acc = 0.0f64;
     for (ca, cb) in a_main.chunks_exact(LANES).zip(b_main.chunks_exact(LANES)) {
         let mut terms = [0.0f64; LANES];
         for ((term, &x), &y) in terms.iter_mut().zip(ca).zip(cb) {
@@ -177,6 +204,48 @@ pub fn squared_euclidean_flat_within(a: &[f32], b: &[f32], bound: f64) -> Option
         return None;
     }
     Some(acc)
+}
+
+/// The first [`LANES`] components of `query` widened to `f64`, the
+/// operand [`squared_euclidean_head_block`] takes. Lanes at or beyond
+/// `query.len()` are `0.0`, matching a head block's zero pad lanes: each
+/// such lane adds `(0 − 0)² = +0.0`, which leaves every sum's bits as
+/// they were.
+#[inline]
+pub fn widen_head(query: &[f32]) -> [f64; LANES] {
+    let mut head = [0.0f64; LANES];
+    for (h, &q) in head.iter_mut().zip(query) {
+        *h = q as f64;
+    }
+    head
+}
+
+/// Squared distances over the first [`LANES`] components of one head
+/// block's `LANES` rows — the first chunk of [`squared_euclidean_flat`],
+/// eight rows per step.
+///
+/// `block` holds component `j` of row `r` at `j * LANES + r`; `query` is
+/// [`widen_head`] of the query. Each row keeps its own accumulator and
+/// adds its terms in ascending component order, so entry `r` has exactly
+/// the bits the row-at-a-time kernel holds after its first chunk (the
+/// whole distance when the dimension is at most `LANES`), and
+/// [`squared_euclidean_resume_within`] finishes the row from it. The
+/// lanes run across rows, never across a row's terms, which is what
+/// lets this vectorize without reordering any sum.
+#[inline]
+pub fn squared_euclidean_head_block(
+    block: &[f32; HEAD_BLOCK],
+    query: &[f64; LANES],
+) -> [f64; LANES] {
+    let mut acc = [0.0f64; LANES];
+    let (lanes, _) = block.as_chunks::<LANES>();
+    for (lane, &q) in lanes.iter().zip(query) {
+        for (a, &x) in acc.iter_mut().zip(lane) {
+            let d = x as f64 - q;
+            *a += d * d;
+        }
+    }
+    acc
 }
 
 /// The pre-optimisation scalar kernel, kept as the equivalence oracle for
@@ -306,7 +375,7 @@ mod tests {
 }
 
 #[cfg(test)]
-mod proptests {
+pub(crate) mod proptests {
     use super::*;
     use proptest::prelude::*;
 
@@ -315,6 +384,11 @@ mod proptests {
     fn finite_vec() -> impl Strategy<Value = FeatureVector> {
         proptest::collection::vec(-100.0f32..100.0, DIM)
             .prop_map(|v| FeatureVector::from_vec(v).unwrap())
+    }
+
+    /// Components spanning eight decades in both signs (and exact zeros).
+    pub(crate) fn mixed_component() -> impl Strategy<Value = f32> {
+        (-4i32..4, -1.0f32..1.0).prop_map(|(exp, m)| m * 10f32.powi(exp))
     }
 
     proptest! {
@@ -401,6 +475,43 @@ mod proptests {
                     prop_assert!(d <= bound);
                 }
                 None => prop_assert!(full > bound),
+            }
+        }
+
+        /// A head block scores each of its rows' first chunk with the bits
+        /// of the scalar reference over those components, and resuming
+        /// from that partial sum gives the reference's full distance, at
+        /// every dimension (`dim <= LANES` leaves zero pad lanes and an
+        /// empty tail). Components span eight decades, so a sum taken in
+        /// any other order shows in the low bits.
+        #[test]
+        fn head_block_then_resume_is_bit_exact(
+            rows in proptest::collection::vec(
+                proptest::collection::vec(mixed_component(), 64),
+                LANES,
+            ),
+            query in proptest::collection::vec(mixed_component(), 64),
+            dim in 1usize..65,
+        ) {
+            let head_dim = dim.min(LANES);
+            let mut block = [0.0f32; HEAD_BLOCK];
+            for (r, row) in rows.iter().enumerate() {
+                for (j, &x) in row[..head_dim].iter().enumerate() {
+                    block[j * LANES + r] = x;
+                }
+            }
+            let heads = squared_euclidean_head_block(&block, &widen_head(&query[..dim]));
+            for (r, row) in rows.iter().enumerate() {
+                let head_ref = squared_euclidean_ref(&row[..head_dim], &query[..head_dim]);
+                prop_assert_eq!(heads[r].to_bits(), head_ref.to_bits());
+                let full = squared_euclidean_resume_within(
+                    &row[head_dim..dim],
+                    &query[head_dim..dim],
+                    heads[r],
+                    f64::INFINITY,
+                );
+                let reference = squared_euclidean_ref(&row[..dim], &query[..dim]);
+                prop_assert_eq!(full.map(f64::to_bits), Some(reference.to_bits()));
             }
         }
 

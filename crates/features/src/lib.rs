@@ -15,9 +15,10 @@
 //!   accumulators and still returns the bits of a row-at-a-time dot
 //!   product.
 //!
-//! The float kernels (`project` and
-//! [`distance::squared_euclidean_flat`]) are pinned bit-for-bit to scalar
-//! references by proptests; `ci.sh` runs them in release mode too,
+//! The float kernels (`project`, [`distance::squared_euclidean_flat`]
+//! and the head-block kernel [`distance::squared_euclidean_head_block`],
+//! which scores the first chunk of 8 rows at once) are pinned bit-for-bit
+//! to scalar references by proptests; `ci.sh` runs them in release mode too,
 //! because only optimized builds vectorize these loops.
 //!
 //! # Example

@@ -239,6 +239,7 @@ mod tests {
 mod proptests {
     use super::*;
     use crate::distance::euclidean;
+    use crate::distance::proptests::mixed_component;
     use proptest::prelude::*;
 
     /// The row-at-a-time kernel the blocked one replaced, kept verbatim
@@ -254,11 +255,6 @@ mod proptests {
             *out_c = acc as f32;
         }
         out
-    }
-
-    /// Components spanning eight decades in both signs (and exact zeros).
-    fn mixed_component() -> impl Strategy<Value = f32> {
-        (-4i32..4, -1.0f32..1.0).prop_map(|(exp, m)| m * 10f32.powi(exp))
     }
 
     /// Sets `x[k]` so that `row · x` nearly cancels. The `f64` rounding

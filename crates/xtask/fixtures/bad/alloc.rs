@@ -30,7 +30,7 @@ fn search_into(rows: &[u64]) -> Vec<u64> {
     out
 }
 
-fn rerank_rows_into(rows: &[u64]) -> String {
+fn block_scan_into(rows: &[u64]) -> String {
     format!("{rows:?}")
 }
 
@@ -38,4 +38,8 @@ fn nearest_within_into(candidates: &[f64], max_distance: f64) -> Vec<f64> {
     let mut kept = Vec::new();
     kept.extend(candidates.iter().filter(|c| **c <= max_distance));
     kept.clone()
+}
+
+fn squared_euclidean_head_block(block: &[f32]) -> Vec<f64> {
+    block.iter().map(|&x| x as f64).collect()
 }

@@ -43,9 +43,20 @@ fn search_into(rows: &[u64], out: &mut Vec<u64>) {
     out.extend_from_slice(rows);
 }
 
-fn rerank_rows_into(rows: &[u64], out: &mut Vec<(f64, u64)>) {
+fn block_scan_into(rows: &[u64], out: &mut Vec<(f64, u64)>) {
     out.clear();
     for &row in rows {
         out.push((row as f64, row));
     }
+}
+
+fn squared_euclidean_head_block(block: &[f32; 64], query: &[f64; 8]) -> [f64; 8] {
+    let mut acc = [0.0f64; 8];
+    for (lane, &q) in block.chunks_exact(8).zip(query) {
+        for (a, &x) in acc.iter_mut().zip(lane) {
+            let d = x as f64 - q;
+            *a += d * d;
+        }
+    }
+    acc
 }

@@ -869,7 +869,7 @@ fn check_seed_splits(ctx: &FileContext, out: &mut Vec<Violation>) {
 
 /// Fns that are hot-path everywhere: the per-frame A-kNN kernels plus
 /// the per-lookup index internals they fan out to (the kd-tree
-/// recursion and the flat-buffer scan). `nearest_within_into` is the
+/// recursion, the flat-buffer block scan and its head-block kernel). `nearest_within_into` is the
 /// search every index implements and every cache lookup calls;
 /// `nearest_into` is its unbounded wrapper. All of these run on every
 /// cache lookup; the caller-held output buffers exist precisely so they
@@ -880,7 +880,8 @@ pub const HOT_FNS_ANYWHERE: &[&str] = &[
     "nearest_into",
     "decide_in",
     "search_into",
-    "rerank_rows_into",
+    "block_scan_into",
+    "squared_euclidean_head_block",
 ];
 
 /// Fns that are hot-path within the concurrent core (store operations
