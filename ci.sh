@@ -10,6 +10,11 @@ cargo fmt --check
 echo "== cargo clippy (workspace, warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc (workspace, rustdoc warnings are errors) =="
+# Catches intra-doc links left stale by a rename or a deletion, and
+# public docs that link to private items.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
+
 echo "== xtask lint (structural: lock graph / seeds / allocs / counters / budget) =="
 LINT_JSON="$(cargo run -q -p xtask -- lint --json)"
 echo "$LINT_JSON"

@@ -1,5 +1,5 @@
 //! The contiguous key store behind [`LinearScan`](crate::LinearScan),
-//! and the bounded `(distance, id)` selection both indexes share.
+//! and the bounded `(distance, id)` selection its scan keeps.
 //!
 //! Each key is split at component [`LANES`]. Its first `LANES`
 //! components live in *head blocks*: `LANES` rows to a block, stored
@@ -12,8 +12,7 @@
 //! rows can enter the selection, and finishes each surviving row over its
 //! tail with the same chunked kernel. It keeps the `k` best within a
 //! squared-distance limit through [`push_bounded`], whose strict
-//! `(distance, id)` order is the tie-break contract every index answers
-//! under. Every distance it returns has the bits of the row-at-a-time
+//! `(distance, id)` order is the tie-break contract of every answer. Every distance it returns has the bits of the row-at-a-time
 //! kernel [`squared_euclidean_flat_within`](features::distance::squared_euclidean_flat_within).
 
 use std::collections::HashMap;
@@ -27,7 +26,7 @@ use crate::index::Neighbor;
 /// Strict `(distance, id)` order: ascending distance, ids breaking ties.
 /// Distances here are sums of squares, so `-0.0` never occurs and
 /// `total_cmp` agrees with the naive `<` on every value that can appear.
-pub(crate) fn closer(a: &Neighbor, b: &Neighbor) -> bool {
+fn closer(a: &Neighbor, b: &Neighbor) -> bool {
     a.distance
         .total_cmp(&b.distance)
         .then(a.id.cmp(&b.id))
@@ -38,7 +37,7 @@ pub(crate) fn closer(a: &Neighbor, b: &Neighbor) -> bool {
 /// ascending by `(distance, id)` — a bounded max-heap where the current
 /// maximum sits at the tail. Once the buffer is full, most candidates
 /// fail the single tail comparison and cost nothing more.
-pub(crate) fn push_bounded(out: &mut Vec<Neighbor>, k: usize, candidate: Neighbor) {
+fn push_bounded(out: &mut Vec<Neighbor>, k: usize, candidate: Neighbor) {
     if out.len() == k {
         match out.last() {
             Some(worst) if closer(&candidate, worst) => {
@@ -53,9 +52,9 @@ pub(crate) fn push_bounded(out: &mut Vec<Neighbor>, k: usize, candidate: Neighbo
 
 /// The squared distance beyond which no candidate can enter `out`: its
 /// tail (the k-th best so far, itself within `limit`) once `out` is
-/// full, the caller's `limit` while there is still room. Both indexes
-/// bound the distance kernel with it; the kd-tree also prunes with it.
-pub(crate) fn selection_bound(out: &[Neighbor], k: usize, limit: f64) -> f64 {
+/// full, the caller's `limit` while there is still room. The scan bounds
+/// the distance kernel with it.
+fn selection_bound(out: &[Neighbor], k: usize, limit: f64) -> f64 {
     match out.last() {
         Some(worst) if out.len() == k => worst.distance,
         _ => limit,
@@ -115,11 +114,6 @@ impl FlatBuffer {
     /// Number of stored rows.
     pub fn len(&self) -> usize {
         self.ids.len()
-    }
-
-    /// True when no rows are stored.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
     }
 
     /// Components held in the head blocks: `min(dim, LANES)`.
@@ -309,7 +303,7 @@ mod tests {
         assert_eq!(key_at(&b, 0), [4.0, 5.0]);
         assert!(b.positions.contains_key(&30) && !b.positions.contains_key(&10));
         b.clear();
-        assert!(b.is_empty());
+        assert_eq!(b.len(), 0);
         assert_eq!(b.dim(), 2);
     }
 

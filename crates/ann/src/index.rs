@@ -1,6 +1,9 @@
-//! The index abstraction shared by both search structures.
+//! The index abstraction: the seam between [`LinearScan`] and its test
+//! oracle.
 
 use features::FeatureVector;
+
+use crate::linear::LinearScan;
 
 /// One query result: an entry id and its exact distance to the query.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -13,7 +16,7 @@ pub struct Neighbor {
 
 /// The working-memory argument of [`NnIndex::nearest_into`] — empty.
 ///
-/// Both indexes select straight into the caller's output buffer and need
+/// The scan selects straight into the caller's output buffer and needs
 /// no other per-query memory. The type and the `scratch` parameter
 /// remain only because `benchmark/src/probes.rs` names both and a PR may
 /// not edit `benchmark/`: this is the one deliberate leftover of the
@@ -29,14 +32,42 @@ impl IndexScratch {
     }
 }
 
+/// The argument of [`build`] — empty: there is one index.
+///
+/// This type and [`build`] remain only because `benchmark/src/probes.rs`
+/// calls `ann::build(KEY_DIM, &IndexConfig::default())` and the benchmark
+/// changes only in its own revisions: like [`IndexScratch`], they are for
+/// the next change to `benchmark/` to drop, constructing a [`LinearScan`]
+/// directly.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IndexConfig;
+
+/// An empty [`LinearScan`] for keys of dimension `dim`, boxed. See
+/// [`IndexConfig`] for why this exists.
+///
+/// ```
+/// use ann::IndexConfig;
+/// use features::FeatureVector;
+///
+/// let mut index = ann::build(2, &IndexConfig::default());
+/// index.insert(7, FeatureVector::zeros(2));
+/// assert_eq!(index.nearest(&FeatureVector::zeros(2), 1)[0].id, 7);
+/// ```
+///
+/// # Panics
+///
+/// Panics if `dim == 0`.
+pub fn build(dim: usize, config: &IndexConfig) -> Box<dyn NnIndex> {
+    let _ = config;
+    Box::new(LinearScan::new(dim))
+}
+
 /// A mutable nearest-neighbour index over feature vectors.
 ///
-/// All implementations measure Euclidean distance, reject vectors of the
-/// wrong dimension, and treat `insert` with an existing id as an update
-/// (replace the key, keep the id).
-///
-/// The trait is object-safe: the cache stores a `Box<dyn NnIndex>` chosen
-/// at configuration time.
+/// Implemented by [`LinearScan`] and by the never-optimized
+/// `ReferenceLinearScan` the tests hold it to. Both measure Euclidean
+/// distance, reject vectors of the wrong dimension, and treat `insert`
+/// with an existing id as an update (replace the key, keep the id).
 pub trait NnIndex: Send {
     /// The dimension of keys this index accepts.
     fn dim(&self) -> usize;
@@ -59,18 +90,18 @@ pub trait NnIndex: Send {
     /// Removes the entry with `id`, returning whether it existed.
     fn remove(&mut self, id: u64) -> bool;
 
-    /// The one search every index implements: writes into `out` (cleared
-    /// first) the up-to-`k` nearest entries to `query` **among those
-    /// within `max_distance`**, ascending by `(distance, id)` — the whole
-    /// answer is identical across indexes.
+    /// The one search: writes into `out` (cleared first) the up-to-`k`
+    /// nearest entries to `query` **among those within `max_distance`**,
+    /// ascending by `(distance, id)` — the whole answer is identical
+    /// across implementations.
     ///
     /// The bound is *inclusive* (`distance <= max_distance`, the
     /// comparison the A-kNN vote itself makes) and exact: the answer is
     /// the unbounded top-`k` with every neighbour beyond `max_distance`
-    /// dropped, to the bit. An index seeds its selection bound with
-    /// [`squared_limit`]`(max_distance)` — a squared limit that errs
+    /// dropped, to the bit. The scan seeds its selection bound with
+    /// `squared_limit(max_distance)` — a squared limit that errs
     /// outwards by a few ulps — so rows that cannot qualify abandon the
-    /// distance kernel early, and [`finish_within`] then filters by the
+    /// distance kernel early, and `finish_within` then filters by the
     /// exact `sqrt(d²) <= max_distance`. `f64::INFINITY` disables the
     /// bound; `0.0` keeps exact duplicates of the query only.
     ///
@@ -123,12 +154,9 @@ pub trait NnIndex: Send {
 
     /// Removes all entries.
     fn clear(&mut self);
-
-    /// A short name for reports (`"linear"`, `"kdtree"`).
-    fn kind(&self) -> &'static str;
 }
 
-/// Validates common query preconditions; used by all implementations.
+/// Validates common query preconditions; used by both implementations.
 pub(crate) fn check_query(dim: usize, query: &FeatureVector, k: usize, max_distance: f64) {
     assert_eq!(
         query.dim(),
@@ -146,9 +174,9 @@ pub(crate) fn check_query(dim: usize, query: &FeatureVector, k: usize, max_dista
 /// The squared selection bound for a search within `max_distance`: never
 /// below the square of any distance whose correctly rounded `sqrt` is
 /// `<= max_distance` (the product and the root each err by half an ulp;
-/// four ulps of slack cover both), so seeding a kernel bound or a
-/// far-side prune with it can only admit too much, never too little —
-/// [`finish_within`] removes the excess.
+/// four ulps of slack cover both), so seeding a kernel bound with it can
+/// only admit too much, never too little — [`finish_within`] removes the
+/// excess.
 pub(crate) fn squared_limit(max_distance: f64) -> f64 {
     max_distance * max_distance * (1.0 + 4.0 * f64::EPSILON)
 }
@@ -165,7 +193,7 @@ pub(crate) fn finish_within(out: &mut Vec<Neighbor>, max_distance: f64) {
     out.truncate(within);
 }
 
-/// Validates common insert preconditions; used by all implementations.
+/// Validates common insert preconditions; used by both implementations.
 pub(crate) fn check_insert(dim: usize, key: &FeatureVector) {
     assert_eq!(
         key.dim(),

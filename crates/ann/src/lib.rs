@@ -1,32 +1,20 @@
 //! Nearest-neighbour search for the approximate cache.
 //!
 //! A cache lookup is a k-nearest-neighbour query over the cached
-//! signatures. Two interchangeable **exact** indexes implement
-//! [`NnIndex`], both scoring rows with the chunked flat distance kernel
-//! and selecting through one bounded `(distance, id)` buffer, and both
-//! constructed through one serde-able [`IndexConfig`] + [`build`]
-//! factory:
+//! signatures. [`LinearScan`] answers it **exactly**: `O(n)` per query
+//! over a contiguous key store, eight rows per step through head blocks
+//! of transposed first chunks, selecting through one bounded
+//! `(distance, id)` buffer. Its answers are bit-identical — same ids,
+//! same order (distance ties break by id), `to_bits`-equal distances —
+//! to the never-optimized `ReferenceLinearScan` oracle; [`NnIndex`] is
+//! the seam the two share.
 //!
-//! - [`LinearScan`] — `O(n)` per query over the contiguous
-//!   [`FlatBuffer`], eight rows per step through its head blocks; the
-//!   cache's default and what every workload runs.
-//! - [`KdTree`] — branch-and-bound over median splits; prunes well for
-//!   queries near a cluster of cache-shaped keys, degrades towards the
-//!   scan on uniform high-dimensional keys, and falls behind it on
-//!   queries far from every key (measured numbers on [`KdTree`]).
-//!
-//! Their answers are bit-identical — same ids, same order (distance
-//! ties break by id), `to_bits`-equal distances — to each other and to
-//! the never-optimized `ReferenceLinearScan` oracle, so which one a
-//! cache uses is a cost decision only, never a behavioural one.
-//!
-//! The one search both implement is [`NnIndex::nearest_within_into`]:
-//! the `k` nearest among the entries within a distance bound
-//! (inclusive, exact), which is what the hit test below can use — a
-//! cache lookup passes its distance threshold, and
-//! [`NnIndex::nearest_into`] is the same search with the bound at
-//! infinity. Callers hold a reusable output buffer and steady-state
-//! lookups allocate nothing.
+//! The one search is [`NnIndex::nearest_within_into`]: the `k` nearest
+//! among the entries within a distance bound (inclusive, exact), which
+//! is what the hit test below can use — a cache lookup passes its
+//! distance threshold, and [`NnIndex::nearest_into`] is the same search
+//! with the bound at infinity. Callers hold a reusable output buffer and
+//! steady-state lookups allocate nothing.
 //!
 //! On top of the raw neighbour list sits [`aknn`]: the *homogenized
 //! adaptive k-NN* hit test (after FoggyCache's A-kNN) that decides whether
@@ -36,10 +24,10 @@
 //! # Example
 //!
 //! ```
-//! use ann::{build, IndexConfig};
+//! use ann::{LinearScan, NnIndex};
 //! use features::FeatureVector;
 //!
-//! let mut index = build(2, &IndexConfig::Linear);
+//! let mut index = LinearScan::new(2);
 //! index.insert(1, FeatureVector::from_vec(vec![0.0, 0.0]).unwrap());
 //! index.insert(2, FeatureVector::from_vec(vec![5.0, 5.0]).unwrap());
 //! let hits = index.nearest(&FeatureVector::from_vec(vec![0.1, 0.0]).unwrap(), 1);
@@ -47,15 +35,10 @@
 //! ```
 
 pub mod aknn;
-pub mod config;
-pub mod flat;
+mod flat;
 pub mod index;
-pub mod kdtree;
 pub mod linear;
 
 pub use aknn::{AknnConfig, AknnOutcome, DecideScratch, MissReason};
-pub use config::{build, IndexConfig};
-pub use flat::FlatBuffer;
-pub use index::{IndexScratch, Neighbor, NnIndex};
-pub use kdtree::KdTree;
+pub use index::{build, IndexConfig, IndexScratch, Neighbor, NnIndex};
 pub use linear::LinearScan;

@@ -8,13 +8,13 @@ use features::FeatureVector;
 use crate::flat::FlatBuffer;
 use crate::index::{check_insert, check_query, finish_within, squared_limit, Neighbor, NnIndex};
 
-/// The exact reference index: a flat array scanned per query.
+/// The cache's index: an exact scan over a flat key store.
 ///
-/// `O(n)` per lookup but with an excellent constant — below a few hundred
-/// entries (the common regime for a per-app mobile cache) nothing beats
-/// it, which is why it is the cache's default index.
+/// `O(n)` per lookup but with an excellent constant: no exact structure
+/// measured against it (a bounded kd-tree, EXPERIMENTS.md R-11) beat it
+/// at any cache size, so it is the only index.
 ///
-/// Keys live in a [`FlatBuffer`] (each key's first chunk in transposed
+/// Keys live in a flat buffer (each key's first chunk in transposed
 /// head blocks of eight rows, the rest row-major, kept dense by
 /// swap-remove) so a scan scores eight rows per step and reads the rest
 /// of a row only when its first chunk is within the bound; candidates go
@@ -25,23 +25,27 @@ use crate::index::{check_insert, check_query, finish_within, squared_limit, Neig
 /// # Example
 ///
 /// ```
-/// use ann::{IndexConfig, NnIndex};
+/// use ann::{LinearScan, NnIndex};
 /// use features::FeatureVector;
 ///
-/// let mut index = ann::build(3, &IndexConfig::Linear);
+/// let mut index = LinearScan::new(3);
 /// index.insert(10, FeatureVector::from_vec(vec![1.0, 0.0, 0.0]).unwrap());
 /// assert_eq!(index.len(), 1);
 /// assert!(index.remove(10));
 /// assert!(index.is_empty());
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct LinearScan {
     flat: FlatBuffer,
 }
 
 impl LinearScan {
-    /// The constructor behind [`crate::build`].
-    pub(crate) fn with_dim(dim: usize) -> LinearScan {
+    /// An empty scan for keys of dimension `dim`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dim == 0`.
+    pub fn new(dim: usize) -> LinearScan {
         assert!(dim > 0, "LinearScan: dim must be positive");
         LinearScan {
             flat: FlatBuffer::new(dim),
@@ -82,10 +86,6 @@ impl NnIndex for LinearScan {
 
     fn clear(&mut self) {
         self.flat.clear();
-    }
-
-    fn kind(&self) -> &'static str {
-        "linear"
     }
 }
 
@@ -203,10 +203,6 @@ impl NnIndex for ReferenceLinearScan {
         self.entries.clear();
         self.positions.clear();
     }
-
-    fn kind(&self) -> &'static str {
-        "linear-reference"
-    }
 }
 
 #[cfg(test)]
@@ -220,7 +216,7 @@ mod tests {
 
     #[test]
     fn nearest_returns_sorted_exact_results() {
-        let mut index = LinearScan::with_dim(1);
+        let mut index = LinearScan::new(1);
         for (id, x) in [(1u64, 10.0f32), (2, 0.0), (3, 5.0), (4, -2.5)] {
             index.insert(id, fv(&[x]));
         }
@@ -234,7 +230,7 @@ mod tests {
 
     #[test]
     fn k_larger_than_len_returns_all() {
-        let mut index = LinearScan::with_dim(1);
+        let mut index = LinearScan::new(1);
         index.insert(1, fv(&[0.0]));
         let hits = index.nearest(&fv(&[0.0]), 10);
         assert_eq!(hits.len(), 1);
@@ -242,14 +238,14 @@ mod tests {
 
     #[test]
     fn empty_index_returns_nothing() {
-        let index = LinearScan::with_dim(2);
+        let index = LinearScan::new(2);
         assert!(index.nearest(&fv(&[0.0, 0.0]), 5).is_empty());
         assert!(index.is_empty());
     }
 
     #[test]
     fn insert_same_id_replaces() {
-        let mut index = LinearScan::with_dim(1);
+        let mut index = LinearScan::new(1);
         index.insert(1, fv(&[0.0]));
         index.insert(1, fv(&[100.0]));
         assert_eq!(index.len(), 1);
@@ -260,7 +256,7 @@ mod tests {
 
     #[test]
     fn remove_swaps_correctly() {
-        let mut index = LinearScan::with_dim(1);
+        let mut index = LinearScan::new(1);
         for id in 0..5u64 {
             index.insert(id, fv(&[id as f32]));
         }
@@ -276,7 +272,7 @@ mod tests {
 
     #[test]
     fn remove_keeps_flat_buffer_dense() {
-        let mut index = LinearScan::with_dim(2);
+        let mut index = LinearScan::new(2);
         for id in 0..6u64 {
             index.insert(id, fv(&[id as f32, -(id as f32)]));
         }
@@ -294,7 +290,7 @@ mod tests {
 
     #[test]
     fn equal_distances_break_ties_by_id() {
-        let mut index = LinearScan::with_dim(1);
+        let mut index = LinearScan::new(1);
         for id in [9u64, 3, 7] {
             index.insert(id, fv(&[1.0]));
         }
@@ -306,7 +302,7 @@ mod tests {
 
     #[test]
     fn nearest_into_reuses_the_buffer() {
-        let mut index = LinearScan::with_dim(1);
+        let mut index = LinearScan::new(1);
         for id in 0..8u64 {
             index.insert(id, fv(&[id as f32]));
         }
@@ -324,18 +320,17 @@ mod tests {
 
     #[test]
     fn clear_empties() {
-        let mut index = LinearScan::with_dim(1);
+        let mut index = LinearScan::new(1);
         index.insert(1, fv(&[1.0]));
         index.clear();
         assert!(index.is_empty());
-        assert_eq!(index.kind(), "linear");
         assert_eq!(index.dim(), 1);
     }
 
     #[test]
     #[should_panic(expected = "dim must be positive")]
     fn zero_dim_rejected() {
-        LinearScan::with_dim(0);
+        LinearScan::new(0);
     }
 }
 
@@ -376,7 +371,7 @@ mod proptests {
             query in proptest::collection::vec(-10.0f32..10.0, DIM),
             k in 1usize..6,
         ) {
-            let mut fast = LinearScan::with_dim(DIM);
+            let mut fast = LinearScan::new(DIM);
             let mut reference = ReferenceLinearScan::new(DIM);
             for op in ops {
                 match op {

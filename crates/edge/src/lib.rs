@@ -8,8 +8,8 @@
 //!
 //! - **Protocol + model half** (deterministic, sim-grade):
 //!   [`protocol`] defines the batched lookup/insert/gossip wire format
-//!   with varint+XOR-delta key coding; [`compress`] the LZ77 snapshot
-//!   compressor; [`cache`] the [`EdgeCache`] wrapping
+//!   with varint+XOR-delta key coding; [`compress`](mod@compress) the
+//!   LZ77 snapshot compressor; [`cache`] the [`EdgeCache`] wrapping
 //!   [`reuse::SharedCache`] behind batched operations with
 //!   bounded-queue backpressure ([`BatchError::Overloaded`], never
 //!   blocking). The

@@ -2,15 +2,15 @@
 //!
 //! Vendoring rules out axum/tokio, so the service half is a fixed worker
 //! pool draining a *bounded* connection queue — the same explicit-
-//! backpressure stance as [`EdgeCache`](crate::cache::EdgeCache): when
-//! either the queue or the cache is full the server answers `503`
-//! immediately instead of letting latency pile up invisibly.
+//! backpressure stance as [`EdgeCache`]: when either the queue or the
+//! cache is full the server answers `503` immediately instead of letting
+//! latency pile up invisibly.
 //!
 //! Routes:
 //!
 //! | route            | body                                   | answers |
 //! |------------------|----------------------------------------|---------|
-//! | `POST /batch`    | [`BatchRequest`] wire bytes            | `200` [`BatchResponse`] wire bytes, `400` on a codec error or a key of the wrong dimension, `503` on overload |
+//! | `POST /batch`    | [`BatchRequest`] wire bytes            | `200` [`BatchResponse`](crate::protocol::BatchResponse) wire bytes, `400` on a codec error or a key of the wrong dimension, `503` on overload |
 //! | `GET /snapshot`  | —                                      | `200` compressed canonical snapshot |
 //! | `GET /health`    | —                                      | `200` one-line counter summary |
 //! | `POST /shutdown` | — (only with [`ServerConfig::allow_shutdown`]) | `200`, then the server drains and exits |

@@ -92,7 +92,7 @@ impl RandomProjection {
 
     /// Projects `input` into the key space.
     ///
-    /// Each block of [`LANES`] rows is walked once, input index by input
+    /// Each block of `LANES` rows is walked once, input index by input
     /// index, with one `f64` accumulator per row. Every accumulator sees
     /// the same products, added in the same ascending order, as a
     /// row-at-a-time dot product, so the key is bit-identical to it. The

@@ -11,7 +11,7 @@
 //! [`SharedCache`] is what callers hold — a cloneable, thread-safe handle
 //! over one `ApproxCache` behind one lock.
 //!
-//! - [`ApproxCache`] — the store: pluggable ANN index, bounded capacity,
+//! - [`ApproxCache`] — the store: exact linear-scan index, bounded capacity,
 //!   eviction, admission control, per-operation statistics. The body of
 //!   every `SharedCache`, and the oracle it is tested against.
 //! - [`EvictionPolicy`] — LRU / LFU / TTL / utility-aware victim choice.
@@ -57,4 +57,4 @@ pub use entry::{CacheEntry, EntryId, EntrySource};
 pub use evict::EvictionPolicy;
 pub use snapshot::CacheSnapshot;
 pub use stats::CacheStats;
-pub use store::{ApproxCache, CacheConfig, IndexConfig, InsertOutcome, LookupResult};
+pub use store::{ApproxCache, CacheConfig, InsertOutcome, LookupResult};

@@ -6,8 +6,7 @@ use std::hash::Hash;
 
 use serde::{Deserialize, Serialize};
 
-pub use ann::IndexConfig;
-use ann::{AknnConfig, AknnOutcome, DecideScratch, MissReason, Neighbor, NnIndex};
+use ann::{AknnConfig, AknnOutcome, DecideScratch, LinearScan, MissReason, Neighbor, NnIndex};
 use features::FeatureVector;
 use simcore::SimTime;
 
@@ -28,13 +27,11 @@ pub struct CacheConfig {
     pub eviction: EvictionPolicy,
     /// What may enter the cache.
     pub admission: AdmissionPolicy,
-    /// Backing index structure.
-    pub index: IndexConfig,
 }
 
 impl CacheConfig {
     /// A config with the given capacity and defaults everywhere else
-    /// (A-kNN defaults, LRU, default admission, linear index).
+    /// (A-kNN defaults, LRU, default admission).
     ///
     /// # Panics
     ///
@@ -45,7 +42,6 @@ impl CacheConfig {
             aknn: AknnConfig::default(),
             eviction: EvictionPolicy::Lru,
             admission: AdmissionPolicy::default(),
-            index: IndexConfig::Linear,
         };
         config.validate();
         config
@@ -68,12 +64,6 @@ impl CacheConfig {
     pub fn with_admission(mut self, admission: AdmissionPolicy) -> CacheConfig {
         self.admission = admission;
         self.validate();
-        self
-    }
-
-    /// Replaces the index structure.
-    pub fn with_index(mut self, index: IndexConfig) -> CacheConfig {
-        self.index = index;
         self
     }
 
@@ -177,7 +167,7 @@ impl<L> Default for LookupScratch<L> {
 /// See the [crate docs](crate) for a usage example.
 pub struct ApproxCache<L> {
     config: CacheConfig,
-    index: Option<Box<dyn NnIndex>>,
+    index: Option<LinearScan>,
     entries: HashMap<u64, CacheEntry<L>>,
     /// Incremental eviction metadata mirroring `entries` — victim
     /// selection is O(log n) instead of a full scan (see [`VictimIndex`]).
@@ -192,7 +182,6 @@ impl<L> fmt::Debug for ApproxCache<L> {
         f.debug_struct("ApproxCache")
             .field("len", &self.entries.len())
             .field("capacity", &self.config.capacity)
-            .field("index", &self.config.index.name())
             .field("stats", &self.stats)
             .finish()
     }
@@ -376,9 +365,7 @@ impl<L: Copy + Eq + Hash + fmt::Debug> ApproxCache<L> {
             self.stats.record_rejected();
             return InsertOutcome::Rejected;
         }
-        let index = self
-            .index
-            .get_or_insert_with(|| ann::build(key.dim(), &self.config.index));
+        let index = self.index.get_or_insert_with(|| LinearScan::new(key.dim()));
 
         // Near-duplicate refresh.
         if self.config.admission.dedup_distance > 0.0 {
@@ -417,7 +404,7 @@ impl<L: Copy + Eq + Hash + fmt::Debug> ApproxCache<L> {
         let id = EntryId(self.next_id);
         self.next_id += 1;
         self.index
-            .get_or_insert_with(|| ann::build(key.dim(), &self.config.index))
+            .get_or_insert_with(|| LinearScan::new(key.dim()))
             .insert(id.0, key.clone());
         let entry = CacheEntry {
             id,
@@ -728,23 +715,6 @@ mod tests {
     }
 
     #[test]
-    fn works_with_both_index_backends() {
-        for kind in [IndexConfig::Linear, IndexConfig::KdTree] {
-            let mut c: ApproxCache<u32> = ApproxCache::new(CacheConfig::new(16).with_index(kind));
-            c.insert(
-                fv(&[1.0, 2.0]),
-                9,
-                0.9,
-                EntrySource::LocalInference,
-                SimTime::ZERO,
-            );
-            let hit = c.lookup(&fv(&[1.0, 2.0]), SimTime::from_millis(5));
-            assert!(hit.is_hit(), "{} backend", kind.name());
-            assert_eq!(hit.label(), Some(&9));
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_rejected() {
         CacheConfig::new(0);
@@ -797,26 +767,15 @@ mod proptests {
         ]
     }
 
-    fn backend() -> impl Strategy<Value = IndexConfig> {
-        prop_oneof![Just(IndexConfig::Linear), Just(IndexConfig::KdTree)]
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Under arbitrary operation sequences — against every index
-        /// backend — the cache never exceeds capacity, its stats add up,
-        /// and lookups never panic.
+        /// Under arbitrary operation sequences the cache never exceeds
+        /// capacity, its stats add up, and lookups never panic.
         #[test]
-        fn cache_invariants(
-            ops in proptest::collection::vec(op(), 1..120),
-            index in backend(),
-        ) {
-            let mut c: ApproxCache<u32> = ApproxCache::new(
-                CacheConfig::new(8)
-                    .with_eviction(EvictionPolicy::Utility)
-                    .with_index(index),
-            );
+        fn cache_invariants(ops in proptest::collection::vec(op(), 1..120)) {
+            let mut c: ApproxCache<u32> =
+                ApproxCache::new(CacheConfig::new(8).with_eviction(EvictionPolicy::Utility));
             let mut now = SimTime::ZERO;
             for op in ops {
                 now += simcore::SimDuration::from_millis(7);

@@ -1,6 +1,6 @@
 //! A mergeable fixed-bucket latency digest.
 //!
-//! [`Summary`](crate::Summary) needs the raw sample set, which a
+//! [`Summary`] needs the raw sample set, which a
 //! sharded or swept run no longer has in one place. [`LatencyDigest`]
 //! is the mergeable counterpart: samples land in a *fixed* bank of
 //! log-spaced buckets (HDR-style: exact below 16 ns, eight sub-buckets

@@ -24,12 +24,6 @@ fn decide_in(votes: &[Vote]) -> Vec<Vote> {
     v.to_vec()
 }
 
-fn search_into(rows: &[u64]) -> Vec<u64> {
-    let mut out = Vec::new();
-    out.extend(rows);
-    out
-}
-
 fn block_scan_into(rows: &[u64]) -> String {
     format!("{rows:?}")
 }

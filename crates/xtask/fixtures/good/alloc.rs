@@ -38,11 +38,6 @@ fn decide_in(votes: &[Vote]) -> usize {
     snapshot.len()
 }
 
-fn search_into(rows: &[u64], out: &mut Vec<u64>) {
-    out.clear();
-    out.extend_from_slice(rows);
-}
-
 fn block_scan_into(rows: &[u64], out: &mut Vec<(f64, u64)>) {
     out.clear();
     for &row in rows {

@@ -868,10 +868,9 @@ fn check_seed_splits(ctx: &FileContext, out: &mut Vec<Violation>) {
 }
 
 /// Fns that are hot-path everywhere: the per-frame A-kNN kernels plus
-/// the per-lookup index internals they fan out to (the kd-tree
-/// recursion, the flat-buffer block scan and its head-block kernel). `nearest_within_into` is the
-/// search every index implements and every cache lookup calls;
-/// `nearest_into` is its unbounded wrapper. All of these run on every
+/// the per-lookup scan internals they fan out to (the flat-buffer block
+/// scan and its head-block kernel). `nearest_within_into` is the search
+/// every cache lookup calls; `nearest_into` is its unbounded wrapper. All of these run on every
 /// cache lookup; the caller-held output buffers exist precisely so they
 /// stay allocation-free. `selflint` checks every name here is still a
 /// `fn` somewhere in the linted tree.
@@ -879,7 +878,6 @@ pub const HOT_FNS_ANYWHERE: &[&str] = &[
     "nearest_within_into",
     "nearest_into",
     "decide_in",
-    "search_into",
     "block_scan_into",
     "squared_euclidean_head_block",
 ];

@@ -409,7 +409,7 @@ fn bad_alloc_fires_in_the_concurrent_core() {
         .filter(|&&(r, _)| r == Rule::Alloc)
         .map(|&(_, l)| l)
         .collect();
-    for line in [5, 6, 12, 13, 19, 23, 24, 28, 34, 38, 40, 44] {
+    for line in [5, 6, 12, 13, 19, 23, 24, 28, 32, 34, 38] {
         assert!(lines.contains(&line), "line {line} missing from {lines:?}");
     }
 }
@@ -418,9 +418,8 @@ fn bad_alloc_fires_in_the_concurrent_core() {
 fn alloc_shard_fns_are_hot_only_in_the_concurrent_core() {
     // Outside concurrent/, `lookup`/`insert` are ordinary fns; the
     // A-kNN kernels (`nearest_within_into`, its wrapper `nearest_into`,
-    // `decide_in`) and the per-lookup index internals (`search_into`,
-    // `block_scan_into`, `squared_euclidean_head_block`) stay hot
-    // everywhere.
+    // `decide_in`) and the per-lookup scan internals (`block_scan_into`,
+    // `squared_euclidean_head_block`) stay hot everywhere.
     let hits = lint("bad", "alloc", "crates/reuse/src/fixture.rs", 9);
     let lines: Vec<usize> = hits
         .iter()
@@ -431,7 +430,7 @@ fn alloc_shard_fns_are_hot_only_in_the_concurrent_core() {
         !lines.iter().any(|&l| l < 17),
         "shard fns flagged outside the core: {lines:?}"
     );
-    for line in [19, 23, 24, 28, 34, 38, 40, 44] {
+    for line in [19, 23, 24, 28, 32, 34, 38] {
         assert!(lines.contains(&line), "line {line} missing from {lines:?}");
     }
 }
