@@ -55,23 +55,19 @@ bash benchmark/run.sh --smoke
 # edit under benchmark/ fails here rather than at the driver.
 git diff --exit-code -- BENCHMARK.json benchmark/
 
-echo "== sweep smoke (informational: tiny grid, exercises resume) =="
-# Never gates on timings; runs the built-in 2x2 smoke grid twice into a
-# scratch dir so the second pass must resume every cell from disk.
-SWEEP_DIR="$(mktemp -d)"
-trap 'rm -rf "$SWEEP_DIR"' EXIT
-cargo run --release -q -p bench --bin sweep -- --smoke "$SWEEP_DIR" || true
-SWEEP_RESUME="$(cargo run --release -q -p bench --bin sweep -- --smoke "$SWEEP_DIR" || true)"
-echo "$SWEEP_RESUME"
-# The resume pass must not re-run any cell.
-echo "$SWEEP_RESUME" | grep -q '0 ran now, 4 resumed from disk' \
-    || echo "warning: sweep resume pass re-ran cells (informational)" >&2
+echo "== R-tables (gating: the tracked results/r*.csv are goldens) =="
+# Every macro experiment at the default 30 simulated seconds must write
+# exactly the CSVs in git; the run is deterministic on any core count.
+EXPERIMENT_SECONDS=30 cargo run --release -q -p bench --bin experiments
+git diff --exit-code -- 'results/r*.csv'
 
 echo "== edge smoke (informational: real TCP server round-trip) =="
 # Never gates: spawns edge-server on an ephemeral port, drives one
 # batched insert/lookup/gossip session through edge-client, and asserts
 # a clean /shutdown.
-EDGE_LOG="$SWEEP_DIR/edge-server.log"
+EDGE_DIR="$(mktemp -d)"
+trap 'rm -rf "$EDGE_DIR"' EXIT
+EDGE_LOG="$EDGE_DIR/edge-server.log"
 if cargo build --release -q -p edge --bins; then
     ./target/release/edge-server --allow-shutdown >"$EDGE_LOG" &
     EDGE_PID=$!

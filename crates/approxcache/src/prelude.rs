@@ -1,4 +1,4 @@
-//! One-line import for experiment binaries and examples.
+//! One-line import for experiments and examples.
 //!
 //! Every bench binary wants the same dozen names: the scenario builder,
 //! the run entry point, the variant enum and the handful of foreign types

@@ -5,10 +5,11 @@
 //! That holds iff every merged structure forms a commutative monoid:
 //! `merge` must be commutative and associative with the default value
 //! as identity. These properties are checked here for every structure
-//! the fleet merges — cache stats, transport counters, resilience
-//! counters and the fixed-bucket latency digest — plus the headline
-//! theorem itself: an N-shard run's report is byte-for-byte the
-//! 1-shard run's report.
+//! the fleet merges — cache stats, transport counters and resilience
+//! counters — plus the headline theorem itself: an N-shard run's report
+//! is byte-for-byte the 1-shard run's report. Frame outcomes, latencies
+//! included, are not merged: the fleet concatenates them in device
+//! order.
 
 use std::num::NonZeroUsize;
 
@@ -17,7 +18,7 @@ use imu::MotionProfile;
 use p2pnet::{ResilienceCounters, TransportCounters};
 use proptest::prelude::*;
 use reuse::CacheStats;
-use simcore::{LatencyDigest, SimDuration};
+use simcore::SimDuration;
 
 /// A balanced `CacheStats`: `lookups == hits + misses()` is an invariant
 /// the structure debug-asserts, so the generator derives `lookups`.
@@ -75,16 +76,6 @@ fn arb_resilience() -> impl Strategy<Value = ResilienceCounters> {
     })
 }
 
-fn arb_digest() -> impl Strategy<Value = LatencyDigest> {
-    proptest::collection::vec(0.0f64..5_000.0, 0..64).prop_map(|samples| {
-        let mut digest = LatencyDigest::new();
-        for ms in samples {
-            digest.record_ms(ms);
-        }
-        digest
-    })
-}
-
 fn merged<T: Clone>(a: &T, b: &T, merge: impl Fn(&mut T, &T)) -> T {
     let mut out = a.clone();
     merge(&mut out, b);
@@ -135,39 +126,6 @@ proptest! {
         c in arb_resilience(),
     ) {
         monoid_laws(&a, &b, &c, &ResilienceCounters::default(), |x, y| x.merge(y))?;
-    }
-
-    #[test]
-    fn latency_digest_merge_is_a_commutative_monoid(
-        a in arb_digest(),
-        b in arb_digest(),
-        c in arb_digest(),
-    ) {
-        monoid_laws(&a, &b, &c, &LatencyDigest::new(), |x, y| x.merge(y))?;
-    }
-
-    /// Merging two digests gives exactly the digest of the concatenated
-    /// sample streams — the property that lets shards record latencies
-    /// independently.
-    #[test]
-    fn digest_merge_equals_single_stream(
-        xs in proptest::collection::vec(0.0f64..5_000.0, 0..48),
-        ys in proptest::collection::vec(0.0f64..5_000.0, 0..48),
-    ) {
-        let mut left = LatencyDigest::new();
-        for &ms in &xs {
-            left.record_ms(ms);
-        }
-        let mut right = LatencyDigest::new();
-        for &ms in &ys {
-            right.record_ms(ms);
-        }
-        left.merge(&right);
-        let mut whole = LatencyDigest::new();
-        for &ms in xs.iter().chain(&ys) {
-            whole.record_ms(ms);
-        }
-        prop_assert_eq!(left, whole);
     }
 }
 

@@ -1,17 +1,19 @@
 //! Shared helpers for the experiment harness.
 //!
-//! Each `R-*` experiment from `EXPERIMENTS.md` is a binary in `src/bin/`
-//! that prints its table and writes the same rows as CSV under
-//! `results/`. The micro-benchmarks (`R-11`..`R-14`) are Criterion
-//! benches under `benches/`.
+//! Each macro `R-*` experiment from `EXPERIMENTS.md` is a row of
+//! [`experiments::ALL`], run by the `experiments` binary, which prints
+//! its tables and writes the same rows as CSV under `results/`. The
+//! micro-benchmarks (`R-11`..`R-14`) are Criterion benches under
+//! `benches/`.
 //!
 //! Experiment length is controlled by the `EXPERIMENT_SECONDS` environment
-//! variable (default 30 simulated seconds), so `run_all` can do a quick
-//! pass and a paper-faithful run can stretch it.
+//! variable (default 30 simulated seconds), so a quick pass and a
+//! paper-faithful run differ only in that variable.
 
-pub mod sweep;
+pub mod experiments;
 pub mod verify;
 
+use std::fmt::{self, Write as _};
 use std::path::PathBuf;
 
 use simcore::table::Table;
@@ -87,7 +89,7 @@ pub fn detailed_run(
 /// The fault regime of the R-21 resilience experiment: outages covering
 /// the given fraction of each device's timeline, occasional crashes, and
 /// a sprinkle of poisoned advertisements. Shared between the `verify`
-/// harness and the `r21_resilience` binary so the claim checks exactly
+/// harness and the R-21 experiment so the claim checks exactly
 /// what the experiment sweeps.
 pub fn r21_faults(outage_fraction: f64) -> p2pnet::FaultConfig {
     p2pnet::FaultConfig {
@@ -99,14 +101,35 @@ pub fn r21_faults(outage_fraction: f64) -> p2pnet::FaultConfig {
     }
 }
 
-/// Prints the experiment header, the table, and writes the CSV.
-pub fn emit(experiment: &str, title: &str, table: &Table) {
-    println!("== {experiment}: {title} ==\n");
-    println!("{table}");
-    let path = results_dir().join(format!("{experiment}.csv"));
-    match table.write_csv(&path) {
-        Ok(()) => println!("wrote {}\n", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}\n", path.display()),
+/// One experiment's output (headers, tables, `wrote <path>` lines and
+/// notes), collected instead of printed so that experiments running
+/// concurrently cannot interleave.
+#[derive(Debug, Default)]
+pub struct Transcript(String);
+
+impl Transcript {
+    /// Records the `== name: title ==` header and the table, and writes
+    /// the table as `results/<name>.csv`.
+    pub(crate) fn emit(&mut self, name: &str, title: &str, table: &Table) {
+        let text = &mut self.0;
+        let path = results_dir().join(format!("{name}.csv"));
+        // Writing to a `String` cannot fail.
+        let _ = writeln!(text, "== {name}: {title} ==\n\n{table}");
+        let _ = match table.write_csv(&path) {
+            Ok(()) => writeln!(text, "wrote {}\n", path.display()),
+            Err(e) => writeln!(text, "warning: could not write {}: {e}\n", path.display()),
+        };
+    }
+
+    /// Records one line of free text after the tables.
+    pub(crate) fn note(&mut self, line: fmt::Arguments<'_>) {
+        let _ = writeln!(self.0, "{line}");
+    }
+}
+
+impl fmt::Display for Transcript {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
     }
 }
 

@@ -12,7 +12,7 @@
 //!   used, which keeps per-device randomness stable as scenarios grow.
 //! - [`metrics`] — counters and histograms collected during a run.
 //! - [`stats`] — summaries (mean/std/percentiles/CDF) used by every
-//!   experiment binary.
+//!   experiment.
 //! - [`table`] — aligned-text and CSV emission for experiment reports.
 //!
 //! # Example
@@ -28,7 +28,6 @@
 //! assert_eq!(t.as_millis(), 2);
 //! ```
 
-pub mod digest;
 pub mod event;
 pub mod metrics;
 pub mod parallel;
@@ -39,7 +38,6 @@ pub mod time;
 pub mod trace;
 pub mod units;
 
-pub use digest::LatencyDigest;
 pub use event::EventQueue;
 pub use metrics::{Counter, Histogram, MetricSet};
 pub use rng::SimRng;

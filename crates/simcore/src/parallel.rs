@@ -14,8 +14,7 @@
 //! Jobs may carry a label ([`run_labeled_jobs_on`]); a panicking job
 //! then surfaces as `job '<label>' panicked: <payload>` on the calling
 //! thread instead of an anonymous worker-thread abort, which is the
-//! difference between "shard 37 of the sweep diverged" and a bare
-//! backtrace.
+//! difference between "experiment R-6 failed" and a bare backtrace.
 
 use std::num::NonZeroUsize;
 use std::panic::AssertUnwindSafe;

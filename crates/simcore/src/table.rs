@@ -1,6 +1,6 @@
 //! Aligned-text tables and CSV emission for experiment reports.
 //!
-//! Every experiment binary prints its table with [`Table`] and also writes
+//! Every experiment prints its table with [`Table`] and also writes
 //! the same rows as CSV so results can be post-processed. Keeping this in
 //! `simcore` means one formatting implementation serves every `R-*`
 //! experiment.
@@ -148,7 +148,7 @@ impl fmt::Display for Table {
 }
 
 /// Formats a float with `prec` decimal places — shorthand used by all
-/// experiment binaries when filling table cells.
+/// experiments when filling table cells.
 pub fn fnum(value: f64, prec: usize) -> String {
     format!("{value:.prec$}")
 }

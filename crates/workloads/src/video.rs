@@ -5,7 +5,7 @@
 //! through an environment (walking tour), inspecting exhibits
 //! (turn-and-look), and a static camera over a changing scene (object
 //! churn). Durations default to 30 simulated seconds at 10 fps; the
-//! experiment binaries stretch them as needed.
+//! experiments stretch them as needed.
 
 use approxcache::{ChurnSpec, Scenario};
 use imu::MotionProfile;

@@ -108,12 +108,6 @@ const SIM_CRATES: &[&str] = &[
 /// and is held to the full rule.
 const SERVICE_RUNTIME_FILES: &[&str] = &["crates/edge/src/server.rs", "crates/edge/src/client.rs"];
 
-/// Individual harness files held to the *full* rule D even though their
-/// crate is not a simulation crate: the sweep orchestrator's cell seeds
-/// and resume-merge must replay byte-identically, so it gets the RNG
-/// and hash-order checks too.
-const SIM_FILES: &[&str] = &["crates/bench/src/sweep.rs"];
-
 /// Harness crates where only rule D's wall-clock check applies: their
 /// results must not depend on host timing, but they orchestrate rather
 /// than simulate, so the RNG and hash-order checks stay out.
@@ -421,13 +415,12 @@ fn push(
 
 /// Rule D. Flags wall-clock types, ambient RNG construction, and
 /// iteration over identifiers declared as `HashMap`/`HashSet`. The full
-/// rule applies to simulation crates (plus [`SIM_FILES`], minus the
+/// rule applies to simulation crates (minus the
 /// [`SERVICE_RUNTIME_FILES`] that run real sockets); harness crates get
 /// the wall-clock half only.
 fn check_determinism(ctx: &FileContext, out: &mut Vec<Violation>) {
-    let sim = (SIM_CRATES.contains(&ctx.crate_name())
-        && !SERVICE_RUNTIME_FILES.contains(&ctx.rel_path.as_str()))
-        || SIM_FILES.contains(&ctx.rel_path.as_str());
+    let sim = SIM_CRATES.contains(&ctx.crate_name())
+        && !SERVICE_RUNTIME_FILES.contains(&ctx.rel_path.as_str());
     let wall_clock = sim || WALL_CLOCK_CRATES.contains(&ctx.crate_name());
     if !sim && !wall_clock {
         return;
@@ -566,11 +559,12 @@ fn is_unit_name(name: &str) -> bool {
 }
 
 /// Rule U. Flags `+ - * /` adjacent to unit-suffixed identifiers outside
-/// the newtype home modules: raw numbers named `_ms`/`_us`/`_mj` are the
-/// trap the `Millis`/`Micros`/`Millijoules` newtypes exist to remove.
+/// the newtype home modules and the experiment modules (whose `_ms`
+/// names are report columns): raw numbers named `_ms`/`_us`/`_mj` are
+/// the trap the `Millis`/`Micros`/`Millijoules` newtypes exist to remove.
 fn check_units(ctx: &FileContext, out: &mut Vec<Violation>) {
     if UNIT_HOME_FILES.contains(&ctx.rel_path.as_str())
-        || ctx.rel_path.starts_with("crates/bench/src/bin/")
+        || ctx.rel_path.starts_with("crates/bench/src/experiments/")
     {
         return;
     }

@@ -106,28 +106,6 @@ fn edge_service_runtime_is_exempt_from_determinism() {
 }
 
 #[test]
-fn sweep_module_gets_the_full_determinism_rule() {
-    // The sweep orchestrator lives in the bench crate but its cell
-    // seeds and resume-merge must replay byte-identically, so it is
-    // held to the full rule: wall clock, ambient RNG, and hash-order
-    // iteration all fire.
-    let hits = lint("bad", "determinism", "crates/bench/src/sweep.rs", 0);
-    let lines: Vec<usize> = hits
-        .iter()
-        .filter(|&&(r, _)| r == Rule::Determinism)
-        .map(|&(_, l)| l)
-        .collect();
-    for (line, what) in [
-        (11, "Instant::now"),
-        (12, "SimRng::default"),
-        (13, "thread_rng"),
-        (15, "HashMap iteration"),
-    ] {
-        assert!(lines.contains(&line), "{what} line, got {lines:?}");
-    }
-}
-
-#[test]
 fn bad_units_fires() {
     let hits = lint("bad", "units", "crates/dnnsim/src/fixture.rs", 0);
     let lines: Vec<usize> = hits
