@@ -222,7 +222,39 @@ impl FlatBuffer {
     /// sum has the bits of that scan's first chunk, the tail resumes its
     /// fold, and the bound only tightens as `out` fills, so the bound at
     /// a block's start lets through only rows the live check then drops.
+    ///
+    /// The scan is compiled twice from one source: an AVX2 copy, which
+    /// runs when the CPU has AVX2, and the portable copy otherwise. Both
+    /// give the same bits (DESIGN.md "Performance model & hot path").
     pub fn block_scan_into(&self, query: &[f32], k: usize, limit: f64, out: &mut Vec<Neighbor>) {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: `is_x86_feature_detected!("avx2")` just held, so this
+            // CPU executes the AVX2 code `block_scan_avx2` is compiled to.
+            #[allow(unsafe_code)]
+            unsafe {
+                self.block_scan_avx2(query, k, limit, out)
+            };
+            return;
+        }
+        self.block_scan(query, k, limit, out);
+    }
+
+    /// [`Self::block_scan`] compiled for AVX2: four `f64` lanes per
+    /// instruction instead of SSE2's two. Calling it needs `unsafe` and a
+    /// CPU with AVX2, which `block_scan_into` checks first.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn block_scan_avx2(&self, query: &[f32], k: usize, limit: f64, out: &mut Vec<Neighbor>) {
+        self.block_scan(query, k, limit, out);
+    }
+
+    /// The one scan source behind [`Self::block_scan_into`]. It is
+    /// inlined into each caller and so compiled for that caller's target
+    /// features: the AVX2 wrapper's, or the baseline's everywhere else
+    /// (the portable copy).
+    #[inline(always)]
+    fn block_scan(&self, query: &[f32], k: usize, limit: f64, out: &mut Vec<Neighbor>) {
         out.clear();
         let tail_dim = self.tail_dim();
         let query_head = widen_head(query);
@@ -475,11 +507,16 @@ mod proptests {
         let mut got = Vec::new();
         for limit in limits {
             for k in [1, k, model.len().max(1)] {
-                b.block_scan_into(query, k, limit, &mut got);
                 let want = row_scan(model, query, k, limit);
                 let bits = |v: &[Neighbor]| -> Vec<(u64, u64)> {
                     v.iter().map(|n| (n.id, n.distance.to_bits())).collect()
                 };
+                // The dispatched scan (the AVX2 copy on an AVX2 host),
+                // then the portable copy, which such a host never
+                // dispatches to.
+                b.block_scan_into(query, k, limit, &mut got);
+                prop_assert_eq!(bits(&got), bits(&want));
+                b.block_scan(query, k, limit, &mut got);
                 prop_assert_eq!(bits(&got), bits(&want));
             }
         }
@@ -487,11 +524,11 @@ mod proptests {
     }
 
     proptest! {
-        /// The block scan returns the row-at-a-time scan's answer — ids,
-        /// order and `to_bits` distances — at every dimension 1..=20 and
-        /// 64, on buffers of 0, 1, 7, 8, 9, 15, 16 and 17 rows and after
-        /// insert / replace / duplicate / swap-remove churn across block
-        /// boundaries.
+        /// The block scan, dispatched and portable, returns the
+        /// row-at-a-time scan's answer — ids, order and `to_bits`
+        /// distances — at every dimension 1..=20 and 64, on buffers of 0,
+        /// 1, 7, 8, 9, 15, 16 and 17 rows and after insert / replace /
+        /// duplicate / swap-remove churn across block boundaries.
         #[test]
         fn block_scan_matches_the_row_at_a_time_scan(
             dim in prop_oneof![1usize..21, Just(MAX_DIM)],

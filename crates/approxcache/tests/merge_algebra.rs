@@ -6,14 +6,16 @@
 //! `merge` must be commutative and associative with the default value
 //! as identity. These properties are checked here for every structure
 //! the fleet merges — cache stats, transport counters and resilience
-//! counters — plus the headline theorem itself: an N-shard run's report
-//! is byte-for-byte the 1-shard run's report. Frame outcomes, latencies
-//! included, are not merged: the fleet concatenates them in device
-//! order.
+//! counters — and for the edge counters, which `EdgeCache::apply_batch`
+//! gathers per batch and merges into its shared total, plus the headline
+//! theorem itself: an N-shard run's report is byte-for-byte the 1-shard
+//! run's report. Frame outcomes, latencies included, are not merged: the
+//! fleet concatenates them in device order.
 
 use std::num::NonZeroUsize;
 
 use approxcache::{run_fleet, FleetOptions, PipelineConfig, Scenario, SystemVariant};
+use edge::EdgeCounters;
 use imu::MotionProfile;
 use p2pnet::{ResilienceCounters, TransportCounters};
 use proptest::prelude::*;
@@ -76,6 +78,24 @@ fn arb_resilience() -> impl Strategy<Value = ResilienceCounters> {
     })
 }
 
+fn arb_edge_counters() -> impl Strategy<Value = EdgeCounters> {
+    proptest::collection::vec(0u64..1_000, 9).prop_map(|v| {
+        let mut it = v.into_iter();
+        let mut next = || it.next().unwrap_or(0);
+        EdgeCounters {
+            batches: next(),
+            lookups: next(),
+            hits: next(),
+            inserts: next(),
+            gossip_entries: next(),
+            overloads: next(),
+            queries_sent: next(),
+            query_timeouts: next(),
+            hits_adopted: next(),
+        }
+    })
+}
+
 fn merged<T: Clone>(a: &T, b: &T, merge: impl Fn(&mut T, &T)) -> T {
     let mut out = a.clone();
     merge(&mut out, b);
@@ -126,6 +146,15 @@ proptest! {
         c in arb_resilience(),
     ) {
         monoid_laws(&a, &b, &c, &ResilienceCounters::default(), |x, y| x.merge(y))?;
+    }
+
+    #[test]
+    fn edge_counters_merge_is_a_commutative_monoid(
+        a in arb_edge_counters(),
+        b in arb_edge_counters(),
+        c in arb_edge_counters(),
+    ) {
+        monoid_laws(&a, &b, &c, &EdgeCounters::default(), |x, y| x.merge(y))?;
     }
 }
 

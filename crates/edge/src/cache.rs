@@ -10,8 +10,9 @@
 //! *immediately* — the edge tier never blocks a mobile caller, because
 //! a device can always fall back to local inference for less than the
 //! cost of waiting. A batch carrying a key of another dimension than
-//! the cache's is turned away whole, before the store sees any of it
-//! ([`BatchError::KeyDimension`]).
+//! the cache's, or a confidence that is not a finite number, is turned
+//! away whole, before the store sees any of it
+//! ([`BatchError::KeyDimension`], [`BatchError::Confidence`]).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -83,6 +84,14 @@ pub enum BatchError {
         /// The dimension of the cache's keys.
         expected: usize,
     },
+    /// An insert or gossip frame's confidence is NaN or infinite, which
+    /// the wire decoder refuses too. An in-process caller can still build
+    /// such a frame, and the store would panic on a NaN one (`400` over
+    /// HTTP).
+    Confidence {
+        /// Position of the offending frame in the batch.
+        frame: usize,
+    },
 }
 
 impl std::fmt::Display for BatchError {
@@ -97,6 +106,9 @@ impl std::fmt::Display for BatchError {
                 f,
                 "frame {frame}: key dimension {got} does not match the cache's {expected}"
             ),
+            BatchError::Confidence { frame } => {
+                write!(f, "frame {frame}: confidence is not a finite number")
+            }
         }
     }
 }
@@ -273,9 +285,14 @@ impl EdgeCache {
 
     /// Applies one batch, answering every frame in order, or rejects it
     /// outright: when the in-flight frame count would exceed the queue
-    /// limit, or when a key's dimension is not the cache's (the store
-    /// would panic on it). Never blocks: the caller decides whether to
-    /// retry, shed, or fall back to local inference.
+    /// limit, when a key's dimension is not the cache's (the store would
+    /// panic on it), or when a confidence is not finite (the store would
+    /// panic on a NaN). Never blocks: the caller decides whether to retry,
+    /// shed, or fall back to local inference.
+    ///
+    /// The batch's counts are gathered apart and merged into the shared
+    /// counters once, so the counters lock is never held while the store
+    /// works.
     pub fn apply_batch(
         &self,
         request: &BatchRequest,
@@ -293,6 +310,14 @@ impl EdgeCache {
             self.counters.lock().record_overload();
             return Err(BatchError::Overloaded);
         }
+        if let Some(frame) = request.frames.iter().position(|frame| match frame {
+            Frame::Insert { confidence, .. } | Frame::GossipAd { confidence, .. } => {
+                !confidence.is_finite()
+            }
+            Frame::Lookup { .. } => false,
+        }) {
+            return Err(BatchError::Confidence { frame });
+        }
         self.admit_key_dims(request.frames.iter().map(|f| f.key().dim()))
             .map_err(|(frame, got, expected)| BatchError::KeyDimension {
                 frame,
@@ -300,11 +325,12 @@ impl EdgeCache {
                 expected,
             })?;
         let mut replies = Vec::with_capacity(request.frames.len());
-        let mut counters = self.counters.lock();
+        let mut counters = EdgeCounters::default();
         counters.record_batch();
         for frame in &request.frames {
             replies.push(self.apply_frame(frame, now, &mut counters));
         }
+        self.counters.lock().merge(&counters);
         Ok(BatchResponse { replies })
     }
 
@@ -654,6 +680,74 @@ mod tests {
         let full = batch((0..4).map(|_| lookup(&[0.0, 0.05])).collect());
         let resp = edge.apply_batch(&full, SimTime::ZERO).unwrap();
         assert!(resp.replies.iter().all(|r| matches!(r, Reply::Hit(_))));
+        assert_eq!(edge.in_flight(), 0);
+    }
+
+    #[test]
+    fn non_finite_confidence_batch_is_refused_whole_and_leaks_no_slots() {
+        let edge = cache_with_limit(4);
+        let insert = |components: &[f32], confidence: f64| Frame::Insert {
+            key: key(components),
+            label: 5,
+            confidence,
+        };
+        let gossip = |components: &[f32], confidence: f64| Frame::GossipAd {
+            key: key(components),
+            label: 6,
+            confidence,
+        };
+        let batch = |frames: Vec<Frame>| BatchRequest { device: 1, frames };
+        edge.apply_batch(&batch(vec![insert(&[0.0, 0.0], 0.9)]), SimTime::ZERO)
+            .unwrap();
+        let before = edge.counters();
+
+        // Each bad frame sits behind a good one. Unchecked, the good frame
+        // would be applied, and a NaN would reach the store's `is_finite`
+        // assert (`clamp` keeps it).
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for frames in [
+                vec![insert(&[9.0, 9.0], 0.9), insert(&[1.0, 1.0], bad)],
+                vec![gossip(&[9.0, 9.0], 0.9), gossip(&[1.0, 1.0], bad)],
+            ] {
+                let err = edge.apply_batch(&batch(frames), SimTime::ZERO).unwrap_err();
+                assert_eq!(err, BatchError::Confidence { frame: 1 });
+                assert_eq!(
+                    format!("{err}"),
+                    "frame 1: confidence is not a finite number"
+                );
+                assert_eq!(edge.in_flight(), 0);
+            }
+        }
+        assert_eq!(edge.len(), 1, "nothing of a refused batch is applied");
+        assert_eq!(edge.counters(), before, "a refused batch counts nowhere");
+
+        // Nor does it fix the dimension of a cache that had none yet.
+        let fresh = cache_with_limit(4);
+        let err = fresh
+            .apply_batch(
+                &batch(vec![insert(&[1.0, 2.0, 3.0], f64::NAN)]),
+                SimTime::ZERO,
+            )
+            .unwrap_err();
+        assert_eq!(err, BatchError::Confidence { frame: 0 });
+        fresh
+            .apply_batch(&batch(vec![insert(&[0.0, 0.0], 0.9)]), SimTime::ZERO)
+            .unwrap();
+
+        // Every slot is free again: a full-width valid batch goes through,
+        // out-of-range but finite confidences still clamped as before.
+        let full = batch(vec![
+            insert(&[0.0, 0.05], 7.0),
+            gossip(&[0.05, 0.0], -1.0),
+            Frame::Lookup {
+                key: key(&[0.0, 0.0]),
+            },
+            Frame::Lookup {
+                key: key(&[0.0, 0.0]),
+            },
+        ]);
+        let resp = edge.apply_batch(&full, SimTime::ZERO).unwrap();
+        assert!(matches!(resp.replies[2], Reply::Hit(_)));
         assert_eq!(edge.in_flight(), 0);
     }
 

@@ -328,7 +328,7 @@ fn handle_connection(
                 Err(BatchError::Overloaded) => {
                     let _ = write_response(stream, 503, "text/plain", b"overloaded\n");
                 }
-                Err(e @ BatchError::KeyDimension { .. }) => {
+                Err(e @ (BatchError::KeyDimension { .. } | BatchError::Confidence { .. })) => {
                     let msg = format!("bad batch: {e}\n");
                     let _ = write_response(stream, 400, "text/plain", msg.as_bytes());
                 }

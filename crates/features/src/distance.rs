@@ -166,7 +166,7 @@ pub fn squared_euclidean_flat_within(a: &[f32], b: &[f32], bound: f64) -> Option
 /// # Panics
 ///
 /// Panics if the slice lengths differ.
-#[inline]
+#[inline(always)]
 pub fn squared_euclidean_resume_within(
     a: &[f32],
     b: &[f32],
@@ -232,7 +232,7 @@ pub fn widen_head(query: &[f32]) -> [f64; LANES] {
 /// [`squared_euclidean_resume_within`] finishes the row from it. The
 /// lanes run across rows, never across a row's terms, which is what
 /// lets this vectorize without reordering any sum.
-#[inline]
+#[inline(always)]
 pub fn squared_euclidean_head_block(
     block: &[f32; HEAD_BLOCK],
     query: &[f64; LANES],

@@ -37,3 +37,13 @@ fn nearest_within_into(candidates: &[f64], max_distance: f64) -> Vec<f64> {
 fn squared_euclidean_head_block(block: &[f32]) -> Vec<f64> {
     block.iter().map(|&x| x as f64).collect()
 }
+
+fn block_scan(rows: &[u64]) -> Vec<u64> {
+    rows.to_vec()
+}
+
+fn block_scan_avx2(rows: &[u64]) -> Vec<u64> {
+    let mut out = Vec::new();
+    out.extend_from_slice(rows);
+    out
+}

@@ -55,3 +55,13 @@ fn squared_euclidean_head_block(block: &[f32; 64], query: &[f64; 8]) -> [f64; 8]
     }
     acc
 }
+
+fn block_scan(rows: &[u64], out: &mut Vec<u64>) {
+    out.clear();
+    out.extend_from_slice(rows);
+}
+
+fn block_scan_avx2(rows: &[u64], out: &mut Vec<u64>) {
+    // The target-feature wrapper: delegates, allocates nothing itself.
+    block_scan(rows, out);
+}

@@ -864,15 +864,20 @@ fn check_seed_splits(ctx: &FileContext, out: &mut Vec<Violation>) {
 /// Fns that are hot-path everywhere: the per-frame A-kNN kernels plus
 /// the per-lookup scan internals they fan out to (the flat-buffer block
 /// scan and its head-block kernel). `nearest_within_into` is the search
-/// every cache lookup calls; `nearest_into` is its unbounded wrapper. All of these run on every
-/// cache lookup; the caller-held output buffers exist precisely so they
-/// stay allocation-free. `selflint` checks every name here is still a
-/// `fn` somewhere in the linted tree.
+/// every cache lookup calls; `nearest_into` is its unbounded wrapper.
+/// `block_scan_into` only dispatches: the scan itself is `block_scan`,
+/// run as the portable copy or through its AVX2 wrapper
+/// `block_scan_avx2`. All of these run on every cache lookup; the
+/// caller-held output buffers exist precisely so they stay
+/// allocation-free. `selflint` checks every name here is still a `fn`
+/// somewhere in the linted tree.
 pub const HOT_FNS_ANYWHERE: &[&str] = &[
     "nearest_within_into",
     "nearest_into",
     "decide_in",
     "block_scan_into",
+    "block_scan",
+    "block_scan_avx2",
     "squared_euclidean_head_block",
 ];
 
