@@ -26,11 +26,13 @@ pub struct Prediction {
 }
 
 /// Stochastic classifier for one model over one class universe.
+///
+/// It holds a handle on the universe's shared class table, not a copy:
+/// building one is O(1), and the classifiers of a whole fleet read the
+/// same centres and confusion rows.
 #[derive(Debug, Clone)]
 pub struct DnnClassifier {
     top1: f64,
-    /// For each class, the other classes sorted by centre distance.
-    confusions: Vec<Vec<ClassId>>,
     universe: ClassUniverse,
 }
 
@@ -42,10 +44,8 @@ impl DnnClassifier {
     /// Panics if the profile is invalid.
     pub fn new(profile: &ModelProfile, universe: &ClassUniverse) -> DnnClassifier {
         profile.validate();
-        let confusions = universe.ids().map(|id| universe.confusable(id)).collect();
         DnnClassifier {
             top1: profile.top1_accuracy,
-            confusions,
             universe: universe.clone(),
         }
     }
@@ -55,7 +55,8 @@ impl DnnClassifier {
         self.top1
     }
 
-    /// Classifies `descriptor`.
+    /// Classifies `descriptor`. Allocation-free: an error draws its label
+    /// from the universe's shared confusion row and rank weights.
     pub fn predict(&self, descriptor: &FeatureVector, rng: &mut SimRng) -> Prediction {
         let ideal = self.universe.nearest_class(descriptor);
         if rng.chance(self.top1) {
@@ -65,16 +66,11 @@ impl DnnClassifier {
                 confidence: (0.9 + rng.normal(0.0, 0.05)).clamp(0.5, 1.0),
             }
         } else {
-            let candidates = &self.confusions[ideal.as_index()];
+            let candidates = self.universe.confusable(ideal);
             let label = if candidates.is_empty() {
                 ideal // single-class universe: nothing to confuse with
             } else {
-                // Geometric weight over distance rank: nearest classes
-                // soak up most of the confusion mass.
-                let weights: Vec<f64> = (0..candidates.len())
-                    .map(|r| 0.5f64.powi(r as i32))
-                    .collect();
-                candidates[rng.weighted_index(&weights)]
+                candidates[rng.weighted_index(self.universe.confusion_weights())]
             };
             Prediction {
                 label,
@@ -89,7 +85,7 @@ impl DnnClassifier {
 #[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
-    use crate::zoo;
+    use crate::{zoo, DeviceClass};
     use scene::SceneConfig;
 
     fn fixture() -> (ClassUniverse, DnnClassifier, SimRng) {
@@ -182,6 +178,20 @@ mod tests {
             }
         }
         assert!(b_wins > 100, "b won only {b_wins}/200");
+    }
+
+    #[test]
+    fn models_of_one_universe_read_one_confusion_row() {
+        let (universe, _, _) = fixture();
+        let a = crate::DnnModel::new(zoo::mobilenet_v2(), DeviceClass::MidRange, &universe);
+        let b = crate::DnnModel::new(zoo::resnet50(), DeviceClass::Flagship, &universe);
+        for id in universe.ids() {
+            let row = universe.confusable(id).as_ptr();
+            for model in [&a, &b] {
+                let read = model.classifier.universe.confusable(id).as_ptr();
+                assert!(std::ptr::eq(read, row), "{id}");
+            }
+        }
     }
 
     #[test]

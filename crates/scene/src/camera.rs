@@ -111,7 +111,7 @@ mod tests {
             ..SceneConfig::default()
         };
         let universe = ClassUniverse::generate(&config, &mut rng);
-        let mut world = World::generate(&universe, &config, &mut rng);
+        let world = World::generate(&universe, &config, &mut rng);
         // Re-pin positions deterministically for the test.
         let objects: Vec<_> = world
             .objects()
@@ -124,12 +124,7 @@ mod tests {
                 o
             })
             .collect();
-        // Rebuild through churn-free reconstruction: no setter exists, so
-        // serialize-deserialize via serde keeps the type's invariants.
-        let mut value = serde_json::to_value(&world).unwrap();
-        value["objects"] = serde_json::to_value(&objects).unwrap();
-        world = serde_json::from_value(value).unwrap();
-        world
+        world.with_objects(objects)
     }
 
     #[test]

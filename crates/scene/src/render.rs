@@ -52,6 +52,8 @@ pub struct FrameRenderer {
     /// every frame. The direction is a fixed pseudo-random unit vector, so
     /// all devices (and re-runs) drift identically.
     drift_rate: f64,
+    /// The drift direction, drawn once; `None` when `drift_rate` is 0.
+    drift_direction: Option<FeatureVector>,
     /// Fraction of time an occluder blocks the view (see
     /// [`SceneConfig::occlusion_fraction`]).
     occlusion_fraction: f64,
@@ -69,6 +71,8 @@ impl FrameRenderer {
             sensor_noise_std: config.sensor_noise_std,
             basis_count: 4,
             drift_rate: config.drift_rate,
+            drift_direction: (config.drift_rate > 0.0)
+                .then(|| drift_direction(config.descriptor_dim)),
             occlusion_fraction: config.occlusion_fraction,
             object_offset_std: config.object_offset_std,
         }
@@ -103,10 +107,10 @@ impl FrameRenderer {
         descriptor = descriptor
             .add(&self.view_component(subject, &geometry, dim))
             .expect("matching dims");
-        if self.drift_rate > 0.0 {
+        if let Some(direction) = &self.drift_direction {
             let magnitude = self.drift_rate * at.as_secs_f64();
             descriptor = descriptor
-                .add(&drift_direction(dim).scale(magnitude as f32))
+                .add(&direction.scale(magnitude as f32))
                 .expect("matching dims");
         }
         if self.sensor_noise_std > 0.0 {

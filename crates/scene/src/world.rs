@@ -21,7 +21,7 @@ impl std::fmt::Display for ObjectId {
 }
 
 /// One recognizable object instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorldObject {
     /// Stable instance identifier.
     pub id: ObjectId,
@@ -57,7 +57,7 @@ pub struct WorldObject {
 /// assert_eq!(before.len(), after.len());
 /// assert_ne!(before, after);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct World {
     objects: Vec<WorldObject>,
     universe: ClassUniverse,
@@ -144,6 +144,13 @@ impl World {
     /// Looks up an object by id.
     pub fn object(&self, id: ObjectId) -> Option<&WorldObject> {
         self.objects.iter().find(|o| o.id == id)
+    }
+
+    /// This world with `objects` in place of its own, for tests that pin
+    /// the positions of the objects it generated.
+    #[cfg(test)]
+    pub(crate) fn with_objects(self, objects: Vec<WorldObject>) -> World {
+        World { objects, ..self }
     }
 }
 

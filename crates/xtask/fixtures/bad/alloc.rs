@@ -47,3 +47,8 @@ fn block_scan_avx2(rows: &[u64]) -> Vec<u64> {
     out.extend_from_slice(rows);
     out
 }
+
+fn predict(candidates: &[u32], rng: &mut Rng) -> u32 {
+    let weights: Vec<f64> = (0..candidates.len()).map(|r| 0.5f64.powi(r as i32)).collect();
+    candidates[rng.weighted_index(&weights)]
+}

@@ -65,3 +65,8 @@ fn block_scan_avx2(rows: &[u64], out: &mut Vec<u64>) {
     // The target-feature wrapper: delegates, allocates nothing itself.
     block_scan(rows, out);
 }
+
+fn predict(candidates: &[u32], weights: &[f64], rng: &mut Rng) -> u32 {
+    // The rank weights are built once, beside the candidates.
+    candidates[rng.weighted_index(weights)]
+}

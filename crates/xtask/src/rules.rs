@@ -869,8 +869,10 @@ fn check_seed_splits(ctx: &FileContext, out: &mut Vec<Violation>) {
 /// run as the portable copy or through its AVX2 wrapper
 /// `block_scan_avx2`. All of these run on every cache lookup; the
 /// caller-held output buffers exist precisely so they stay
-/// allocation-free. `selflint` checks every name here is still a `fn`
-/// somewhere in the linted tree.
+/// allocation-free. `predict` is the stochastic classifier every
+/// inference runs; its error draw reads the class universe's shared
+/// rank weights instead of building them. `selflint` checks every name
+/// here is still a `fn` somewhere in the linted tree.
 pub const HOT_FNS_ANYWHERE: &[&str] = &[
     "nearest_within_into",
     "nearest_into",
@@ -879,6 +881,7 @@ pub const HOT_FNS_ANYWHERE: &[&str] = &[
     "block_scan",
     "block_scan_avx2",
     "squared_euclidean_head_block",
+    "predict",
 ];
 
 /// Fns that are hot-path within the concurrent core (store operations
