@@ -5,7 +5,7 @@ use serde::{Deserialize, Serialize};
 use ann::AknnConfig;
 use dnnsim::{DeviceClass, ModelProfile};
 use features::RandomProjection;
-use imu::{ImuGate, MotionProfile, MotionTrace};
+use imu::{ImuGate, MotionCursor, MotionProfile, MotionTrace};
 use p2pnet::LinkSpec;
 use reuse::{CacheConfig, EvictionPolicy};
 use scene::{ClassUniverse, FrameRenderer, SceneConfig, World};
@@ -477,7 +477,9 @@ pub fn spawn_position(device: usize, count: usize, spacing: f64) -> (f64, f64) {
 }
 
 /// Convenience: per-device motion traces for a scenario (same profile,
-/// independent randomness, shifted spawn points).
+/// independent randomness, shifted spawn points): each device's
+/// [`MotionCursor`] run out, the same motion the simulation loops
+/// stream.
 pub fn device_traces(
     profile: MotionProfile,
     devices: usize,
@@ -488,12 +490,30 @@ pub fn device_traces(
 ) -> Vec<MotionTrace> {
     (0..devices)
         .map(|d| {
-            let mut device_rng = rng.split_index("motion-trace", d as u64);
-            let trace = MotionTrace::generate(profile, duration, imu_rate_hz, &mut device_rng);
-            let (dx, dy) = spawn_position(d, devices, spacing);
-            trace.translated(dx, dy)
+            device_motion(profile, d, devices, duration, imu_rate_hz, spacing, rng).into_trace()
         })
         .collect()
+}
+
+/// Device `d` of `devices`' ground-truth motion, on its own stream
+/// (`split_index("motion-trace", d)`) and shifted to its spawn point.
+pub(crate) fn device_motion(
+    profile: MotionProfile,
+    d: usize,
+    devices: usize,
+    duration: SimDuration,
+    imu_rate_hz: f64,
+    spacing: f64,
+    rng: &SimRng,
+) -> MotionCursor {
+    let (dx, dy) = spawn_position(d, devices, spacing);
+    MotionCursor::new(
+        profile,
+        duration,
+        imu_rate_hz,
+        rng.split_index("motion-trace", d as u64),
+    )
+    .with_offset(dx, dy)
 }
 
 #[cfg(test)]

@@ -14,10 +14,11 @@
 //!   on when another device ran.
 //! - **Rounds alternate a sequential barrier with a parallel phase.**
 //!   At the barrier the coordinator churns the single shared world,
-//!   recomputes positions, rebuilds the proximity grid and drains due
-//!   gossip. In the parallel phase each shard processes its device
+//!   rebuilds the proximity grid from the devices' positions and drains
+//!   due gossip. In the parallel phase each shard processes its device
 //!   range; devices mutate only themselves and read only frozen shared
-//!   state.
+//!   state, and each ends its step by advancing its own input stream to
+//!   the next round's position.
 //! - **Peer queries hit frozen per-round views.** Each device exposes a
 //!   [`frozen_view`](reuse::SharedCache::frozen_view) of its cache,
 //!   rebuilt only when its
@@ -39,7 +40,7 @@
 
 use std::num::NonZeroUsize;
 
-use imu::{ImuSample, ImuSynthesizer, MotionTrace};
+use imu::{DeviceStream, Pose};
 use p2pnet::{
     BoundaryExchange, Discovery, Envelope, FaultSchedule, ProximityGrid, ProximityModel,
     ResilienceCounters, WireEntry,
@@ -50,13 +51,13 @@ use simcore::parallel::{default_threads, run_labeled_jobs_on};
 use simcore::{SimDuration, SimRng, SimTime};
 
 use crate::baseline::SystemVariant;
-use crate::config::{device_traces, PipelineConfig};
+use crate::config::PipelineConfig;
 use crate::device::{
     advertisement_message, Device, DeviceBuilder, DeviceId, FrameOutcome, Projections,
 };
 use crate::error::ConfigError;
 use crate::report::RunReport;
-use crate::sim::{window_of, Scenario};
+use crate::sim::Scenario;
 
 /// How to partition and schedule a fleet run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,6 +101,13 @@ impl FleetOptions {
 struct Slot {
     device: Device,
     discovery: Option<Discovery>,
+    /// Ground-truth motion and IMU samples, produced as the clock
+    /// reaches them (IMU noise on `split_index("fleet-imu", d)`).
+    stream: DeviceStream,
+    /// Where the device is this round: computed at the end of its
+    /// previous round's step (at setup for round 1), read by the
+    /// coordinator for the proximity grid and by the device to render.
+    pose: Pose,
     /// Per-device frame-noise stream (`split_index("fleet-frame", d)`).
     frame_rng: SimRng,
     /// Receiver-side beacon-delivery stream
@@ -132,19 +140,19 @@ struct Outbox {
 
 /// Read-only state shared by every shard during one round.
 struct RoundCtx<'a> {
-    scenario: &'a Scenario,
     variant: SystemVariant,
     schedule: &'a FaultSchedule,
     renderer: &'a FrameRenderer,
     world: &'a World,
-    traces: &'a [MotionTrace],
-    imu_streams: &'a [Vec<ImuSample>],
     views: &'a [SharedCache<ClassId>],
     grid: Option<&'a ProximityGrid>,
     fanout: usize,
     compress: bool,
     now: SimTime,
     prev: SimTime,
+    /// The next round's clock: each device steps its stream there at the
+    /// end of its step.
+    next: SimTime,
 }
 
 /// Contiguous `[floor(s·n/S), floor((s+1)·n/S))` device ranges.
@@ -202,15 +210,9 @@ pub fn run_fleet(
     let renderer = FrameRenderer::new(&scenario.scene);
     let projections = Projections::new(config, variant, scenario.scene.descriptor_dim);
 
-    // Ground-truth motion (already per-device-seeded inside).
-    let traces: Vec<MotionTrace> = device_traces(
-        scenario.profile,
-        devices,
-        scenario.duration,
-        scenario.imu_rate_hz,
-        scenario.spawn_spacing,
-        &root,
-    );
+    let frame_interval = SimDuration::from_secs_f64(1.0 / scenario.fps);
+    let total_frames = (scenario.duration.as_secs_f64() * scenario.fps).floor() as usize;
+    let first_frame = SimTime::ZERO + frame_interval;
 
     let proximity = config
         .peer
@@ -233,10 +235,11 @@ pub fn run_fleet(
         .filter(|_| variant.peers_enabled() && devices > 1);
     let peer_tier = proximity.is_some() && variant.peers_enabled() && devices > 1;
 
-    // Build every shard's slots (devices, IMU streams, per-device RNG
-    // streams) in parallel — all derivations are keyed by global device
-    // id, so the result is independent of which worker built what.
-    let built: Vec<(Vec<Slot>, Vec<Vec<ImuSample>>)> = run_labeled_jobs_on(
+    // Build every shard's slots (devices, input streams at round 1's
+    // pose, per-device RNG streams) in parallel — all derivations are
+    // keyed by global device id, so the result is independent of which
+    // worker built what.
+    let built: Vec<Vec<Slot>> = run_labeled_jobs_on(
         threads,
         bounds
             .iter()
@@ -245,11 +248,8 @@ pub fn run_fleet(
                 let root = &root;
                 let universe = &universe;
                 let projections = &projections;
-                let traces = &traces;
                 let job = move || {
-                    let synthesizer = ImuSynthesizer::default();
                     let mut slots = Vec::with_capacity(hi - lo);
-                    let mut streams = Vec::with_capacity(hi - lo);
                     for d in lo..hi {
                         let mut builder = DeviceBuilder::new(
                             DeviceId(d),
@@ -269,33 +269,31 @@ pub fn run_fleet(
                             Some(breaker) => Discovery::with_breaker(dc, breaker),
                             None => Discovery::new(dc),
                         });
+                        let mut stream = scenario.device_stream(
+                            d,
+                            root,
+                            root.split_index("fleet-imu", d as u64),
+                        );
+                        let pose = stream.pose_at(first_frame);
                         slots.push(Slot {
                             device: builder.build(),
                             discovery,
+                            stream,
+                            pose,
                             frame_rng: root.split_index("fleet-frame", d as u64),
                             beacon_rng: root.split_index("fleet-beacon-rx", d as u64),
                             poison_rng: root.split_index("fleet-poison-tx", d as u64),
                             ad_seq: 0,
                             beacon_seq: 0,
                         });
-                        let mut imu_rng = root.split_index("fleet-imu", d as u64);
-                        streams.push(match traces.get(d) {
-                            Some(trace) => synthesizer.synthesize(trace, &mut imu_rng),
-                            None => Vec::new(),
-                        });
                     }
-                    (slots, streams)
+                    slots
                 };
                 (format!("fleet-setup-shard-{s}"), job)
             })
             .collect(),
     );
-    let mut slots: Vec<Slot> = Vec::with_capacity(devices);
-    let mut imu_streams: Vec<Vec<ImuSample>> = Vec::with_capacity(devices);
-    for (shard_slots, shard_streams) in built {
-        slots.extend(shard_slots);
-        imu_streams.extend(shard_streams);
-    }
+    let mut slots: Vec<Slot> = built.into_iter().flatten().collect();
 
     // Frozen peer views, one per device, rebuilt lazily when a cache's
     // contents version moves. The placeholder is never queried: the
@@ -311,8 +309,6 @@ pub fn run_fleet(
         })
         .collect();
 
-    let frame_interval = SimDuration::from_secs_f64(1.0 / scenario.fps);
-    let total_frames = (scenario.duration.as_secs_f64() * scenario.fps).floor() as usize;
     let mut ad_exchange: BoundaryExchange<WireEntry> = BoundaryExchange::new();
     let mut beacon_exchange: BoundaryExchange<()> = BoundaryExchange::new();
     let mut churn_rng = root.split("fleet-churn");
@@ -329,13 +325,7 @@ pub fn run_fleet(
                 next_churn = Some(due + churn.interval);
             }
         }
-        let positions: Vec<(f64, f64)> = traces
-            .iter()
-            .map(|t| {
-                let pose = t.pose_at(now);
-                (pose.x, pose.y)
-            })
-            .collect();
+        let positions: Vec<(f64, f64)> = slots.iter().map(|s| (s.pose.x, s.pose.y)).collect();
         let grid = match (&proximity, peer_tier || variant.peers_enabled()) {
             (Some(model), true) => Some(ProximityGrid::build(*model, &positions)),
             _ => None,
@@ -395,19 +385,17 @@ pub fn run_fleet(
 
         // ---- Parallel phase F: each shard runs its device range. ----
         let ctx = RoundCtx {
-            scenario,
             variant,
             schedule: &schedule,
             renderer: &renderer,
             world: &world,
-            traces: &traces,
-            imu_streams: &imu_streams,
             views: &views,
             grid: grid.as_ref(),
             fanout,
             compress,
             now,
             prev: prev_frame_time,
+            next: SimTime::ZERO + frame_interval * (frame_index as u64 + 1),
         };
         let mut jobs: Vec<(String, Box<dyn FnOnce() -> Outbox + Send + '_>)> = Vec::new();
         {
@@ -582,17 +570,10 @@ fn shard_round(
         }
 
         // Frame processing against frozen peer views.
-        let Some(trace) = ctx.traces.get(d) else {
-            continue;
-        };
-        let pose = trace.pose_at(ctx.now);
         let frame = ctx
             .renderer
-            .render(ctx.world, &pose, ctx.now, &mut slot.frame_rng);
-        let window = match ctx.imu_streams.get(d) {
-            Some(stream) => window_of(stream, ctx.prev, ctx.now, ctx.scenario.imu_rate_hz),
-            None => &[],
-        };
+            .render(ctx.world, &slot.pose, ctx.now, &mut slot.frame_rng);
+        let window = slot.stream.window(ctx.prev, ctx.now);
 
         let mut neighbor_indices: Vec<usize> = if dark {
             Vec::new()
@@ -653,6 +634,10 @@ fn shard_round(
                 }
             }
         }
+
+        // Step the device's inputs to the next round's pose here, in
+        // the parallel phase, so the coordinator only reads positions.
+        slot.pose = slot.stream.pose_at(ctx.next);
     }
     outbox
 }

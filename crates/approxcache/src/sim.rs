@@ -15,13 +15,13 @@
 
 use serde::{Deserialize, Serialize};
 
-use imu::{ImuSample, ImuSynthesizer, MotionProfile, MotionTrace};
+use imu::{DeviceStream, ImuSynthesizer, MotionProfile};
 use p2pnet::{FaultConfig, FaultSchedule, ProximityModel, ResilienceCounters, WireEntry};
 use scene::{ClassUniverse, FrameRenderer, SceneConfig, World};
 use simcore::{EventQueue, SimDuration, SimRng, SimTime};
 
 use crate::baseline::SystemVariant;
-use crate::config::{device_traces, PipelineConfig};
+use crate::config::{device_motion, PipelineConfig};
 use crate::device::{
     advertisement_message, Device, DeviceBuilder, DeviceId, FrameOutcome, Projections,
 };
@@ -97,6 +97,22 @@ impl Scenario {
             devices,
             ..Scenario::single_device(profile)
         }
+    }
+
+    /// Device `d`'s sensor inputs, produced as the clock reaches them:
+    /// its ground-truth motion (`device_motion`) and an IMU whose noise
+    /// is drawn from `imu_rng`.
+    pub(crate) fn device_stream(&self, d: usize, root: &SimRng, imu_rng: SimRng) -> DeviceStream {
+        let motion = device_motion(
+            self.profile,
+            d,
+            self.devices,
+            self.duration,
+            self.imu_rate_hz,
+            self.spawn_spacing,
+            root,
+        );
+        DeviceStream::new(motion, ImuSynthesizer::default(), imu_rng)
     }
 
     /// Overrides the name.
@@ -302,23 +318,10 @@ pub fn run(
     let renderer = FrameRenderer::new(&scenario.scene);
     let projections = Projections::new(config, variant, scenario.scene.descriptor_dim);
 
-    // Motion: ground truth + per-device noisy IMU streams.
-    let traces: Vec<MotionTrace> = device_traces(
-        scenario.profile,
-        scenario.devices,
-        scenario.duration,
-        scenario.imu_rate_hz,
-        scenario.spawn_spacing,
-        &root,
-    );
-    let synthesizer = ImuSynthesizer::default();
-    let imu_streams: Vec<Vec<ImuSample>> = traces
-        .iter()
-        .enumerate()
-        .map(|(d, trace)| {
-            let mut imu_rng = root.split_index("imu", d as u64);
-            synthesizer.synthesize(trace, &mut imu_rng)
-        })
+    // Motion: ground truth + per-device noisy IMU, produced as the clock
+    // reaches them.
+    let mut streams: Vec<DeviceStream> = (0..scenario.devices)
+        .map(|d| scenario.device_stream(d, &root, root.split_index("imu", d as u64)))
         .collect();
 
     let mut devices: Vec<Device> = (0..scenario.devices)
@@ -424,10 +427,10 @@ pub fn run(
         }
 
         // Positions of every device at this instant (for proximity).
-        let positions: Vec<(f64, f64)> = traces
-            .iter()
-            .map(|t| {
-                let pose = t.pose_at(now);
+        let positions: Vec<(f64, f64)> = streams
+            .iter_mut()
+            .map(|s| {
+                let pose = s.pose_at(now);
                 (pose.x, pose.y)
             })
             .collect();
@@ -456,10 +459,10 @@ pub fn run(
             }
         }
 
-        for d in 0..devices.len() {
-            let pose = traces[d].pose_at(now);
+        for (d, stream) in streams.iter_mut().enumerate() {
+            let pose = stream.pose_at(now);
             let frame = renderer.render(&world, &pose, now, &mut frame_rng);
-            let window = window_of(&imu_streams[d], prev_frame_time, now, scenario.imu_rate_hz);
+            let window = stream.window(prev_frame_time, now);
 
             let dark = schedule.radio_dark(d, now);
 
@@ -584,18 +587,6 @@ pub fn run(
         per_device,
         traces,
     })
-}
-
-/// The IMU samples strictly after `from` and at or before `to`.
-pub(crate) fn window_of(
-    stream: &[ImuSample],
-    from: SimTime,
-    to: SimTime,
-    rate_hz: f64,
-) -> &[ImuSample] {
-    let start = ((from.as_secs_f64() * rate_hz).floor() as usize + 1).min(stream.len());
-    let end = ((to.as_secs_f64() * rate_hz).floor() as usize + 1).min(stream.len());
-    stream.get(start.min(end)..end).unwrap_or(&[])
 }
 
 #[cfg(test)]
@@ -1029,26 +1020,5 @@ mod tests {
         // Tracing must not perturb the run itself.
         assert_eq!(traced.report.path_counts, plain.report.path_counts);
         assert_eq!(traced.report.latencies_ms, plain.report.latencies_ms);
-    }
-
-    #[test]
-    fn window_of_selects_interval() {
-        let stream: Vec<ImuSample> = (0..100)
-            .map(|i| ImuSample {
-                at: SimTime::from_millis(i * 10),
-                gyro: [0.0; 3],
-                accel: [0.0; 3],
-            })
-            .collect();
-        let w = window_of(&stream, SimTime::ZERO, SimTime::from_millis(100), 100.0);
-        assert_eq!(w.len(), 10);
-        let w2 = window_of(
-            &stream,
-            SimTime::from_millis(100),
-            SimTime::from_millis(200),
-            100.0,
-        );
-        assert_eq!(w2.len(), 10);
-        assert!(w2[0].at > SimTime::from_millis(100));
     }
 }

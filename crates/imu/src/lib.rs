@@ -15,6 +15,10 @@
 //!   trace, so synthetic IMU data and synthetic video agree.
 //! - [`ImuSynthesizer`] — converts ground-truth motion into noisy 6-axis
 //!   samples (gyro + linear accelerometer) with bias and white noise.
+//! - [`MotionCursor`] and [`DeviceStream`] — the motion generator as a
+//!   state machine, and a device's poses and noisy samples produced as a
+//!   simulation loop's clock reaches them instead of held for the whole
+//!   run.
 //! - [`MotionEstimator`] — what the pipeline runs on-device: integrates a
 //!   window of samples into a scalar [`MotionEstimate`].
 //! - [`ImuGate`] — the reuse policy: maps an estimate to
@@ -46,6 +50,7 @@ pub mod estimate;
 pub mod gate;
 pub mod profile;
 pub mod sample;
+pub mod stream;
 pub mod synth;
 pub mod trace;
 
@@ -54,5 +59,6 @@ pub use estimate::{MotionEstimate, MotionEstimator};
 pub use gate::{GateDecision, ImuGate};
 pub use profile::MotionProfile;
 pub use sample::ImuSample;
+pub use stream::DeviceStream;
 pub use synth::ImuSynthesizer;
-pub use trace::{MotionTrace, Pose};
+pub use trace::{MotionCursor, MotionTrace, Pose};

@@ -4,8 +4,9 @@ use serde::{Deserialize, Serialize};
 
 use simcore::{SimRng, SimTime};
 
+use crate::profile::MotionProfile;
 use crate::sample::ImuSample;
-use crate::trace::MotionTrace;
+use crate::trace::{MotionTrace, Pose};
 
 /// Converts a ground-truth [`MotionTrace`] into noisy [`ImuSample`]s.
 ///
@@ -60,76 +61,123 @@ impl ImuSynthesizer {
         }
     }
 
-    /// Produces one noisy sample per trace pose.
-    ///
-    /// True angular velocity is differenced from consecutive poses (yaw
-    /// about z, pitch about y); true linear acceleration is the second
-    /// difference of position plus the profile's residual-acceleration
-    /// magnitude injected as body vibration.
+    /// Produces one noisy sample per trace pose: the synthesizer's
+    /// cursor (the state [`DeviceStream`](crate::DeviceStream) streams
+    /// from) stepped over the trace.
     pub fn synthesize(&self, trace: &MotionTrace, rng: &mut SimRng) -> Vec<ImuSample> {
-        let dt = 1.0 / trace.rate_hz();
-        let poses = trace.poses();
-        let vibration = trace.profile().accel_rms();
-        let tremor = trace.profile().tremor_rad_per_sec();
-        let mut gyro_bias = [0.0f64; 3];
-        let mut accel_bias = [0.0f64; 3];
-        let mut out = Vec::with_capacity(poses.len());
+        let mut cursor = ImuCursor::new(*self, trace.profile(), trace.rate_hz());
+        trace
+            .poses()
+            .iter()
+            .map(|pose| cursor.step_imu(pose, rng))
+            .collect()
+    }
+}
 
-        for (i, _pose) in poses.iter().enumerate() {
-            // True rates from central/one-sided differences.
-            let (yaw_rate, pitch_rate) = if i == 0 {
-                (0.0, 0.0)
-            } else {
-                (
-                    (poses[i].yaw - poses[i - 1].yaw) / dt,
-                    (poses[i].pitch - poses[i - 1].pitch) / dt,
-                )
-            };
-            let (ax, ay) = if i < 2 {
-                (0.0, 0.0)
-            } else {
-                let vx1 = (poses[i].x - poses[i - 1].x) / dt;
-                let vx0 = (poses[i - 1].x - poses[i - 2].x) / dt;
-                let vy1 = (poses[i].y - poses[i - 1].y) / dt;
-                let vy0 = (poses[i - 1].y - poses[i - 2].y) / dt;
-                ((vx1 - vx0) / dt, (vy1 - vy0) / dt)
-            };
+/// The synthesizer as a state machine: turns a run's poses, fed one at a
+/// time and in order, into its noisy samples, from O(1) state — the two
+/// bias random walks, the last two poses and the sample index.
+///
+/// True angular velocity is differenced from consecutive poses (yaw
+/// about z, pitch about y); true linear acceleration is the second
+/// difference of position plus the profile's residual-acceleration
+/// magnitude injected as body vibration.
+#[derive(Debug, Clone)]
+pub(crate) struct ImuCursor {
+    synth: ImuSynthesizer,
+    dt: f64,
+    vibration: f64,
+    tremor: f64,
+    gyro_bias: [f64; 3],
+    accel_bias: [f64; 3],
+    /// Poses `index - 1` and `index - 2`, once there are any.
+    prev: Pose,
+    prev2: Pose,
+    /// The index of the next sample.
+    index: usize,
+}
 
-            for b in &mut gyro_bias {
-                *b += rng.normal(0.0, self.gyro_bias_walk);
-            }
-            for b in &mut accel_bias {
-                *b += rng.normal(0.0, self.accel_bias_walk);
-            }
-
-            let gyro = [
-                gyro_bias[0] + rng.normal(0.0, self.gyro_noise) + rng.normal(0.0, tremor),
-                pitch_rate
-                    + gyro_bias[1]
-                    + rng.normal(0.0, self.gyro_noise)
-                    + rng.normal(0.0, tremor),
-                yaw_rate + gyro_bias[2] + rng.normal(0.0, self.gyro_noise),
-            ];
-            let accel = [
-                ax + accel_bias[0] + rng.normal(0.0, self.accel_noise) + rng.normal(0.0, vibration),
-                ay + accel_bias[1] + rng.normal(0.0, self.accel_noise) + rng.normal(0.0, vibration),
-                accel_bias[2] + rng.normal(0.0, self.accel_noise) + rng.normal(0.0, vibration),
-            ];
-
-            out.push(ImuSample {
-                at: SimTime::from_nanos((i as f64 * dt * 1e9).round() as u64),
-                gyro,
-                accel,
-            });
+impl ImuCursor {
+    /// A cursor at the first sample of a run under `profile` at
+    /// `rate_hz`.
+    pub(crate) fn new(synth: ImuSynthesizer, profile: MotionProfile, rate_hz: f64) -> ImuCursor {
+        ImuCursor {
+            synth,
+            dt: 1.0 / rate_hz,
+            vibration: profile.accel_rms(),
+            tremor: profile.tremor_rad_per_sec(),
+            gyro_bias: [0.0; 3],
+            accel_bias: [0.0; 3],
+            prev: Pose::default(),
+            prev2: Pose::default(),
+            index: 0,
         }
-        out
+    }
+
+    /// The index of the next sample (the number taken so far).
+    pub(crate) fn index(&self) -> usize {
+        self.index
+    }
+
+    /// The sample taken at `pose`, the run's pose number
+    /// [`index`](Self::index), with its noise drawn from `rng`.
+    pub(crate) fn step_imu(&mut self, pose: &Pose, rng: &mut SimRng) -> ImuSample {
+        let i = self.index;
+        let dt = self.dt;
+        // True rates from central/one-sided differences.
+        let (yaw_rate, pitch_rate) = if i == 0 {
+            (0.0, 0.0)
+        } else {
+            (
+                (pose.yaw - self.prev.yaw) / dt,
+                (pose.pitch - self.prev.pitch) / dt,
+            )
+        };
+        let (ax, ay) = if i < 2 {
+            (0.0, 0.0)
+        } else {
+            let vx1 = (pose.x - self.prev.x) / dt;
+            let vx0 = (self.prev.x - self.prev2.x) / dt;
+            let vy1 = (pose.y - self.prev.y) / dt;
+            let vy0 = (self.prev.y - self.prev2.y) / dt;
+            ((vx1 - vx0) / dt, (vy1 - vy0) / dt)
+        };
+
+        let s = &self.synth;
+        for b in &mut self.gyro_bias {
+            *b += rng.normal(0.0, s.gyro_bias_walk);
+        }
+        for b in &mut self.accel_bias {
+            *b += rng.normal(0.0, s.accel_bias_walk);
+        }
+
+        let (gyro_bias, accel_bias) = (self.gyro_bias, self.accel_bias);
+        let (tremor, vibration) = (self.tremor, self.vibration);
+        let gyro = [
+            gyro_bias[0] + rng.normal(0.0, s.gyro_noise) + rng.normal(0.0, tremor),
+            pitch_rate + gyro_bias[1] + rng.normal(0.0, s.gyro_noise) + rng.normal(0.0, tremor),
+            yaw_rate + gyro_bias[2] + rng.normal(0.0, s.gyro_noise),
+        ];
+        let accel = [
+            ax + accel_bias[0] + rng.normal(0.0, s.accel_noise) + rng.normal(0.0, vibration),
+            ay + accel_bias[1] + rng.normal(0.0, s.accel_noise) + rng.normal(0.0, vibration),
+            accel_bias[2] + rng.normal(0.0, s.accel_noise) + rng.normal(0.0, vibration),
+        ];
+
+        self.prev2 = self.prev;
+        self.prev = *pose;
+        self.index += 1;
+        ImuSample {
+            at: SimTime::from_nanos((i as f64 * dt * 1e9).round() as u64),
+            gyro,
+            accel,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::MotionProfile;
     use simcore::SimDuration;
 
     fn synth(profile: MotionProfile, noiseless: bool) -> Vec<ImuSample> {

@@ -47,7 +47,9 @@ pub struct MotionTrace {
 
 impl MotionTrace {
     /// Generates a trajectory of `duration` under `profile`, sampled at
-    /// `rate_hz` (typical smartphone IMU rates are 50–200 Hz).
+    /// `rate_hz` (typical smartphone IMU rates are 50–200 Hz): a
+    /// [`MotionCursor`] run to its end, leaving `rng` where the cursor's
+    /// copy of it ended.
     ///
     /// # Panics
     ///
@@ -59,83 +61,20 @@ impl MotionTrace {
         rate_hz: f64,
         rng: &mut SimRng,
     ) -> MotionTrace {
-        assert!(rate_hz > 0.0, "generate: rate_hz must be positive");
-        let steps = (duration.as_secs_f64() * rate_hz).ceil() as usize + 1;
-        assert!(steps >= 2, "generate: need at least 2 samples, got {steps}");
-        let dt = 1.0 / rate_hz;
+        let mut cursor = MotionCursor::new(profile, duration, rate_hz, rng.clone());
+        let trace = cursor.collect_rest();
+        *rng = cursor.rng;
+        trace
+    }
 
-        let mut poses = Vec::with_capacity(steps);
-        let mut pose = Pose::default();
-        // Slowly varying wander terms shared by several profiles.
-        let mut yaw_wander_rate = 0.0f64;
-        // TurnAndLook phase machinery.
-        let mut dwell_remaining = match profile {
-            MotionProfile::TurnAndLook { dwell_secs, .. } => dwell_secs,
-            _ => 0.0,
-        };
-        let mut turn_remaining_rad = 0.0f64;
-
-        for step in 0..steps {
-            poses.push(pose);
-            let t = step as f64 * dt;
-            match profile {
-                MotionProfile::Stationary => {
-                    // Pure tremor handled by the synthesizer; true pose
-                    // drifts only microscopically.
-                    pose.yaw += rng.normal(0.0, 0.02f64.to_radians()) * dt;
-                    pose.pitch += rng.normal(0.0, 0.02f64.to_radians()) * dt;
-                }
-                MotionProfile::HandheldJitter => {
-                    // Ornstein–Uhlenbeck wander around the initial heading.
-                    yaw_wander_rate +=
-                        (-0.8 * yaw_wander_rate + rng.normal(0.0, 2.0f64.to_radians())) * dt;
-                    pose.yaw += yaw_wander_rate * dt;
-                    pose.pitch += rng.normal(0.0, 0.3f64.to_radians()) * dt;
-                }
-                MotionProfile::SlowPan { deg_per_sec } => {
-                    pose.yaw += deg_per_sec.to_radians() * dt;
-                    pose.pitch += rng.normal(0.0, 0.2f64.to_radians()) * dt;
-                }
-                MotionProfile::Walking { speed_mps } => {
-                    // Heading wanders; position integrates heading; gait
-                    // bobs pitch at ~2 Hz.
-                    yaw_wander_rate +=
-                        (-0.5 * yaw_wander_rate + rng.normal(0.0, 6.0f64.to_radians())) * dt;
-                    pose.yaw += yaw_wander_rate * dt;
-                    pose.x += speed_mps * pose.yaw.cos() * dt;
-                    pose.y += speed_mps * pose.yaw.sin() * dt;
-                    pose.pitch = 2.0f64.to_radians() * (std::f64::consts::TAU * 2.0 * t).sin();
-                }
-                MotionProfile::TurnAndLook {
-                    dwell_secs,
-                    turn_deg,
-                } => {
-                    if turn_remaining_rad > 0.0 {
-                        // Mid-turn: rotate at 120°/s until the turn is done.
-                        let step_rad = (120.0f64.to_radians() * dt).min(turn_remaining_rad);
-                        pose.yaw += step_rad;
-                        turn_remaining_rad -= step_rad;
-                        if turn_remaining_rad <= 0.0 {
-                            dwell_remaining = dwell_secs;
-                        }
-                    } else {
-                        pose.yaw += rng.normal(0.0, 0.05f64.to_radians()) * dt;
-                        dwell_remaining -= dt;
-                        if dwell_remaining <= 0.0 {
-                            turn_remaining_rad = turn_deg.to_radians();
-                        }
-                    }
-                }
-                MotionProfile::Vehicle { speed_mps } => {
-                    yaw_wander_rate +=
-                        (-yaw_wander_rate + rng.normal(0.0, 1.0f64.to_radians())) * dt;
-                    pose.yaw += yaw_wander_rate * dt;
-                    pose.x += speed_mps * pose.yaw.cos() * dt;
-                    pose.y += speed_mps * pose.yaw.sin() * dt;
-                    pose.pitch += rng.normal(0.0, 0.1f64.to_radians()) * dt;
-                }
-            }
-        }
+    /// A trace of the given poses, for tests that build a reference by
+    /// hand.
+    #[cfg(test)]
+    pub(crate) fn from_poses(
+        profile: MotionProfile,
+        rate_hz: f64,
+        poses: Vec<Pose>,
+    ) -> MotionTrace {
         MotionTrace {
             profile,
             rate_hz,
@@ -168,26 +107,6 @@ impl MotionTrace {
         SimDuration::from_secs_f64((self.poses.len().saturating_sub(1)) as f64 / self.rate_hz)
     }
 
-    /// The same trajectory rigidly translated by `(dx, dy)` metres —
-    /// how a multi-device scenario gives each device its own spawn point
-    /// while keeping the shared motion profile. Orientation and timing
-    /// are untouched.
-    pub fn translated(&self, dx: f64, dy: f64) -> MotionTrace {
-        MotionTrace {
-            profile: self.profile,
-            rate_hz: self.rate_hz,
-            poses: self
-                .poses
-                .iter()
-                .map(|p| Pose {
-                    x: p.x + dx,
-                    y: p.y + dy,
-                    ..*p
-                })
-                .collect(),
-        }
-    }
-
     /// The pose samples in time order.
     pub fn poses(&self) -> &[Pose] {
         &self.poses
@@ -196,18 +115,8 @@ impl MotionTrace {
     /// The pose at simulated time `t`, linearly interpolated between
     /// samples and clamped to the trace's ends.
     pub fn pose_at(&self, t: SimTime) -> Pose {
-        let idx_f = t.as_secs_f64() * self.rate_hz;
-        let lo = (idx_f.floor() as usize).min(self.poses.len() - 1);
-        let hi = (lo + 1).min(self.poses.len() - 1);
-        let frac = (idx_f - lo as f64).clamp(0.0, 1.0);
-        let a = &self.poses[lo];
-        let b = &self.poses[hi];
-        Pose {
-            x: a.x + (b.x - a.x) * frac,
-            y: a.y + (b.y - a.y) * frac,
-            yaw: a.yaw + (b.yaw - a.yaw) * frac,
-            pitch: a.pitch + (b.pitch - a.pitch) * frac,
-        }
+        let (lo, hi, frac) = bracket(t, self.rate_hz, self.poses.len());
+        interpolate(&self.poses[lo], &self.poses[hi], frac)
     }
 
     /// The pose samples that fall in the half-open window `(from, to]` —
@@ -220,6 +129,231 @@ impl MotionTrace {
     }
 }
 
+/// The sample indices bracketing `t` in a run of `len` poses at
+/// `rate_hz`, and how far `t` lies between them; clamped to the run's
+/// ends.
+pub(crate) fn bracket(t: SimTime, rate_hz: f64, len: usize) -> (usize, usize, f64) {
+    let idx_f = t.as_secs_f64() * rate_hz;
+    let lo = (idx_f.floor() as usize).min(len - 1);
+    let hi = (lo + 1).min(len - 1);
+    let frac = (idx_f - lo as f64).clamp(0.0, 1.0);
+    (lo, hi, frac)
+}
+
+/// The pose `frac` of the way from `a` to `b`.
+pub(crate) fn interpolate(a: &Pose, b: &Pose, frac: f64) -> Pose {
+    Pose {
+        x: a.x + (b.x - a.x) * frac,
+        y: a.y + (b.y - a.y) * frac,
+        yaw: a.yaw + (b.yaw - a.yaw) * frac,
+        pitch: a.pitch + (b.pitch - a.pitch) * frac,
+    }
+}
+
+/// A ground-truth trajectory produced one pose at a time: the state of
+/// the generator behind [`MotionTrace::generate`], which is this cursor
+/// run to its end.
+///
+/// The state is O(1) — a pose, a wander rate, the turn-and-look phase,
+/// the step count and the cursor's own random stream — so a device can
+/// walk a run of any length without holding it.
+///
+/// # Example
+///
+/// ```
+/// use imu::{MotionCursor, MotionProfile, MotionTrace};
+/// use simcore::{SimDuration, SimRng};
+///
+/// let duration = SimDuration::from_secs(1);
+/// let trace = MotionTrace::generate(
+///     MotionProfile::Stationary, duration, 50.0, &mut SimRng::seed(3));
+/// let mut cursor = MotionCursor::new(
+///     MotionProfile::Stationary, duration, 50.0, SimRng::seed(3));
+/// assert_eq!(cursor.steps(), trace.len());
+/// assert_eq!(cursor.step_motion(), trace.poses()[0]);
+/// assert_eq!(cursor.step_motion(), trace.poses()[1]);
+/// ```
+#[derive(Debug, Clone)]
+pub struct MotionCursor {
+    profile: MotionProfile,
+    rate_hz: f64,
+    steps: usize,
+    /// Poses yielded so far; the index of the next one.
+    step: usize,
+    /// The next pose, before the offset.
+    pose: Pose,
+    /// Slowly varying wander term shared by several profiles.
+    yaw_wander_rate: f64,
+    /// TurnAndLook phase machinery.
+    dwell_remaining: f64,
+    turn_remaining_rad: f64,
+    /// Added to every yielded position: the device's spawn point.
+    offset: (f64, f64),
+    rng: SimRng,
+}
+
+impl MotionCursor {
+    /// A cursor at the start of a run of `duration` under `profile`,
+    /// sampled at `rate_hz`, drawing from `rng`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rate_hz <= 0`, or the combination of duration and rate
+    /// yields fewer than two samples.
+    pub fn new(
+        profile: MotionProfile,
+        duration: SimDuration,
+        rate_hz: f64,
+        rng: SimRng,
+    ) -> MotionCursor {
+        assert!(rate_hz > 0.0, "MotionCursor: rate_hz must be positive");
+        let steps = (duration.as_secs_f64() * rate_hz).ceil() as usize + 1;
+        assert!(
+            steps >= 2,
+            "MotionCursor: need at least 2 samples, got {steps}"
+        );
+        MotionCursor {
+            profile,
+            rate_hz,
+            steps,
+            step: 0,
+            pose: Pose::default(),
+            yaw_wander_rate: 0.0,
+            dwell_remaining: match profile {
+                MotionProfile::TurnAndLook { dwell_secs, .. } => dwell_secs,
+                _ => 0.0,
+            },
+            turn_remaining_rad: 0.0,
+            offset: (0.0, 0.0),
+            rng,
+        }
+    }
+
+    /// The same run rigidly translated by `(dx, dy)` metres — how a
+    /// multi-device scenario gives each device its own spawn point while
+    /// keeping the shared motion profile. Orientation and timing are
+    /// untouched.
+    pub fn with_offset(mut self, dx: f64, dy: f64) -> MotionCursor {
+        self.offset = (dx, dy);
+        self
+    }
+
+    /// The profile this run follows.
+    pub(crate) fn profile(&self) -> MotionProfile {
+        self.profile
+    }
+
+    /// Sample rate in Hz.
+    pub(crate) fn rate_hz(&self) -> f64 {
+        self.rate_hz
+    }
+
+    /// Number of poses in the whole run.
+    pub fn steps(&self) -> usize {
+        self.steps
+    }
+
+    /// Number of poses yielded so far: the index of the next one.
+    pub(crate) fn produced(&self) -> usize {
+        self.step
+    }
+
+    /// Yields the next pose and advances the state one sample. Past the
+    /// run's last pose the motion simply continues.
+    pub fn step_motion(&mut self) -> Pose {
+        let out = Pose {
+            x: self.pose.x + self.offset.0,
+            y: self.pose.y + self.offset.1,
+            ..self.pose
+        };
+        let dt = 1.0 / self.rate_hz;
+        let t = self.step as f64 * dt;
+        let rng = &mut self.rng;
+        let pose = &mut self.pose;
+        match self.profile {
+            MotionProfile::Stationary => {
+                // Pure tremor handled by the synthesizer; true pose
+                // drifts only microscopically.
+                pose.yaw += rng.normal(0.0, 0.02f64.to_radians()) * dt;
+                pose.pitch += rng.normal(0.0, 0.02f64.to_radians()) * dt;
+            }
+            MotionProfile::HandheldJitter => {
+                // Ornstein–Uhlenbeck wander around the initial heading.
+                self.yaw_wander_rate +=
+                    (-0.8 * self.yaw_wander_rate + rng.normal(0.0, 2.0f64.to_radians())) * dt;
+                pose.yaw += self.yaw_wander_rate * dt;
+                pose.pitch += rng.normal(0.0, 0.3f64.to_radians()) * dt;
+            }
+            MotionProfile::SlowPan { deg_per_sec } => {
+                pose.yaw += deg_per_sec.to_radians() * dt;
+                pose.pitch += rng.normal(0.0, 0.2f64.to_radians()) * dt;
+            }
+            MotionProfile::Walking { speed_mps } => {
+                // Heading wanders; position integrates heading; gait
+                // bobs pitch at ~2 Hz.
+                self.yaw_wander_rate +=
+                    (-0.5 * self.yaw_wander_rate + rng.normal(0.0, 6.0f64.to_radians())) * dt;
+                pose.yaw += self.yaw_wander_rate * dt;
+                pose.x += speed_mps * pose.yaw.cos() * dt;
+                pose.y += speed_mps * pose.yaw.sin() * dt;
+                pose.pitch = 2.0f64.to_radians() * (std::f64::consts::TAU * 2.0 * t).sin();
+            }
+            MotionProfile::TurnAndLook {
+                dwell_secs,
+                turn_deg,
+            } => {
+                if self.turn_remaining_rad > 0.0 {
+                    // Mid-turn: rotate at 120°/s until the turn is done.
+                    let step_rad = (120.0f64.to_radians() * dt).min(self.turn_remaining_rad);
+                    pose.yaw += step_rad;
+                    self.turn_remaining_rad -= step_rad;
+                    if self.turn_remaining_rad <= 0.0 {
+                        self.dwell_remaining = dwell_secs;
+                    }
+                } else {
+                    pose.yaw += rng.normal(0.0, 0.05f64.to_radians()) * dt;
+                    self.dwell_remaining -= dt;
+                    if self.dwell_remaining <= 0.0 {
+                        self.turn_remaining_rad = turn_deg.to_radians();
+                    }
+                }
+            }
+            MotionProfile::Vehicle { speed_mps } => {
+                self.yaw_wander_rate +=
+                    (-self.yaw_wander_rate + rng.normal(0.0, 1.0f64.to_radians())) * dt;
+                pose.yaw += self.yaw_wander_rate * dt;
+                pose.x += speed_mps * pose.yaw.cos() * dt;
+                pose.y += speed_mps * pose.yaw.sin() * dt;
+                pose.pitch += rng.normal(0.0, 0.1f64.to_radians()) * dt;
+            }
+        }
+        self.step += 1;
+        out
+    }
+
+    /// The whole run as a [`MotionTrace`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cursor has already yielded a pose.
+    pub fn into_trace(mut self) -> MotionTrace {
+        assert_eq!(self.step, 0, "into_trace: the cursor has already moved");
+        self.collect_rest()
+    }
+
+    /// The poses not yet yielded, as a trace.
+    fn collect_rest(&mut self) -> MotionTrace {
+        let poses = (self.step..self.steps)
+            .map(|_| self.step_motion())
+            .collect();
+        MotionTrace {
+            profile: self.profile,
+            rate_hz: self.rate_hz,
+            poses,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,24 +361,6 @@ mod tests {
     fn gen(profile: MotionProfile, secs: u64) -> MotionTrace {
         let mut rng = SimRng::seed(11);
         MotionTrace::generate(profile, SimDuration::from_secs(secs), 100.0, &mut rng)
-    }
-
-    #[test]
-    // Exact comparison is intentional: a rigid translation must not
-    // perturb any coordinate beyond the added offset.
-    #[allow(clippy::float_cmp)]
-    fn translated_shifts_positions_only() {
-        let t = gen(MotionProfile::Walking { speed_mps: 1.4 }, 2);
-        let shifted = t.translated(3.0, -2.0);
-        assert_eq!(shifted.poses().len(), t.poses().len());
-        assert_eq!(shifted.rate_hz(), t.rate_hz());
-        assert_eq!(shifted.profile(), t.profile());
-        for (a, b) in t.poses().iter().zip(shifted.poses()) {
-            assert_eq!(b.x, a.x + 3.0);
-            assert_eq!(b.y, a.y - 2.0);
-            assert_eq!(b.yaw, a.yaw);
-            assert_eq!(b.pitch, a.pitch);
-        }
     }
 
     #[test]

@@ -52,3 +52,18 @@ fn predict(candidates: &[u32], rng: &mut Rng) -> u32 {
     let weights: Vec<f64> = (0..candidates.len()).map(|r| 0.5f64.powi(r as i32)).collect();
     candidates[rng.weighted_index(&weights)]
 }
+
+fn step_motion(trail: &[Pose]) -> Vec<Pose> {
+    trail.to_vec()
+}
+
+fn step_imu(pose: &Pose, trail: &[Pose]) -> Vec<Pose> {
+    let mut seen = Vec::new();
+    seen.extend_from_slice(trail);
+    seen.push(*pose);
+    seen
+}
+
+fn fill_imu_window(poses: &[Pose]) -> Vec<Sample> {
+    poses.iter().map(Sample::from).collect()
+}

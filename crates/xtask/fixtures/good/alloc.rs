@@ -70,3 +70,21 @@ fn predict(candidates: &[u32], weights: &[f64], rng: &mut Rng) -> u32 {
     // The rank weights are built once, beside the candidates.
     candidates[rng.weighted_index(weights)]
 }
+
+fn step_motion(pose: &mut Pose, dt: f64) -> Pose {
+    let out = *pose;
+    pose.yaw += dt;
+    out
+}
+
+fn step_imu(pose: &Pose, prev: &mut Pose) -> Sample {
+    let sample = Sample::between(prev, pose);
+    *prev = *pose;
+    sample
+}
+
+fn fill_imu_window(samples: &mut Vec<Sample>, stale: usize, fresh: &[Sample]) {
+    // The window buffer is drained and refilled in place.
+    samples.drain(..stale);
+    samples.extend_from_slice(fresh);
+}

@@ -871,8 +871,12 @@ fn check_seed_splits(ctx: &FileContext, out: &mut Vec<Violation>) {
 /// caller-held output buffers exist precisely so they stay
 /// allocation-free. `predict` is the stochastic classifier every
 /// inference runs; its error draw reads the class universe's shared
-/// rank weights instead of building them. `selflint` checks every name
-/// here is still a `fn` somewhere in the linted tree.
+/// rank weights instead of building them. `step_motion` and `step_imu`
+/// advance a device's motion and IMU cursors one sample, and
+/// `fill_imu_window` refills the stream's reused window buffer: the
+/// simulation loops run them for every device on every frame.
+/// `selflint` checks every name here is still a `fn` somewhere in the
+/// linted tree.
 pub const HOT_FNS_ANYWHERE: &[&str] = &[
     "nearest_within_into",
     "nearest_into",
@@ -882,6 +886,9 @@ pub const HOT_FNS_ANYWHERE: &[&str] = &[
     "block_scan_avx2",
     "squared_euclidean_head_block",
     "predict",
+    "step_motion",
+    "step_imu",
+    "fill_imu_window",
 ];
 
 /// Fns that are hot-path within the concurrent core (store operations

@@ -387,7 +387,9 @@ fn bad_alloc_fires_in_the_concurrent_core() {
         .filter(|&&(r, _)| r == Rule::Alloc)
         .map(|&(_, l)| l)
         .collect();
-    for line in [5, 6, 12, 13, 19, 23, 24, 28, 32, 34, 38, 42, 46, 52] {
+    for line in [
+        5, 6, 12, 13, 19, 23, 24, 28, 32, 34, 38, 42, 46, 52, 57, 61, 68,
+    ] {
         assert!(lines.contains(&line), "line {line} missing from {lines:?}");
     }
 }
@@ -398,8 +400,9 @@ fn alloc_shard_fns_are_hot_only_in_the_concurrent_core() {
     // A-kNN kernels (`nearest_within_into`, its wrapper `nearest_into`,
     // `decide_in`) and the per-lookup scan internals (`block_scan_into`,
     // its scan body `block_scan` and AVX2 wrapper `block_scan_avx2`,
-    // `squared_euclidean_head_block`) and the classifier's `predict`
-    // stay hot everywhere.
+    // `squared_euclidean_head_block`), the classifier's `predict` and
+    // the device stream's per-frame steps (`step_motion`, `step_imu`,
+    // `fill_imu_window`) stay hot everywhere.
     let hits = lint("bad", "alloc", "crates/reuse/src/fixture.rs", 9);
     let lines: Vec<usize> = hits
         .iter()
@@ -410,7 +413,7 @@ fn alloc_shard_fns_are_hot_only_in_the_concurrent_core() {
         !lines.iter().any(|&l| l < 17),
         "shard fns flagged outside the core: {lines:?}"
     );
-    for line in [19, 23, 24, 28, 32, 34, 38, 42, 46, 52] {
+    for line in [19, 23, 24, 28, 32, 34, 38, 42, 46, 52, 57, 61, 68] {
         assert!(lines.contains(&line), "line {line} missing from {lines:?}");
     }
 }
