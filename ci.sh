@@ -42,7 +42,11 @@ echo "== cargo test (ann, optimized: block-scan exactness) =="
 cargo test --release -q -p ann
 
 echo "== verify_claims (headline regression gate) =="
-EXPERIMENT_SECONDS="${EXPERIMENT_SECONDS:-10}" cargo run -q -p bench --bin verify_claims
+# At the default 30 simulated seconds it rewrites the tracked
+# results/*-full.json and verify_claims.json goldens with the same bytes;
+# any other length would overwrite them, so the run is pinned and gated.
+EXPERIMENT_SECONDS=30 cargo run --release -q -p bench --bin verify_claims
+git diff --exit-code -- results/
 
 echo "== benchmark smoke (every workload's output checks, ~17 s) =="
 # Gates: builds benchmark/ against the workspace's public API and runs

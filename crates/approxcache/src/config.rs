@@ -66,14 +66,8 @@ pub struct PeerConfig {
     /// guard that keeps slow radios (BLE) from costing more than the
     /// inference they try to avoid.
     pub query_budget_fraction: f64,
-    /// Push fresh inference results to neighbours.
-    pub advertise_on_inference: bool,
     /// How many nearest neighbours receive each advertisement.
     pub advertise_fanout: usize,
-    /// Quantize advertised keys to 8-bit codes before transmission —
-    /// ~4× fewer payload bytes at a reconstruction error far below the
-    /// sensor-noise floor.
-    pub compress_advertisements: bool,
     /// `None`: the simulation gives devices oracle knowledge of who is in
     /// radio range. `Some`: devices discover each other with periodic
     /// beacons (see [`p2pnet::discovery`]) — what a real deployment runs;
@@ -113,9 +107,7 @@ impl Default for PeerConfig {
             link: LinkSpec::wifi_direct(),
             max_peers_queried: 3,
             query_budget_fraction: 0.5,
-            advertise_on_inference: true,
             advertise_fanout: 2,
-            compress_advertisements: false,
             discovery: None,
             resilience: None,
         }
@@ -145,10 +137,6 @@ pub struct EdgeConfig {
     /// [`PeerConfig::query_budget_fraction`], but permissive by default
     /// because one WAN round-trip replaces an entire inference.
     pub query_budget_fraction: f64,
-    /// Push fresh inference results up to the edge.
-    pub insert_on_inference: bool,
-    /// Also relay peer-learned results as gossip advertisements.
-    pub gossip_ads: bool,
 }
 
 impl Default for EdgeConfig {
@@ -158,36 +146,6 @@ impl Default for EdgeConfig {
             capacity: 4_096,
             queue_limit: 4_096,
             query_budget_fraction: 0.8,
-            insert_on_inference: true,
-            gossip_ads: true,
-        }
-    }
-}
-
-/// The cheap scene-change check that guards the IMU fast path.
-///
-/// "Inertially still" does not imply "scene unchanged": an occluder can
-/// walk into a stationary camera's view. Real systems guard reuse with a
-/// frame-differencing test; the simulator's analogue is a low-dimensional
-/// random-projection sketch of the frame descriptor, compared against the
-/// sketch taken when the previous result was last *validated*. A large
-/// distance demotes the fast path to a real cache lookup.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SceneCheck {
-    /// Sketch dimensionality (small: the check must be much cheaper than
-    /// feature extraction).
-    pub sketch_dim: usize,
-    /// Sketch distance above which the scene is considered changed.
-    /// Same-subject re-renders of the default scene sit well below 10;
-    /// subject changes sit well above 15.
-    pub distance_threshold: f64,
-}
-
-impl Default for SceneCheck {
-    fn default() -> Self {
-        SceneCheck {
-            sketch_dim: 16,
-            distance_threshold: 12.0,
         }
     }
 }
@@ -233,13 +191,6 @@ pub struct PipelineConfig {
     pub expiry: Option<CacheExpiry>,
     /// Runtime threshold adaptation via sampled audits (None disables).
     pub adaptive: Option<crate::adaptive::AdaptiveConfig>,
-    /// Activity-adaptive gating: classify the device's activity
-    /// (still/handheld/walking/turning/vehicle) from each IMU window and
-    /// swap in the per-activity gate preset, instead of one static gate.
-    pub activity_adaptive_gate: bool,
-    /// Scene-change guard on the IMU fast path (None disables the check
-    /// and restores blind "still ⇒ reuse" behaviour).
-    pub scene_check: Option<SceneCheck>,
     /// Per-device decision-trace ring capacity (None disables tracing;
     /// the disabled path costs one branch per frame).
     pub trace_capacity: Option<usize>,
@@ -267,8 +218,6 @@ impl PipelineConfig {
             costs: CostModel::default(),
             expiry: None,
             adaptive: None,
-            activity_adaptive_gate: false,
-            scene_check: Some(SceneCheck::default()),
             trace_capacity: None,
             edge: None,
         }
@@ -327,18 +276,6 @@ impl PipelineConfig {
         self
     }
 
-    /// Sets the peer tier's resilience machinery (no-op when peers are
-    /// disabled; `None` turns the machinery off again).
-    pub fn with_resilience(
-        mut self,
-        resilience: Option<p2pnet::ResilienceConfig>,
-    ) -> PipelineConfig {
-        if let Some(peer) = self.peer.as_mut() {
-            peer.resilience = resilience;
-        }
-        self
-    }
-
     /// Replaces the eviction policy, keeping everything else.
     pub fn with_eviction(mut self, eviction: EvictionPolicy) -> PipelineConfig {
         self.cache = self.cache.clone().with_eviction(eviction);
@@ -357,18 +294,6 @@ impl PipelineConfig {
         adaptive: Option<crate::adaptive::AdaptiveConfig>,
     ) -> PipelineConfig {
         self.adaptive = adaptive;
-        self
-    }
-
-    /// Enables or disables activity-adaptive gating.
-    pub fn with_activity_adaptive_gate(mut self, enabled: bool) -> PipelineConfig {
-        self.activity_adaptive_gate = enabled;
-        self
-    }
-
-    /// Replaces or disables the fast-path scene-change guard.
-    pub fn with_scene_check(mut self, scene_check: Option<SceneCheck>) -> PipelineConfig {
-        self.scene_check = scene_check;
         self
     }
 

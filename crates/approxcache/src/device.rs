@@ -24,6 +24,15 @@ use crate::config::PipelineConfig;
 /// change detector, not a shared key space.
 const SCENE_SKETCH_SEED: u64 = 0x5ce_17e;
 
+/// Dimension of the scene-change sketch: small, so the check stays much
+/// cheaper than feature extraction.
+const SCENE_SKETCH_DIM: usize = 16;
+
+/// Sketch distance above which the scene counts as changed. Same-subject
+/// re-renders of the default scene sit well below 10; subject changes sit
+/// well above 15.
+const SCENE_CHANGE_DISTANCE: f64 = 12.0;
+
 /// Identifier of a device within one simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct DeviceId(pub usize);
@@ -141,9 +150,6 @@ pub struct Device {
     expiry: Option<crate::config::CacheExpiry>,
     last_expiry_sweep: SimTime,
     adaptive: Option<crate::adaptive::AdaptiveController>,
-    /// Activity classifier for activity-adaptive gating (None when the
-    /// feature is off).
-    activity: Option<imu::ActivityClassifier>,
     transport: Transport,
     /// Last emitted label plus the instant it was last *validated* (by a
     /// cache hit, a peer answer or an inference — not by the fast path
@@ -158,10 +164,8 @@ pub struct Device {
     outcomes: Vec<FrameOutcome>,
     /// Entries queued for advertisement after the current frame.
     pending_advertisement: Option<WireEntry>,
-    /// Scene-change guard parameters (None when the check is off or the
-    /// variant has no fast path to guard).
-    scene_check: Option<crate::config::SceneCheck>,
-    /// The sketch projection backing the scene-change check.
+    /// The sketch projection backing the scene-change check (None when
+    /// the variant has no fast path to guard).
     scene_sketch: Option<Arc<RandomProjection>>,
     /// Sketch taken when the previous result was last validated.
     validated_sketch: Option<FeatureVector>,
@@ -231,7 +235,7 @@ impl Projections {
     /// Builds the matrices a device running `variant` under `config`
     /// projects raw descriptors of `descriptor_dim` with: the key
     /// projection, plus the scene sketch when the variant has an IMU fast
-    /// path and `config.scene_check` guards it.
+    /// path to guard.
     pub(crate) fn new(
         config: &PipelineConfig,
         variant: SystemVariant,
@@ -239,10 +243,10 @@ impl Projections {
     ) -> Projections {
         Projections {
             key: Arc::new(config.build_projection(descriptor_dim)),
-            scene_sketch: guarded_scene_check(config, variant).map(|check| {
+            scene_sketch: variant.imu_enabled().then(|| {
                 Arc::new(RandomProjection::new(
                     descriptor_dim,
-                    check.sketch_dim,
+                    SCENE_SKETCH_DIM,
                     SCENE_SKETCH_SEED,
                 ))
             }),
@@ -259,24 +263,15 @@ impl Projections {
         descriptor_dim: usize,
     ) -> bool {
         let shape = |p: &RandomProjection| (p.dim_in(), p.dim_out(), p.seed());
-        let sketch_fits = match (&self.scene_sketch, guarded_scene_check(config, variant)) {
-            (None, None) => true,
-            (Some(sketch), Some(check)) => {
-                shape(sketch) == (descriptor_dim, check.sketch_dim, SCENE_SKETCH_SEED)
+        let sketch_fits = match &self.scene_sketch {
+            None => !variant.imu_enabled(),
+            Some(sketch) => {
+                variant.imu_enabled()
+                    && shape(sketch) == (descriptor_dim, SCENE_SKETCH_DIM, SCENE_SKETCH_SEED)
             }
-            _ => false,
         };
         sketch_fits && shape(&self.key) == (descriptor_dim, config.key_dim, config.projection_seed)
     }
-}
-
-/// The scene-change guard a device of `variant` runs: it only matters
-/// where a fast path exists to guard.
-fn guarded_scene_check(
-    config: &PipelineConfig,
-    variant: SystemVariant,
-) -> Option<crate::config::SceneCheck> {
-    config.scene_check.filter(|_| variant.imu_enabled())
 }
 
 /// Typed constructor for [`Device`].
@@ -452,9 +447,6 @@ impl<'a> DeviceBuilder<'a> {
             adaptive: effective
                 .adaptive
                 .map(crate::adaptive::AdaptiveController::new),
-            activity: effective
-                .activity_adaptive_gate
-                .then(imu::ActivityClassifier::default),
             transport: Transport::new(link),
             last_result: None,
             motion_since_validation: 0.0,
@@ -462,7 +454,6 @@ impl<'a> DeviceBuilder<'a> {
             rng: device_rng,
             outcomes: Vec::new(),
             pending_advertisement: None,
-            scene_check: guarded_scene_check(&effective, variant),
             scene_sketch: projections.scene_sketch,
             validated_sketch: None,
             frame_sketch: None,
@@ -651,13 +642,6 @@ impl Device {
             let estimate = self.estimator.estimate(imu_window);
             self.motion_since_validation += estimate.motion_score();
             draft.motion_score = estimate.motion_score();
-            // Activity-adaptive gating: swap in the preset for the
-            // current activity, keeping the configured reuse-age bound.
-            if let Some(classifier) = &mut self.activity {
-                let preset = classifier.classify(&estimate).gate_preset();
-                self.gate.still_threshold = preset.still_threshold;
-                self.gate.skip_threshold = preset.skip_threshold;
-            }
             let age = self
                 .last_result
                 .map(|(_, at)| now.saturating_duration_since(at));
@@ -674,19 +658,17 @@ impl Device {
         // cheap sketch comparison against the last *validated* frame
         // demotes the fast path to a real lookup when the view moved.
         if decision == GateDecision::ReusePrevious {
-            if let Some(check) = self.scene_check {
-                latency += self.costs.scene_check;
-                energy += self.energy.compute_energy(self.costs.scene_check);
-                let changed = match (&self.validated_sketch, &self.frame_sketch) {
-                    (Some(prev), Some(current)) => {
-                        features::distance::euclidean(prev, current) > check.distance_threshold
-                    }
-                    _ => false,
-                };
-                draft.scene_changed = Some(changed);
-                if changed {
-                    decision = GateDecision::LookupLocal;
+            latency += self.costs.scene_check;
+            energy += self.energy.compute_energy(self.costs.scene_check);
+            let changed = match (&self.validated_sketch, &self.frame_sketch) {
+                (Some(prev), Some(current)) => {
+                    features::distance::euclidean(prev, current) > SCENE_CHANGE_DISTANCE
                 }
+                _ => false,
+            };
+            draft.scene_changed = Some(changed);
+            if changed {
+                decision = GateDecision::LookupLocal;
             }
         }
 
@@ -845,8 +827,9 @@ impl Device {
                             );
                             // Relay the peer-learned answer up to the
                             // edge so devices outside this neighbourhood
-                            // benefit too (fire-and-forget).
-                            if self.edge.as_ref().is_some_and(|e| e.config.gossip_ads) {
+                            // benefit too (fire-and-forget). Without an
+                            // edge tier the key is not even cloned.
+                            if self.edge.is_some() {
                                 self.edge_push(
                                     edge::Frame::GossipAd {
                                         key: key.clone(),
@@ -984,11 +967,7 @@ impl Device {
         self.store_result(&key, inference.label, inference.confidence, now);
         // Freshly inferred results go up to the edge so the whole fleet
         // can reuse them (fire-and-forget, nothing on the frame path).
-        if self
-            .edge
-            .as_ref()
-            .is_some_and(|e| e.config.insert_on_inference)
-        {
+        if self.edge.is_some() {
             self.edge_push(
                 edge::Frame::Insert {
                     key: key.clone(),
@@ -998,11 +977,7 @@ impl Device {
                 now,
             );
         }
-        if self
-            .peer
-            .as_ref()
-            .is_some_and(|p| p.advertise_on_inference && self.variant.peers_enabled())
-        {
+        if self.peer.is_some() && self.variant.peers_enabled() {
             self.pending_advertisement = Some(WireEntry {
                 key: key.clone(),
                 label: inference.label.0,
@@ -1251,33 +1226,6 @@ fn radio_of(link: &p2pnet::LinkSpec) -> Radio {
         "ble" => Radio::Ble,
         "wan" => Radio::Wan,
         _ => Radio::WifiDirect,
-    }
-}
-
-/// The wire form of one advertised entry and the entry its receivers
-/// cache. With compression, receivers get the *dequantized* key — the
-/// fidelity loss of the wire format is modelled, not just its byte
-/// count.
-pub(crate) fn advertisement_message(entry: WireEntry, compress: bool) -> (P2pMessage, WireEntry) {
-    if compress {
-        let quantized = features::QuantizedVector::quantize(&entry.key);
-        let delivered = WireEntry {
-            key: quantized.dequantize(),
-            ..entry
-        };
-        let message = P2pMessage::AdvertiseCompact {
-            entries: vec![p2pnet::protocol::CompactEntry {
-                key: quantized,
-                label: delivered.label,
-                confidence: delivered.confidence,
-            }],
-        };
-        (message, delivered)
-    } else {
-        let message = P2pMessage::Advertise {
-            entries: vec![entry.clone()],
-        };
-        (message, entry)
     }
 }
 

@@ -42,8 +42,8 @@ use std::num::NonZeroUsize;
 
 use imu::{DeviceStream, Pose};
 use p2pnet::{
-    BoundaryExchange, Discovery, Envelope, FaultSchedule, ProximityGrid, ProximityModel,
-    ResilienceCounters, WireEntry,
+    BoundaryExchange, Discovery, Envelope, FaultSchedule, P2pMessage, ProximityGrid,
+    ProximityModel, ResilienceCounters, WireEntry,
 };
 use reuse::SharedCache;
 use scene::{ClassId, ClassUniverse, FrameRenderer, World};
@@ -52,9 +52,7 @@ use simcore::{SimDuration, SimRng, SimTime};
 
 use crate::baseline::SystemVariant;
 use crate::config::PipelineConfig;
-use crate::device::{
-    advertisement_message, Device, DeviceBuilder, DeviceId, FrameOutcome, Projections,
-};
+use crate::device::{Device, DeviceBuilder, DeviceId, FrameOutcome, Projections};
 use crate::error::ConfigError;
 use crate::report::RunReport;
 use crate::sim::Scenario;
@@ -147,7 +145,6 @@ struct RoundCtx<'a> {
     views: &'a [SharedCache<ClassId>],
     grid: Option<&'a ProximityGrid>,
     fanout: usize,
-    compress: bool,
     now: SimTime,
     prev: SimTime,
     /// The next round's clock: each device steps its stream there at the
@@ -219,10 +216,6 @@ pub fn run_fleet(
         .as_ref()
         .map(|p| ProximityModel::new(p.link.range_m.min(1e6)));
     let fanout = config.peer.as_ref().map_or(0, |p| p.advertise_fanout);
-    let compress = config
-        .peer
-        .as_ref()
-        .is_some_and(|p| p.compress_advertisements);
     let breaker_config = config
         .peer
         .as_ref()
@@ -392,7 +385,6 @@ pub fn run_fleet(
             views: &views,
             grid: grid.as_ref(),
             fanout,
-            compress,
             now,
             prev: prev_frame_time,
             next: SimTime::ZERO + frame_interval * (frame_index as u64 + 1),
@@ -613,10 +605,12 @@ fn shard_round(
         // Advertise fresh inference results toward the nearest
         // neighbours; delivery happens at a later barrier.
         if let Some(entry) = slot.device.take_advertisement() {
-            let (message, delivered_entry) = advertisement_message(entry, ctx.compress);
+            let message = P2pMessage::Advertise {
+                entries: vec![entry.clone()],
+            };
             for &target in neighbor_indices.iter().take(ctx.fanout) {
                 if let Some(delay) = slot.device.charge_advertisement(&message) {
-                    let mut payload = delivered_entry.clone();
+                    let mut payload = entry.clone();
                     if ctx.schedule.poison_prob() > 0.0
                         && slot.poison_rng.chance(ctx.schedule.poison_prob())
                     {

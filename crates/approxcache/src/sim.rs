@@ -16,15 +16,15 @@
 use serde::{Deserialize, Serialize};
 
 use imu::{DeviceStream, ImuSynthesizer, MotionProfile};
-use p2pnet::{FaultConfig, FaultSchedule, ProximityModel, ResilienceCounters, WireEntry};
+use p2pnet::{
+    FaultConfig, FaultSchedule, P2pMessage, ProximityModel, ResilienceCounters, WireEntry,
+};
 use scene::{ClassUniverse, FrameRenderer, SceneConfig, World};
 use simcore::{EventQueue, SimDuration, SimRng, SimTime};
 
 use crate::baseline::SystemVariant;
 use crate::config::{device_motion, PipelineConfig};
-use crate::device::{
-    advertisement_message, Device, DeviceBuilder, DeviceId, FrameOutcome, Projections,
-};
+use crate::device::{Device, DeviceBuilder, DeviceId, FrameOutcome, Projections};
 use crate::error::ConfigError;
 use crate::report::RunReport;
 
@@ -512,14 +512,12 @@ pub fn run(
 
             // Advertise fresh inference results to the nearest neighbours.
             if let Some(entry) = device.take_advertisement() {
-                let compress = config
-                    .peer
-                    .as_ref()
-                    .is_some_and(|p| p.compress_advertisements);
-                let (message, delivered_entry) = advertisement_message(entry, compress);
+                let message = P2pMessage::Advertise {
+                    entries: vec![entry.clone()],
+                };
                 for &target in neighbor_indices.iter().take(fanout) {
                     if let Some(delay) = device.charge_advertisement(&message) {
-                        let mut entry = delivered_entry.clone();
+                        let mut entry = entry.clone();
                         // Adversarial ad poisoning: corrupt the label so
                         // the receiver caches a wrong answer.
                         if schedule.poison_prob() > 0.0 && poison_rng.chance(schedule.poison_prob())
@@ -862,39 +860,6 @@ mod tests {
     }
 
     #[test]
-    fn compressed_advertisements_save_bytes_without_losing_reuse() {
-        let scenario = Scenario::multi_device(
-            MotionProfile::TurnAndLook {
-                dwell_secs: 3.0,
-                turn_deg: 45.0,
-            },
-            6,
-        )
-        .with_duration(SimDuration::from_secs(8));
-        let config = PipelineConfig::calibrated(&scenario, 14);
-        let float_run = summary(&scenario, &config, SystemVariant::Full, 14);
-        let mut compressed_config = config.clone();
-        compressed_config
-            .peer
-            .as_mut()
-            .expect("peers enabled")
-            .compress_advertisements = true;
-        let compact_run = summary(&scenario, &compressed_config, SystemVariant::Full, 14);
-        assert!(
-            (compact_run.network.bytes_sent as f64) < float_run.network.bytes_sent as f64 * 0.8,
-            "compact {} !< 0.8 × float {}",
-            compact_run.network.bytes_sent,
-            float_run.network.bytes_sent
-        );
-        assert!(
-            (compact_run.reuse_rate() - float_run.reuse_rate()).abs() < 0.03,
-            "compact reuse {} vs float {}",
-            compact_run.reuse_rate(),
-            float_run.reuse_rate()
-        );
-    }
-
-    #[test]
     fn heterogeneous_fleet_helps_slow_devices_most() {
         // Museum of alternating budget and flagship phones: peers mean a
         // budget phone's misses are often answered by someone else's
@@ -927,32 +892,6 @@ mod tests {
         assert!(
             with_peers < without,
             "budget devices with peers {with_peers} !< solo {without}"
-        );
-    }
-
-    #[test]
-    fn activity_adaptive_gate_reuses_more_while_walking() {
-        // Walking gait defeats a static still-threshold of 1.0 (every
-        // window scores above it); the walking preset (3.0) lets the
-        // fast path fire between strides without losing accuracy.
-        let scenario = Scenario::single_device(MotionProfile::Walking { speed_mps: 1.4 })
-            .with_duration(SimDuration::from_secs(10));
-        let config = PipelineConfig::calibrated(&scenario, 12);
-        let static_gate = summary(&scenario, &config, SystemVariant::Full, 12);
-        let adaptive_config = config.clone().with_activity_adaptive_gate(true);
-        let adaptive = summary(&scenario, &adaptive_config, SystemVariant::Full, 12);
-        assert!(
-            adaptive.path_fraction(ResolutionPath::ImuReuse)
-                > static_gate.path_fraction(ResolutionPath::ImuReuse),
-            "adaptive {} !> static {}",
-            adaptive.path_fraction(ResolutionPath::ImuReuse),
-            static_gate.path_fraction(ResolutionPath::ImuReuse)
-        );
-        assert!(
-            adaptive.accuracy > static_gate.accuracy - 0.1,
-            "adaptive accuracy {} collapsed vs {}",
-            adaptive.accuracy,
-            static_gate.accuracy
         );
     }
 

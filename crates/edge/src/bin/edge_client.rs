@@ -3,7 +3,6 @@
 //! ```text
 //! edge-client --addr HOST:PORT health
 //! edge-client --addr HOST:PORT smoke      # one batched insert/lookup/gossip round-trip
-//! edge-client --addr HOST:PORT snapshot   # prints compressed/decompressed sizes
 //! edge-client --addr HOST:PORT shutdown
 //! ```
 //!
@@ -79,23 +78,13 @@ fn run() -> Result<(), String> {
             Ok(())
         }
         Some("smoke") => smoke(&client),
-        Some("snapshot") => {
-            let blob = client.snapshot().map_err(|e| e.to_string())?;
-            let plain = edge::decompress(&blob).map_err(|e| e.to_string())?;
-            println!(
-                "snapshot: {} bytes compressed, {} plain",
-                blob.len(),
-                plain.len()
-            );
-            Ok(())
-        }
         Some("shutdown") => {
             client.shutdown().map_err(|e| e.to_string())?;
             println!("server acknowledged shutdown");
             Ok(())
         }
         Some(other) => Err(format!("unknown command: {other}")),
-        None => Err("missing command (health | smoke | snapshot | shutdown)".to_string()),
+        None => Err("missing command (health | smoke | shutdown)".to_string()),
     }
 }
 

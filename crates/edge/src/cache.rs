@@ -450,30 +450,6 @@ impl EdgeCache {
     pub fn set_distance_threshold(&self, threshold: f64) {
         self.cache.set_distance_threshold(threshold);
     }
-
-    /// The compressed canonical snapshot of the cache contents — what
-    /// `GET /snapshot` serves.
-    pub fn snapshot_blob(&self, now: SimTime) -> Vec<u8> {
-        let snapshot = self.cache.canonical_snapshot(now);
-        let json = serde_json::to_string(&snapshot).unwrap_or_default();
-        crate::compress::compress(json.as_bytes()).to_vec()
-    }
-
-    /// Restores entries from a [`snapshot_blob`](Self::snapshot_blob)
-    /// through the normal insert path; returns how many were restored.
-    /// A snapshot whose keys are not all of the cache's dimension is
-    /// refused whole.
-    pub fn restore_blob(&self, blob: &[u8], now: SimTime) -> Result<usize, String> {
-        let json = crate::compress::decompress(blob).map_err(|e| e.to_string())?;
-        let json = String::from_utf8(json).map_err(|e| e.to_string())?;
-        let snapshot: reuse::CacheSnapshot<u32> =
-            serde_json::from_str(&json).map_err(|e| e.to_string())?;
-        self.admit_key_dims(snapshot.entries.iter().map(|e| e.key.dim()))
-            .map_err(|(_, got, expected)| {
-                format!("snapshot key dimension {got} does not match the cache's {expected}")
-            })?;
-        Ok(self.cache.restore(&snapshot, now))
-    }
 }
 
 #[cfg(test)]
@@ -752,7 +728,7 @@ mod tests {
     }
 
     #[test]
-    fn first_key_fixes_the_dimension_even_for_a_lookup_or_a_snapshot() {
+    fn first_key_fixes_the_dimension_even_for_a_lookup() {
         let edge = cache_with_limit(8);
         let lookup = BatchRequest {
             device: 1,
@@ -764,24 +740,22 @@ mod tests {
             edge.apply_batch(&lookup, SimTime::ZERO).unwrap().replies,
             vec![Reply::Miss]
         );
-        let narrow = cache_with_limit(8);
-        narrow
-            .apply_batch(
-                &BatchRequest {
-                    device: 1,
-                    frames: vec![Frame::Insert {
-                        key: key(&[1.0, 1.0]),
-                        label: 1,
-                        confidence: 0.9,
-                    }],
-                },
-                SimTime::ZERO,
-            )
-            .unwrap();
-        let err = edge
-            .restore_blob(&narrow.snapshot_blob(SimTime::ZERO), SimTime::ZERO)
-            .unwrap_err();
-        assert!(err.contains("dimension 2"), "{err}");
+        let narrow = BatchRequest {
+            device: 1,
+            frames: vec![Frame::Insert {
+                key: key(&[1.0, 1.0]),
+                label: 1,
+                confidence: 0.9,
+            }],
+        };
+        assert_eq!(
+            edge.apply_batch(&narrow, SimTime::ZERO).unwrap_err(),
+            BatchError::KeyDimension {
+                frame: 0,
+                got: 2,
+                expected: 3,
+            }
+        );
         assert!(edge.is_empty());
     }
 
@@ -843,31 +817,5 @@ mod tests {
         let mut bogus = EdgeCounters::default();
         bogus.record_lookup(true);
         assert!(!bogus.reconciles());
-    }
-
-    #[test]
-    fn snapshot_blob_round_trips_through_a_cold_cache() {
-        let warm = cache_with_limit(16);
-        for i in 0..10u32 {
-            warm.apply_batch(
-                &BatchRequest {
-                    device: 1,
-                    frames: vec![Frame::Insert {
-                        key: key(&[i as f32 * 10.0, 1.0]),
-                        label: i,
-                        confidence: 0.9,
-                    }],
-                },
-                SimTime::ZERO,
-            )
-            .unwrap();
-        }
-        let blob = warm.snapshot_blob(SimTime::from_millis(5));
-        let cold = cache_with_limit(16);
-        let restored = cold.restore_blob(&blob, SimTime::from_millis(6)).unwrap();
-        assert_eq!(restored, 10);
-        assert_eq!(cold.len(), 10);
-        // Garbage is rejected, not panicked on.
-        assert!(cold.restore_blob(b"not a snapshot", SimTime::ZERO).is_err());
     }
 }

@@ -5,12 +5,15 @@
 //! real sockets and wall-clock timeouts and is exempt from the
 //! determinism lint that binds the model half.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use crate::compress::MAX_SNAPSHOT;
 use crate::protocol::{BatchRequest, BatchResponse, DecodeError};
+use crate::server::{read_head_line, HeadError, MAX_HEAD};
+
+/// Largest response body the client will read.
+const MAX_RESPONSE_BODY: usize = 64 * 1024 * 1024;
 
 /// Why a client call failed.
 #[derive(Debug)]
@@ -51,6 +54,15 @@ impl std::error::Error for ClientError {}
 impl From<std::io::Error> for ClientError {
     fn from(e: std::io::Error) -> Self {
         ClientError::Io(e)
+    }
+}
+
+impl From<HeadError> for ClientError {
+    fn from(e: HeadError) -> Self {
+        match e {
+            HeadError::Io(e) => ClientError::Io(e),
+            HeadError::Malformed(what) => ClientError::Malformed(what),
+        }
     }
 }
 
@@ -110,20 +122,6 @@ impl EdgeClient {
         }
     }
 
-    /// Fetches the compressed snapshot blob (feed it to
-    /// [`EdgeCache::restore_blob`](crate::cache::EdgeCache::restore_blob)).
-    pub fn snapshot(&self) -> Result<Vec<u8>, ClientError> {
-        let raw = self.request("GET", "/snapshot", &[])?;
-        if raw.status == 200 {
-            Ok(raw.body)
-        } else {
-            Err(ClientError::Http {
-                status: raw.status,
-                body: String::from_utf8_lossy(&raw.body).into_owned(),
-            })
-        }
-    }
-
     /// Asks the server to shut down (needs
     /// [`ServerConfig::allow_shutdown`](crate::server::ServerConfig::allow_shutdown)).
     pub fn shutdown(&self) -> Result<(), ClientError> {
@@ -152,18 +150,21 @@ impl EdgeClient {
         stream.flush()?;
 
         let mut reader = BufReader::new(stream);
-        let mut status_line = String::new();
-        reader.read_line(&mut status_line)?;
-        let status = status_line
+        // Status line and headers go through one `take`, as on the
+        // server: a peer that never ends a line cannot make the client
+        // buffer without bound. `by_ref` keeps buffered body bytes.
+        let mut head = reader.by_ref().take(MAX_HEAD as u64);
+        let mut line = String::new();
+        read_head_line(&mut head, &mut line)?;
+        let status = line
             .split_whitespace()
             .nth(1)
             .and_then(|s| s.parse::<u16>().ok())
             .ok_or(ClientError::Malformed("status line"))?;
         let mut content_length: Option<usize> = None;
         loop {
-            let mut header = String::new();
-            reader.read_line(&mut header)?;
-            let trimmed = header.trim_end();
+            read_head_line(&mut head, &mut line)?;
+            let trimmed = line.trim_end();
             if trimmed.is_empty() {
                 break;
             }
@@ -173,8 +174,7 @@ impl EdgeClient {
                         .trim()
                         .parse::<usize>()
                         .map_err(|_| ClientError::Malformed("content-length"))?;
-                    // The largest snapshot is the biggest body the server sends.
-                    if parsed > MAX_SNAPSHOT {
+                    if parsed > MAX_RESPONSE_BODY {
                         return Err(ClientError::Malformed("body too large"));
                     }
                     content_length = Some(parsed);
@@ -189,12 +189,69 @@ impl EdgeClient {
             }
             None => {
                 // `Connection: close` responses without a length run to
-                // EOF (bounded by MAX_SNAPSHOT).
+                // EOF (bounded by MAX_RESPONSE_BODY).
                 let mut body = Vec::new();
-                reader.take(MAX_SNAPSHOT as u64).read_to_end(&mut body)?;
+                reader
+                    .take(MAX_RESPONSE_BODY as u64)
+                    .read_to_end(&mut body)?;
                 body
             }
         };
         Ok(RawResponse { status, body })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::BufRead;
+    use std::net::TcpListener;
+    use std::thread::JoinHandle;
+
+    /// A one-shot fake server: reads the request head, writes `response`
+    /// and holds the socket open until the client hangs up.
+    fn serve_once(response: Vec<u8>) -> (EdgeClient, JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+            let mut line = String::new();
+            while reader.read_line(&mut line).is_ok_and(|n| n > 0) && line != "\r\n" {
+                line.clear();
+            }
+            let _ = stream.write_all(&response);
+            let _ = stream.read_to_end(&mut Vec::new());
+        });
+        let client = EdgeClient::new(addr).with_timeout(Duration::from_secs(10));
+        (client, server)
+    }
+
+    #[test]
+    fn a_declared_body_over_the_cap_is_refused_unread() {
+        let head = format!(
+            "HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n",
+            MAX_RESPONSE_BODY + 1
+        );
+        let (client, server) = serve_once(head.into_bytes());
+        let err = client.health().expect_err("over the cap");
+        assert!(
+            matches!(err, ClientError::Malformed("body too large")),
+            "{err}"
+        );
+        server.join().expect("fake server");
+    }
+
+    #[test]
+    fn a_header_line_without_end_is_cut_off_at_the_cap() {
+        let mut response = b"HTTP/1.1 200 OK\r\nX-Filler: ".to_vec();
+        response.resize(MAX_HEAD + 1, b'a');
+        let (client, server) = serve_once(response);
+        let err = client.health().expect_err("endless header");
+        assert!(
+            matches!(err, ClientError::Malformed("head too large")),
+            "{err}"
+        );
+        server.join().expect("fake server");
     }
 }

@@ -8,8 +8,7 @@
 //!
 //! - **Protocol + model half** (deterministic, sim-grade):
 //!   [`protocol`] defines the batched lookup/insert/gossip wire format
-//!   with varint+XOR-delta key coding; [`compress`](mod@compress) the
-//!   LZ77 snapshot compressor; [`cache`] the [`EdgeCache`] wrapping
+//!   with varint+XOR-delta key coding; [`cache`] the [`EdgeCache`] wrapping
 //!   [`reuse::SharedCache`] behind batched operations with
 //!   bounded-queue backpressure ([`BatchError::Overloaded`], never
 //!   blocking). The
@@ -24,12 +23,10 @@
 
 pub mod cache;
 pub mod client;
-pub mod compress;
 pub mod protocol;
 pub mod server;
 
 pub use cache::{BatchError, EdgeCache, EdgeCacheConfig, EdgeCounters};
 pub use client::{ClientError, EdgeClient};
-pub use compress::{compress, decompress, CompressError};
 pub use protocol::{BatchRequest, BatchResponse, DecodeError, EdgeHit, Frame, Reply};
 pub use server::{EdgeServer, ServerConfig};

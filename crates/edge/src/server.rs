@@ -11,7 +11,6 @@
 //! | route            | body                                   | answers |
 //! |------------------|----------------------------------------|---------|
 //! | `POST /batch`    | [`BatchRequest`] wire bytes            | `200` [`BatchResponse`](crate::protocol::BatchResponse) wire bytes, `400` on a codec error or a key of the wrong dimension, `503` on overload |
-//! | `GET /snapshot`  | —                                      | `200` compressed canonical snapshot |
 //! | `GET /health`    | —                                      | `200` one-line counter summary |
 //! | `POST /shutdown` | — (only with [`ServerConfig::allow_shutdown`]) | `200`, then the server drains and exits |
 //!
@@ -24,7 +23,7 @@
 //! touches the wall clock and real sockets, and is exempt from the
 //! determinism lint the model half is held to.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Read, Take, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
@@ -39,8 +38,9 @@ use crate::protocol::BatchRequest;
 
 /// Largest request body the server will read.
 const MAX_BODY: usize = 8 * 1024 * 1024;
-/// Largest request head (request line + headers) the server will read.
-const MAX_HEAD: usize = 16 * 1024;
+/// Largest HTTP head (request or status line plus headers) the server
+/// and the client will read.
+pub const MAX_HEAD: usize = 16 * 1024;
 
 /// Tuning of an [`EdgeServer`].
 #[derive(Debug, Clone)]
@@ -229,12 +229,12 @@ struct RequestHead {
 }
 
 fn read_head(reader: &mut BufReader<&TcpStream>) -> Result<RequestHead, &'static str> {
+    // The whole head goes through one `take`, so a peer that never sends
+    // a newline costs MAX_HEAD bytes, not a worker until its read timeout.
+    // `by_ref` leaves any body bytes already buffered in `reader`.
+    let mut head = reader.by_ref().take(MAX_HEAD as u64);
     let mut line = String::new();
-    let mut total = 0usize;
-    reader
-        .read_line(&mut line)
-        .map_err(|_| "read request line")?;
-    total += line.len();
+    read_head_line(&mut head, &mut line)?;
     let mut parts = line.split_whitespace();
     let method = parts.next().ok_or("missing method")?.to_string();
     let path = parts.next().ok_or("missing path")?.to_string();
@@ -244,13 +244,8 @@ fn read_head(reader: &mut BufReader<&TcpStream>) -> Result<RequestHead, &'static
     }
     let mut content_length = 0usize;
     loop {
-        let mut header = String::new();
-        reader.read_line(&mut header).map_err(|_| "read header")?;
-        total += header.len();
-        if total > MAX_HEAD {
-            return Err("request head too large");
-        }
-        let trimmed = header.trim_end();
+        read_head_line(&mut head, &mut line)?;
+        let trimmed = line.trim_end();
         if trimmed.is_empty() {
             break;
         }
@@ -268,6 +263,42 @@ fn read_head(reader: &mut BufReader<&TcpStream>) -> Result<RequestHead, &'static
         path,
         content_length,
     })
+}
+
+/// Why one line of an HTTP head could not be read.
+#[derive(Debug)]
+pub(crate) enum HeadError {
+    /// The socket failed (or timed out).
+    Io(std::io::Error),
+    /// The line had no newline: "head too large" when the `MAX_HEAD` cap
+    /// cut it, "truncated head" when the peer closed mid-line.
+    Malformed(&'static str),
+}
+
+impl From<HeadError> for &'static str {
+    fn from(e: HeadError) -> &'static str {
+        match e {
+            HeadError::Io(_) => "read request head",
+            HeadError::Malformed(what) => what,
+        }
+    }
+}
+
+/// Reads one line of an HTTP head into `line` from `head`, a reader
+/// capped by `take(MAX_HEAD)`; a line without its newline is refused.
+pub(crate) fn read_head_line<R: BufRead>(
+    head: &mut Take<R>,
+    line: &mut String,
+) -> Result<(), HeadError> {
+    line.clear();
+    head.read_line(line).map_err(HeadError::Io)?;
+    if line.ends_with('\n') {
+        Ok(())
+    } else if head.limit() == 0 {
+        Err(HeadError::Malformed("head too large"))
+    } else {
+        Err(HeadError::Malformed("truncated head"))
+    }
 }
 
 fn write_response(
@@ -338,10 +369,6 @@ fn handle_connection(
                 let _ = write_response(stream, 400, "text/plain", msg.as_bytes());
             }
         },
-        ("GET", "/snapshot") => {
-            let blob = cache.snapshot_blob(now);
-            let _ = write_response(stream, 200, "application/octet-stream", &blob);
-        }
         ("GET", "/health") => {
             let body = format!("ok: {}\n", cache.counters());
             let _ = write_response(stream, 200, "text/plain", body.as_bytes());

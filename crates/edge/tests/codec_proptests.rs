@@ -1,7 +1,6 @@
-//! Property tests over the wire codec and the snapshot compressor:
-//! encode→decode identity for every frame and reply type, totality of
-//! both decoders over arbitrary bytes (typed errors, never a panic),
-//! and compressor round-trips.
+//! Property tests over the wire codec: encode→decode identity for every
+//! frame and reply type, and totality of both decoders over arbitrary
+//! bytes (typed errors, never a panic).
 
 use proptest::prelude::*;
 
@@ -73,7 +72,6 @@ proptest! {
         // Any byte soup must yield Ok or a typed error — never a panic.
         let _ = BatchRequest::decode(&data);
         let _ = BatchResponse::decode(&data);
-        let _ = edge::decompress(&data);
     }
 
     #[test]
@@ -89,19 +87,4 @@ proptest! {
         }
     }
 
-    #[test]
-    fn compressor_round_trips(data in proptest::collection::vec(any::<u8>(), 0..4096)) {
-        let z = edge::compress(&data);
-        prop_assert_eq!(edge::decompress(&z).unwrap(), data);
-    }
-
-    #[test]
-    fn compressor_round_trips_repetitive(
-        pattern in proptest::collection::vec(any::<u8>(), 1..32),
-        repeats in 1usize..200,
-    ) {
-        let data: Vec<u8> = pattern.iter().copied().cycle().take(pattern.len() * repeats).collect();
-        let z = edge::compress(&data);
-        prop_assert_eq!(edge::decompress(&z).unwrap(), data);
-    }
 }

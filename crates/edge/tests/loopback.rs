@@ -2,11 +2,14 @@
 //! lookup/insert/gossip session byte-identically to the in-process
 //! `EdgeCache`, and overload must surface as `503`, never as blocking.
 
-use std::time::Duration;
+use std::io::{ErrorKind, Read, Write};
+use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 use features::FeatureVector;
 use simcore::SimTime;
 
+use edge::server::MAX_HEAD;
 use edge::{
     BatchRequest, ClientError, EdgeCache, EdgeCacheConfig, EdgeClient, EdgeServer, Frame, Reply,
     ServerConfig,
@@ -100,12 +103,6 @@ fn tcp_session_matches_in_process_cache_byte_for_byte() {
         health.starts_with("ok:"),
         "unexpected health line: {health}"
     );
-
-    // The snapshot round-trips into a cold in-process cache.
-    let blob = client.snapshot().expect("snapshot");
-    let cold = EdgeCache::new(config).unwrap();
-    let restored = cold.restore_blob(&blob, SimTime::ZERO).expect("restore");
-    assert_eq!(restored, served.len());
 
     server.stop();
 }
@@ -279,4 +276,43 @@ fn shutdown_route_is_gated_and_clean() {
     let client = EdgeClient::new(server.addr().to_string());
     client.shutdown().expect("shutdown acknowledged");
     server.wait();
+}
+
+#[test]
+fn a_head_without_a_newline_is_refused_at_the_cap_not_the_timeout() {
+    let cache = EdgeCache::new(EdgeCacheConfig::default()).unwrap();
+    let server = EdgeServer::start("127.0.0.1:0", cache, ServerConfig::default())
+        .expect("bind ephemeral port");
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let started = Instant::now();
+    // One byte past the cap and no newline; the socket stays open.
+    let sent = stream.write_all(&vec![b'a'; MAX_HEAD + 1]);
+    let mut response = Vec::new();
+    let read = stream.read_to_end(&mut response);
+    let waited = started.elapsed();
+    assert!(
+        waited < Duration::from_secs(1),
+        "the worker held the connection for {waited:?}"
+    );
+    let reset = |kind: ErrorKind| {
+        matches!(
+            kind,
+            ErrorKind::ConnectionReset | ErrorKind::ConnectionAborted | ErrorKind::BrokenPipe
+        )
+    };
+    match (sent, read) {
+        (Ok(()), Ok(_)) => assert!(
+            response.starts_with(b"HTTP/1.1 400"),
+            "{}",
+            String::from_utf8_lossy(&response)
+        ),
+        (Err(e), _) | (_, Err(e)) => assert!(reset(e.kind()), "{e}"),
+    }
+    // The worker is free again.
+    let client = EdgeClient::new(server.addr().to_string()).with_timeout(Duration::from_secs(10));
+    assert!(client.health().expect("health").starts_with("ok:"));
+    server.stop();
 }

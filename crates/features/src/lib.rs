@@ -35,10 +35,8 @@
 
 pub mod distance;
 pub mod projection;
-pub mod quantize;
 pub mod vector;
 
 pub use distance::Metric;
 pub use projection::RandomProjection;
-pub use quantize::QuantizedVector;
 pub use vector::{FeatureError, FeatureVector};

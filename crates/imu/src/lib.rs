@@ -45,7 +45,6 @@
 //! assert_eq!(gate.decide(&estimate), GateDecision::ReusePrevious);
 //! ```
 
-pub mod activity;
 pub mod estimate;
 pub mod gate;
 pub mod profile;
@@ -54,7 +53,6 @@ pub mod stream;
 pub mod synth;
 pub mod trace;
 
-pub use activity::{Activity, ActivityClassifier};
 pub use estimate::{MotionEstimate, MotionEstimator};
 pub use gate::{GateDecision, ImuGate};
 pub use profile::MotionProfile;

@@ -16,7 +16,7 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
 
-use features::{FeatureVector, QuantizedVector};
+use features::FeatureVector;
 
 /// Magic byte prefix guarding against cross-protocol messages.
 const MAGIC: u8 = 0xAC;
@@ -24,7 +24,8 @@ const MAGIC: u8 = 0xAC;
 const TAG_QUERY: u8 = 1;
 const TAG_REPLY: u8 = 2;
 const TAG_ADVERTISE: u8 = 3;
-const TAG_ADVERTISE_COMPACT: u8 = 4;
+// Tag 4 is retired (it carried 8-bit-quantized advertisements) and now
+// decodes as `BadTag(4)`; a new message takes 5.
 
 /// A cache hit as reported by a remote peer. Labels travel as raw `u32`
 /// (the label space is shared deployment-wide).
@@ -43,18 +44,6 @@ pub struct RemoteHit {
 pub struct WireEntry {
     /// The feature-space key.
     pub key: FeatureVector,
-    /// The label.
-    pub label: u32,
-    /// Producer confidence.
-    pub confidence: f64,
-}
-
-/// One shareable cache entry with an 8-bit-quantized key — ~4× smaller on
-/// the wire than [`WireEntry`] at negligible distance distortion.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CompactEntry {
-    /// The quantized feature-space key.
-    pub key: QuantizedVector,
     /// The label.
     pub label: u32,
     /// Producer confidence.
@@ -82,11 +71,6 @@ pub enum P2pMessage {
     Advertise {
         /// The shared entries.
         entries: Vec<WireEntry>,
-    },
-    /// Push fresh entries with quantized keys (see [`CompactEntry`]).
-    AdvertiseCompact {
-        /// The shared entries.
-        entries: Vec<CompactEntry>,
     },
 }
 
@@ -150,18 +134,6 @@ impl P2pMessage {
                     buf.put_f64_le(e.confidence);
                 }
             }
-            P2pMessage::AdvertiseCompact { entries } => {
-                buf.put_u8(TAG_ADVERTISE_COMPACT);
-                buf.put_u16_le(entries.len() as u16);
-                for e in entries {
-                    buf.put_u16_le(e.key.dim() as u16);
-                    buf.put_f32_le(e.key.min());
-                    buf.put_f32_le(e.key.scale());
-                    buf.put_slice(e.key.codes());
-                    buf.put_u32_le(e.label);
-                    buf.put_f64_le(e.confidence);
-                }
-            }
         }
         buf.freeze()
     }
@@ -176,12 +148,6 @@ impl P2pMessage {
                 2 + entries
                     .iter()
                     .map(|e| 2 + 4 * e.key.dim() + 4 + 8)
-                    .sum::<usize>()
-            }
-            P2pMessage::AdvertiseCompact { entries } => {
-                2 + entries
-                    .iter()
-                    .map(|e| e.key.encoded_len() + 4 + 8)
                     .sum::<usize>()
             }
         }
@@ -245,33 +211,6 @@ impl P2pMessage {
                 }
                 P2pMessage::Advertise { entries }
             }
-            TAG_ADVERTISE_COMPACT => {
-                let count = take_u16(buf)? as usize;
-                let mut entries = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let dim = take_u16(buf)? as usize;
-                    let min = take_f32(buf)?;
-                    let scale = take_f32(buf)?;
-                    if buf.remaining() < dim {
-                        return Err(DecodeError::Truncated);
-                    }
-                    let mut codes = vec![0u8; dim];
-                    buf.copy_to_slice(&mut codes);
-                    let key = QuantizedVector::from_parts(min, scale, codes)
-                        .map_err(|_| DecodeError::BadField("compact key"))?;
-                    let label = take_u32(buf)?;
-                    let confidence = take_f64(buf)?;
-                    if !confidence.is_finite() {
-                        return Err(DecodeError::BadField("advertise confidence"));
-                    }
-                    entries.push(CompactEntry {
-                        key,
-                        label,
-                        confidence,
-                    });
-                }
-                P2pMessage::AdvertiseCompact { entries }
-            }
             other => return Err(DecodeError::BadTag(other)),
         };
         Ok(message)
@@ -311,13 +250,6 @@ fn take_u64(buf: &mut &[u8]) -> Result<u64, DecodeError> {
         return Err(DecodeError::Truncated);
     }
     Ok(buf.get_u64_le())
-}
-
-fn take_f32(buf: &mut &[u8]) -> Result<f32, DecodeError> {
-    if buf.remaining() < 4 {
-        return Err(DecodeError::Truncated);
-    }
-    Ok(buf.get_f32_le())
 }
 
 fn take_f64(buf: &mut &[u8]) -> Result<f64, DecodeError> {
@@ -404,35 +336,6 @@ mod tests {
     }
 
     #[test]
-    fn advertise_compact_round_trips_and_shrinks() {
-        let float_key = key(&[0.25; 64]);
-        let compact = P2pMessage::AdvertiseCompact {
-            entries: vec![CompactEntry {
-                key: QuantizedVector::quantize(&float_key),
-                label: 5,
-                confidence: 0.9,
-            }],
-        };
-        let encoded = compact.encode();
-        assert_eq!(encoded.len(), compact.encoded_len());
-        assert_eq!(P2pMessage::decode(&encoded).unwrap(), compact);
-        // vs the float version of the same entry.
-        let float_version = P2pMessage::Advertise {
-            entries: vec![WireEntry {
-                key: float_key,
-                label: 5,
-                confidence: 0.9,
-            }],
-        };
-        assert!(
-            compact.encoded_len() * 2 < float_version.encoded_len(),
-            "compact {} vs float {}",
-            compact.encoded_len(),
-            float_version.encoded_len()
-        );
-    }
-
-    #[test]
     fn empty_advertise_is_legal() {
         let m = P2pMessage::Advertise { entries: vec![] };
         assert_eq!(P2pMessage::decode(&m.encode()).unwrap(), m);
@@ -463,6 +366,8 @@ mod tests {
             P2pMessage::decode(&[MAGIC, 99]),
             Err(DecodeError::BadTag(99))
         );
+        // The retired compact-advertisement tag is not reused.
+        assert_eq!(P2pMessage::decode(&[MAGIC, 4]), Err(DecodeError::BadTag(4)));
         assert_eq!(P2pMessage::decode(&[]), Err(DecodeError::Truncated));
     }
 
@@ -557,17 +462,6 @@ mod proptests {
                 0..5
             )
             .prop_map(|entries| P2pMessage::Advertise { entries }),
-            proptest::collection::vec(
-                (arb_key(), any::<u32>(), 0.0f64..1.0).prop_map(|(key, label, confidence)| {
-                    CompactEntry {
-                        key: QuantizedVector::quantize(&key),
-                        label,
-                        confidence,
-                    }
-                }),
-                0..5
-            )
-            .prop_map(|entries| P2pMessage::AdvertiseCompact { entries }),
         ]
     }
 

@@ -191,8 +191,8 @@ impl<L: Copy + Eq + Hash + fmt::Debug> SharedCache<L> {
             .collect()
     }
 
-    /// A snapshot of every entry, sorted by entry id — a deterministic
-    /// view for persistence.
+    /// A snapshot of every entry, sorted by entry id — the deterministic
+    /// copy [`frozen_view`](Self::frozen_view) restores from.
     pub fn snapshot(&self, now: SimTime) -> CacheSnapshot<L> {
         let mut snap = CacheSnapshot::capture(&self.core.cache.lock(), now);
         snap.entries.sort_by_key(|e| e.id);

@@ -1,14 +1,11 @@
-//! Cache snapshots: persist and restore a cache's contents.
+//! Cache snapshots: a copy of a cache's entries.
 //!
-//! The paper's cache is in-memory, but a mobile app is killed and
-//! relaunched constantly; a deployment snapshots the cache on pause and
-//! restores it on resume so the reuse state survives. Snapshots also
-//! serve bulk transfer between devices (a "give me your whole hot set"
-//! exchange after discovery).
+//! [`SharedCache::frozen_view`](crate::SharedCache::frozen_view) copies a
+//! cache through one, and the equivalence tests compare two caches by
+//! their serialized snapshots.
 
 use std::hash::Hash;
 
-use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
 
 use simcore::SimTime;
@@ -73,29 +70,6 @@ impl<L: Copy + Eq + Hash + std::fmt::Debug> CacheSnapshot<L> {
     }
 }
 
-impl<L: Serialize> CacheSnapshot<L> {
-    /// Serializes the snapshot as JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns a serialization error (only possible for exotic label
-    /// types).
-    pub fn to_json(&self) -> Result<String, serde_json::Error> {
-        serde_json::to_string(self)
-    }
-}
-
-impl<L: DeserializeOwned> CacheSnapshot<L> {
-    /// Parses a snapshot from JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns a parse error for malformed input.
-    pub fn from_json(json: &str) -> Result<CacheSnapshot<L>, serde_json::Error> {
-        serde_json::from_str(json)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,16 +117,6 @@ mod tests {
         // And the original cache is untouched by capture.
         assert_eq!(original.len(), 8);
         let _ = original.lookup(&fv(0.0), SimTime::from_secs(3));
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let cache = filled_cache(3);
-        let snapshot = CacheSnapshot::capture(&cache, SimTime::from_secs(1));
-        let json = snapshot.to_json().unwrap();
-        let parsed: CacheSnapshot<u32> = CacheSnapshot::from_json(&json).unwrap();
-        assert_eq!(parsed, snapshot);
-        assert!(CacheSnapshot::<u32>::from_json("nonsense").is_err());
     }
 
     #[test]

@@ -142,8 +142,8 @@ fn shared_snapshot_matches_oracle_snapshot() {
     a.entries.sort_by_key(|e| e.id);
     let b = shared.snapshot(at);
     assert_eq!(
-        a.to_json().unwrap(),
-        b.to_json().unwrap(),
+        serde_json::to_string(&a).unwrap(),
+        serde_json::to_string(&b).unwrap(),
         "snapshots must serialize identically"
     );
 }

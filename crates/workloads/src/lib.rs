@@ -9,7 +9,7 @@
 //! - [`multi`] — shared-world multi-device scenarios (museum, campus).
 //! - [`sweep`] — parameter-sweep helpers and the scenario × variant run
 //!   matrix.
-//! - [`trace`] — JSON persistence of scenarios and reports.
+//! - [`trace`] — JSON persistence of run reports.
 //!
 //! # Example
 //!
@@ -22,10 +22,8 @@
 //! ```
 
 pub mod multi;
-pub mod record;
 pub mod sweep;
 pub mod trace;
 pub mod video;
 
-pub use record::StreamRecording;
 pub use sweep::{run_matrix, MatrixCell};

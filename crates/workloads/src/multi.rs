@@ -41,11 +41,6 @@ pub fn campus(devices: usize) -> Scenario {
     scenario
 }
 
-/// Museums of growing size for the peer-scaling sweep.
-pub fn peer_scaling_set(counts: &[usize]) -> Vec<Scenario> {
-    counts.iter().map(|&n| museum(n.max(1))).collect()
-}
-
 #[cfg(test)]
 // Tests compare exactly-constructed floats; exact equality is intentional.
 #[allow(clippy::float_cmp)]
@@ -73,13 +68,5 @@ mod tests {
         s.validate().expect("scenario validates");
         assert!(s.spawn_spacing > museum(4).spawn_spacing);
         assert!(s.scene.world_extent > museum(4).scene.world_extent);
-    }
-
-    #[test]
-    fn peer_scaling_set_clamps_zero_to_one() {
-        let set = peer_scaling_set(&[0, 2, 4]);
-        assert_eq!(set[0].devices, 1);
-        assert_eq!(set[1].devices, 2);
-        assert_eq!(set[2].devices, 4);
     }
 }

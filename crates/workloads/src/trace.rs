@@ -1,58 +1,24 @@
-//! JSON persistence of scenarios and reports.
+//! JSON persistence of run reports.
 //!
-//! Experiment binaries write their raw reports next to the CSV tables so
-//! a run can be re-analysed without re-simulating; scenario files let a
-//! workload be shared between machines.
+//! `approx_cache_sim --json` writes a run's raw report next to its
+//! console summary, so the run can be re-analysed without re-simulating.
 
 use std::fs;
 use std::io;
 use std::path::Path;
 
-use approxcache::{RunReport, Scenario};
+use approxcache::RunReport;
 
-/// Saves a scenario definition as pretty JSON.
-///
-/// # Errors
-///
-/// Returns any I/O error from directory creation or the write.
-pub fn save_scenario<P: AsRef<Path>>(scenario: &Scenario, path: P) -> io::Result<()> {
-    write_json(path, scenario)
-}
-
-/// Loads a scenario definition.
-///
-/// # Errors
-///
-/// Returns an error if the file cannot be read or parsed.
-pub fn load_scenario<P: AsRef<Path>>(path: P) -> io::Result<Scenario> {
-    let text = fs::read_to_string(path)?;
-    serde_json::from_str(&text).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
-}
-
-/// Saves a run report as pretty JSON.
+/// Saves a run report as pretty JSON, creating the parent directory.
 ///
 /// # Errors
 ///
 /// Returns any I/O error from directory creation or the write.
 pub fn save_report<P: AsRef<Path>>(report: &RunReport, path: P) -> io::Result<()> {
-    write_json(path, report)
-}
-
-/// Loads a run report.
-///
-/// # Errors
-///
-/// Returns an error if the file cannot be read or parsed.
-pub fn load_report<P: AsRef<Path>>(path: P) -> io::Result<RunReport> {
-    let text = fs::read_to_string(path)?;
-    serde_json::from_str(&text).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
-}
-
-fn write_json<P: AsRef<Path>, T: serde::Serialize>(path: P, value: &T) -> io::Result<()> {
     if let Some(parent) = path.as_ref().parent() {
         fs::create_dir_all(parent)?;
     }
-    let text = serde_json::to_string_pretty(value)
+    let text = serde_json::to_string_pretty(report)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
     fs::write(path, text)
 }
@@ -64,20 +30,6 @@ mod tests {
     use approxcache::{run, Detail, PipelineConfig, SystemVariant};
     use simcore::SimDuration;
 
-    fn temp_path(name: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("workloads-trace-{}-{name}", std::process::id()))
-    }
-
-    #[test]
-    fn scenario_round_trip() {
-        let scenario = video::object_churn();
-        let path = temp_path("scenario.json");
-        save_scenario(&scenario, &path).unwrap();
-        let loaded = load_scenario(&path).unwrap();
-        assert_eq!(loaded, scenario);
-        fs::remove_file(path).unwrap();
-    }
-
     #[test]
     fn report_round_trip() {
         let scenario = video::stationary().with_duration(SimDuration::from_secs(2));
@@ -85,26 +37,15 @@ mod tests {
         let report = run(&scenario, &config, SystemVariant::Full, 1, Detail::Summary)
             .expect("valid scenario")
             .report;
-        let path = temp_path("report.json");
+        let path = std::env::temp_dir().join(format!(
+            "workloads-trace-{}-report.json",
+            std::process::id()
+        ));
         save_report(&report, &path).unwrap();
-        let loaded = load_report(&path).unwrap();
+        let loaded: RunReport = serde_json::from_str(&fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(loaded.frames, report.frames);
         assert_eq!(loaded.latencies_ms, report.latencies_ms);
         assert_eq!(loaded.path_counts, report.path_counts);
         fs::remove_file(path).unwrap();
-    }
-
-    #[test]
-    fn load_rejects_garbage() {
-        let path = temp_path("garbage.json");
-        fs::write(&path, "not json").unwrap();
-        assert!(load_scenario(&path).is_err());
-        assert!(load_report(&path).is_err());
-        fs::remove_file(path).unwrap();
-    }
-
-    #[test]
-    fn load_missing_file_errors() {
-        assert!(load_scenario(temp_path("missing.json")).is_err());
     }
 }

@@ -20,7 +20,7 @@
 //! | [`inference`] | The mobile DNN simulator (`dnnsim`) |
 //! | [`network`] | Infrastructure-less peer networking (`p2pnet`) |
 //! | [`edge`] | The optional edge cache tier: wire protocol, shared cache, HTTP server (`edge`) |
-//! | [`workload`] | Named scenarios and sweeps (`workloads`) |
+//! | [`workload`] | Named scenarios, sweeps and report JSON (`workloads`) |
 //! | [`runtime`] | Simulation substrate: time, RNG, metrics (`simcore`) |
 //!
 //! # Quickstart
@@ -62,5 +62,5 @@ pub use reuse as cache;
 pub use scene as vision;
 /// Simulation substrate: virtual time, seeded RNG, metrics, tables.
 pub use simcore as runtime;
-/// Named scenarios, sweeps and persistence.
+/// Named scenarios, sweeps and report JSON.
 pub use workloads as workload;
