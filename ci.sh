@@ -41,6 +41,12 @@ echo "== cargo test (ann, optimized: block-scan exactness) =="
 # proptest against the row-at-a-time scan must run on that code.
 cargo test --release -q -p ann
 
+echo "== cargo test (concurrent store, optimized: thread interleavings) =="
+# Lookups scan under a read lock and queue their commits behind a busy
+# write lock; optimized code interleaves threads differently, so the
+# no-lost-commit tests must also run on the code that ships.
+cargo test --release -q -p reuse --test concurrent_store
+
 echo "== verify_claims (headline regression gate) =="
 # At the default 30 simulated seconds it rewrites the tracked
 # results/*-full.json and verify_claims.json goldens with the same bytes;

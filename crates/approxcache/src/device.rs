@@ -1238,17 +1238,14 @@ fn remote_lookup(
     match cache.lookup(key, now) {
         LookupResult::Hit {
             label,
+            confidence,
             nearest_distance,
-            entry,
             ..
-        } => {
-            let confidence = cache.entry_confidence(entry).unwrap_or(0.5);
-            Some(RemoteHit {
-                label: label.0,
-                confidence,
-                distance: nearest_distance,
-            })
-        }
+        } => Some(RemoteHit {
+            label: label.0,
+            confidence,
+            distance: nearest_distance,
+        }),
         LookupResult::Miss(_) => None,
     }
 }

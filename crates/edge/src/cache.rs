@@ -251,10 +251,13 @@ impl std::fmt::Display for EdgeCounters {
 /// A cloneable handle to the shared edge cache.
 ///
 /// Lookups answer with the label, confidence and distance of the
-/// nearest dominant-label entry; inserts and gossip ads feed the same
-/// store with [`EntrySource::LocalInference`] / [`EntrySource::Peer`]
-/// provenance respectively, so admission can distinguish first-party
-/// results from relayed ones.
+/// nearest dominant-label entry, all read in one pass of the store.
+/// Lookups from concurrent batches scan side by side under the store's
+/// read lock and never wait for each other's recency updates (see
+/// [`reuse::concurrent`]); inserts and gossip ads take the write lock
+/// and feed the same store with [`EntrySource::LocalInference`] /
+/// [`EntrySource::Peer`] provenance respectively, so admission can
+/// distinguish first-party results from relayed ones.
 #[derive(Debug, Clone)]
 pub struct EdgeCache {
     cache: SharedCache<u32>,
@@ -370,12 +373,11 @@ impl EdgeCache {
             Frame::Lookup { key } => match self.cache.lookup(key, now) {
                 LookupResult::Hit {
                     label,
-                    entry,
+                    confidence,
                     nearest_distance,
                     ..
                 } => {
                     counters.record_lookup(true);
-                    let confidence = self.cache.entry_confidence(entry).unwrap_or(0.5);
                     Reply::Hit(EdgeHit {
                         label,
                         confidence: confidence.clamp(0.0, 1.0),

@@ -2,27 +2,44 @@
 //!
 //! [`SharedCache`] is the one type every device, peer view and edge
 //! server holds: a cloneable handle to one [`ApproxCache`] behind one
-//! `parking_lot::Mutex`. Each public operation takes the lock once and
-//! makes the matching `ApproxCache` call, so a `SharedCache` is
-//! operation-for-operation identical to the plain store it wraps — same
-//! outcomes, counters, ids and snapshots — which is what keeps the
-//! golden results byte-identical.
+//! `parking_lot::RwLock`. Once a lookup has found the store locked, the
+//! handle's lookups are split in two. The read half, the scan
+//! and the vote (`ApproxCache::probe`), runs under the read lock, so
+//! lookups from many threads scan side by side. The write half,
+//! counting the lookup and touching the served entry
+//! (`ApproxCache::commit`), runs at once when the write lock is free
+//! and is queued when it is not. Until then — for good, on every sim
+//! device and fleet view — a lookup runs whole under the write lock,
+//! with the store's own buffers, as on the plain store. Every other
+//! operation that writes, or reads statistics or recency, takes the
+//! write lock and applies the queue first.
+//!
+//! Equivalence contract: an uncontended handle runs every lookup as the
+//! plain store does, so it is operation-for-operation identical to the
+//! store it wraps — same outcomes, counters, ids and snapshots — which
+//! is what keeps the golden results byte-identical.
+//! Under contention every answer is still one the plain store gives: a
+//! commit writes only statistics and recency, which no probe reads, so a
+//! queued commit cannot change a later lookup's answer, and no reader of
+//! statistics, recency or contents sees the store before the queue is
+//! applied. No commit is lost or applied twice.
 //!
 //! [`SharedCache::frozen_view`] copies the contents into an independent
 //! store for peer queries against a fixed point in time;
 //! [`SharedCache::contents_version`] tells a holder of such a view when
 //! it went stale.
 //!
-//! Lock discipline: the store lock is not reentrant, so no method calls
-//! back into the handle while holding it (enforced statically by xtask
-//! rules L and G on this module).
+//! Lock discipline: no lock is reentrant, so no method calls back into
+//! the handle while holding one. The store lock is taken before the
+//! commit queue's lock, never after, and the scratch lock is held alone
+//! (enforced statically by xtask rules L and G on this module).
 
 use std::fmt;
 use std::hash::Hash;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 
 use features::FeatureVector;
 use simcore::{SimDuration, SimTime};
@@ -31,12 +48,28 @@ use crate::admission::AdmissionPolicy;
 use crate::entry::{CacheEntry, EntryId, EntrySource};
 use crate::snapshot::CacheSnapshot;
 use crate::stats::CacheStats;
-use crate::store::{ApproxCache, CacheConfig, InsertOutcome, LookupResult};
+use crate::store::{ApproxCache, CacheConfig, InsertOutcome, LookupResult, LookupScratch, Probe};
+
+/// Queued commits past this many are applied by the lookup that queued
+/// the last one, under a blocking write lock, so a stream of readers that
+/// never finds the write lock free cannot grow the queue without bound.
+const PENDING_CAP: usize = 64;
 
 /// What every clone of a [`SharedCache`] handle points at.
 struct Core<L> {
     config: CacheConfig,
-    cache: Mutex<ApproxCache<L>>,
+    cache: RwLock<ApproxCache<L>>,
+    /// The buffers of split lookups, lent to one probe at a time. A probe
+    /// that finds them lent builds a spare; boxed, so a handle whose
+    /// lookups never split carries one pointer, not the buffers.
+    scratch: Mutex<Option<Box<LookupScratch<L>>>>,
+    /// Probes whose commit found the write lock taken, in arrival order,
+    /// each with its lookup time. Empty, and unallocated, until a lookup
+    /// is contended.
+    pending: Mutex<Vec<(Probe<L>, SimTime)>>,
+    /// Set the first time a lookup finds the store locked. Until then a
+    /// lookup runs whole under the write lock, as on the plain store.
+    contended: AtomicBool,
     /// Bumped whenever cached *contents* (entries or the hit threshold)
     /// may have changed — inserts, clears, non-empty expiry sweeps,
     /// threshold updates. Read-side operations never bump it, so callers
@@ -80,7 +113,10 @@ impl<L: Copy + Eq + Hash + fmt::Debug> SharedCache<L> {
         SharedCache {
             core: Arc::new(Core {
                 config,
-                cache: Mutex::new(cache),
+                cache: RwLock::new(cache),
+                scratch: Mutex::new(None),
+                pending: Mutex::new(Vec::new()),
+                contended: AtomicBool::new(false),
                 version: AtomicU64::new(0),
             }),
         }
@@ -98,9 +134,69 @@ impl<L: Copy + Eq + Hash + fmt::Debug> SharedCache<L> {
         self.core.version.fetch_add(steps, Ordering::Release);
     }
 
-    /// Looks up `key`, updating recency metadata on a hit.
+    /// Runs `f` on the store under the write lock, after applying every
+    /// queued commit.
+    fn with_write<R>(&self, f: impl FnOnce(&mut ApproxCache<L>) -> R) -> R {
+        let mut cache = self.core.cache.write();
+        self.drain(&mut cache);
+        f(&mut cache)
+    }
+
+    /// Applies the queued commits in arrival order. Called with the store
+    /// write-locked: the store lock is always taken before the queue's.
+    fn drain(&self, cache: &mut ApproxCache<L>) {
+        let mut pending = self.core.pending.lock();
+        for (probe, now) in pending.drain(..) {
+            cache.commit(probe, now);
+        }
+    }
+
+    /// A lookup's read half under the read lock, with the handle's
+    /// buffers when they are free and a spare when another probe has
+    /// them.
+    fn probe(&self, key: &FeatureVector) -> Probe<L> {
+        let mut scratch = self.core.scratch.lock().take().unwrap_or_default();
+        let probe = self.core.cache.read().probe(key, &mut scratch);
+        *self.core.scratch.lock() = Some(scratch);
+        probe
+    }
+
+    /// A lookup's write half: at once when the write lock is free, queued
+    /// when a reader or writer holds the store. A full queue is applied
+    /// here.
+    fn commit(&self, probe: Probe<L>, now: SimTime) -> LookupResult<L> {
+        if let Some(mut cache) = self.core.cache.try_write() {
+            self.drain(&mut cache);
+            return cache.commit(probe, now);
+        }
+        let queued = {
+            let mut pending = self.core.pending.lock();
+            pending.push((probe, now));
+            pending.len()
+        };
+        if queued >= PENDING_CAP {
+            self.with_write(|_| ());
+        }
+        probe.result()
+    }
+
+    /// Looks up `key`, updating recency metadata on a hit. Once a lookup
+    /// has found the store locked, the scan runs under the read lock, side
+    /// by side with other lookups; see the [module docs](self) for when
+    /// the recency update lands.
     pub fn lookup(&self, key: &FeatureVector, now: SimTime) -> LookupResult<L> {
-        self.core.cache.lock().lookup(key, now)
+        // A handle whose lookups have never found the store locked (every
+        // sim device and fleet view) keeps the plain store's lookup and
+        // buffers: read and write halves under one write lock.
+        if !self.core.contended.load(Ordering::Relaxed) {
+            if let Some(mut cache) = self.core.cache.try_write() {
+                self.drain(&mut cache);
+                return cache.lookup(key, now);
+            }
+            self.core.contended.store(true, Ordering::Relaxed);
+        }
+        let probe = self.probe(key);
+        self.commit(probe, now)
     }
 
     /// Inserts a result, subject to admission control and capacity.
@@ -112,25 +208,21 @@ impl<L: Copy + Eq + Hash + fmt::Debug> SharedCache<L> {
         source: EntrySource,
         now: SimTime,
     ) -> InsertOutcome {
-        let outcome = self
-            .core
-            .cache
-            .lock()
-            .insert(key, label, confidence, source, now);
+        let outcome = self.with_write(|cache| cache.insert(key, label, confidence, source, now));
         if outcome.entry().is_some() {
             self.bump_version(1);
         }
         outcome
     }
 
-    /// Operation counters so far.
+    /// Operation counters so far, every earlier lookup included.
     pub fn stats(&self) -> CacheStats {
-        *self.core.cache.lock().stats()
+        self.with_write(|cache| *cache.stats())
     }
 
     /// Number of cached entries.
     pub fn len(&self) -> usize {
-        self.core.cache.lock().len()
+        self.core.cache.read().len()
     }
 
     /// True if nothing is cached.
@@ -140,13 +232,13 @@ impl<L: Copy + Eq + Hash + fmt::Debug> SharedCache<L> {
 
     /// Removes every entry (statistics retained).
     pub fn clear(&self) {
-        self.core.cache.lock().clear();
+        self.with_write(ApproxCache::clear);
         self.bump_version(1);
     }
 
     /// Drops every entry older than `max_age`, returning how many went.
     pub fn expire_older_than(&self, now: SimTime, max_age: SimDuration) -> usize {
-        let dropped = self.core.cache.lock().expire_older_than(now, max_age);
+        let dropped = self.with_write(|cache| cache.expire_older_than(now, max_age));
         if dropped > 0 {
             self.bump_version(1);
         }
@@ -155,7 +247,7 @@ impl<L: Copy + Eq + Hash + fmt::Debug> SharedCache<L> {
 
     /// The current A-kNN distance threshold.
     pub fn distance_threshold(&self) -> f64 {
-        self.core.cache.lock().distance_threshold()
+        self.core.cache.read().distance_threshold()
     }
 
     /// Sets the A-kNN distance threshold.
@@ -164,37 +256,26 @@ impl<L: Copy + Eq + Hash + fmt::Debug> SharedCache<L> {
     ///
     /// Panics if `threshold` is not positive and finite.
     pub fn set_distance_threshold(&self, threshold: f64) {
-        self.core.cache.lock().set_distance_threshold(threshold);
+        self.with_write(|cache| cache.set_distance_threshold(threshold));
         self.bump_version(1);
     }
 
     /// The nearest cached entry to `key` with its distance (read-only
     /// probe: no statistics, no recency update).
     pub fn peek_nearest(&self, key: &FeatureVector) -> Option<(f64, L)> {
-        self.core.cache.lock().peek_nearest(key)
-    }
-
-    /// The confidence of the entry with `id`, if still cached.
-    pub fn entry_confidence(&self, id: EntryId) -> Option<f64> {
-        self.core.cache.lock().entry(id).map(|e| e.confidence)
+        self.core.cache.read().peek_nearest(key)
     }
 
     /// The `limit` most recently used entries, newest first (cloned, so
     /// the lock is released before returning).
     pub fn hottest(&self, limit: usize) -> Vec<CacheEntry<L>> {
-        self.core
-            .cache
-            .lock()
-            .hottest(limit)
-            .into_iter()
-            .cloned()
-            .collect()
+        self.with_write(|cache| cache.hottest(limit).into_iter().cloned().collect())
     }
 
     /// A snapshot of every entry, sorted by entry id — the deterministic
     /// copy [`frozen_view`](Self::frozen_view) restores from.
     pub fn snapshot(&self, now: SimTime) -> CacheSnapshot<L> {
-        let mut snap = CacheSnapshot::capture(&self.core.cache.lock(), now);
+        let mut snap = self.with_write(|cache| CacheSnapshot::capture(cache, now));
         snap.entries.sort_by_key(|e| e.id);
         snap
     }
@@ -228,7 +309,7 @@ impl<L: Copy + Eq + Hash + fmt::Debug> SharedCache<L> {
     /// eviction apply), hottest entries first, under one lock. Returns
     /// how many entries were inserted or absorbed as refreshes.
     pub fn restore(&self, snapshot: &CacheSnapshot<L>, now: SimTime) -> usize {
-        let restored = snapshot.restore_into(&mut self.core.cache.lock(), now);
+        let restored = self.with_write(|cache| snapshot.restore_into(cache, now));
         // One step per entry, as many as one `insert` call each would take.
         self.bump_version(restored as u64);
         restored
@@ -314,6 +395,10 @@ mod tests {
         let hit = cache.lookup(&fv(1.05, 2.0), SimTime::from_millis(5));
         assert!(hit.is_hit());
         assert_eq!(hit.label(), Some(&9));
+        assert!(
+            matches!(hit, LookupResult::Hit { confidence, .. } if confidence.to_bits() == 0.9f64.to_bits()),
+            "a hit carries its entry's confidence: {hit:?}"
+        );
         let stats = cache.stats();
         assert_eq!(stats.lookups, 1);
         assert_eq!(stats.hits, 1);
@@ -401,18 +486,70 @@ mod tests {
     }
 
     #[test]
-    fn hottest_confidence_and_peek_read_without_side_effects() {
+    fn hottest_and_peek_read_without_side_effects() {
         let shared: SharedCache<u32> = SharedCache::new(CacheConfig::new(4));
         shared.insert(fv(1.0, 0.0), 2, 0.9, EntrySource::Peer, SimTime::ZERO);
         let hottest = shared.hottest(1);
         assert_eq!(hottest.first().map(|e| e.label), Some(2));
-        let id = hottest.first().map(|e| e.id).unwrap();
-        assert_eq!(shared.entry_confidence(id), Some(0.9));
-        assert_eq!(shared.entry_confidence(EntryId(999)), None);
         let (distance, label) = shared.peek_nearest(&fv(1.0, 0.0)).unwrap();
         assert!(distance < 1e-9);
         assert_eq!(label, 2);
         assert_eq!(shared.stats().lookups, 0);
+    }
+
+    #[test]
+    fn a_commit_blocked_by_a_reader_is_queued_and_applied_before_reads() {
+        let shared: SharedCache<u32> = SharedCache::new(base_config(16));
+        insert_at(&shared, 0.0, 3, 0);
+        insert_at(&shared, 50.0, 4, 1);
+        assert!(shared
+            .lookup(&fv(90.0, 5.0), SimTime::ZERO)
+            .label()
+            .is_none());
+        assert!(!shared.core.contended.load(Ordering::Relaxed));
+        let reader = shared.core.cache.read();
+        let hit = shared.lookup(&fv(0.1, 5.0), SimTime::from_millis(900));
+        assert_eq!(hit.label(), Some(&3), "the probe answers at once");
+        assert!(shared.core.contended.load(Ordering::Relaxed));
+        assert_eq!(shared.core.pending.lock().len(), 1, "its commit waits");
+        drop(reader);
+        let hottest = shared.hottest(1);
+        assert_eq!(hottest[0].label, 3, "the touch landed before the read");
+        assert_eq!(
+            (hottest[0].uses, hottest[0].last_used.as_millis()),
+            (1, 900)
+        );
+        assert!(shared.core.pending.lock().is_empty());
+        let stats = shared.stats();
+        assert_eq!((stats.lookups, stats.hits), (2, 1));
+    }
+
+    #[test]
+    fn a_full_queue_is_drained_by_the_lookup_that_fills_it() {
+        let shared: SharedCache<u32> = SharedCache::new(base_config(16));
+        insert_at(&shared, 0.0, 3, 0);
+        let reader = shared.core.cache.read();
+        for _ in 0..PENDING_CAP - 1 {
+            shared.lookup(&fv(0.1, 5.0), SimTime::from_millis(1));
+        }
+        assert_eq!(shared.core.pending.lock().len(), PENDING_CAP - 1);
+        let filler = {
+            let shared = shared.clone();
+            std::thread::spawn(move || shared.lookup(&fv(90.0, 5.0), SimTime::from_millis(2)))
+        };
+        // The last lookup queues its commit, then waits for the write
+        // lock the reader holds.
+        while shared.core.pending.lock().len() < PENDING_CAP {
+            std::thread::yield_now();
+        }
+        drop(reader);
+        assert!(!filler.join().unwrap().is_hit());
+        assert!(shared.core.pending.lock().is_empty(), "drained at the cap");
+        let stats = *shared.core.cache.read().stats();
+        assert_eq!(
+            (stats.lookups, stats.hits),
+            (PENDING_CAP as u64, PENDING_CAP as u64 - 1)
+        );
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!
 //! Two types, stacked: [`ApproxCache`] is the single-threaded store and
 //! [`SharedCache`] is what callers hold — a cloneable, thread-safe handle
-//! over one `ApproxCache` behind one lock.
+//! over one `ApproxCache` behind one read-write lock.
 //!
 //! - [`ApproxCache`] — the store: exact linear-scan index, bounded capacity,
 //!   eviction, admission control, per-operation statistics. The body of
@@ -20,7 +20,8 @@
 //!   polluting the index with clones).
 //! - [`calibrate`] — distance-threshold calibration from sample
 //!   same-subject vs cross-class distances.
-//! - [`concurrent`] — [`SharedCache`]: one lock around one store, plus
+//! - [`concurrent`] — [`SharedCache`]: one store whose lookups scan
+//!   under a read lock and commit their recency touches after, plus
 //!   frozen point-in-time views for peer queries and a contents version
 //!   that says when such a view went stale.
 //!

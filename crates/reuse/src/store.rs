@@ -88,6 +88,8 @@ pub enum LookupResult<L> {
         label: L,
         /// The entry that served the hit (nearest dominant-label entry).
         entry: EntryId,
+        /// That entry's confidence, read in the same pass as the label.
+        confidence: f64,
         /// Distance of the overall nearest neighbour.
         nearest_distance: f64,
         /// Votes for the dominant label.
@@ -139,7 +141,7 @@ impl InsertOutcome {
 /// buffers reach their working size (bounded by the hit test's `k`), the
 /// whole lookup path is allocation-free.
 #[derive(Debug)]
-struct LookupScratch<L> {
+pub(crate) struct LookupScratch<L> {
     /// Raw index results, filled by `nearest_within_into`.
     neighbors: Vec<Neighbor>,
     /// Neighbours joined with their entry's label: `(distance, label, id)`.
@@ -175,6 +177,19 @@ pub struct ApproxCache<L> {
     next_id: u64,
     stats: CacheStats,
     scratch: LookupScratch<L>,
+}
+
+/// The read half of a lookup: the verdict [`ApproxCache::probe`] reached,
+/// waiting for [`ApproxCache::commit`] to count it and touch the served
+/// entry.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Probe<L>(LookupResult<L>);
+
+impl<L: Copy> Probe<L> {
+    /// The answer the lookup gives, whenever its commit lands.
+    pub(crate) fn result(&self) -> LookupResult<L> {
+        self.0
+    }
 }
 
 impl<L> fmt::Debug for ApproxCache<L> {
@@ -255,23 +270,34 @@ impl<L: Copy + Eq + Hash + fmt::Debug> ApproxCache<L> {
         Some((nearest.distance, entry.label))
     }
 
-    /// Looks up `key` at time `now`, updating recency metadata on a hit.
+    /// Looks up `key` at time `now`, updating recency metadata on a hit:
+    /// its read half (the scan and the vote) then its write half (the
+    /// counters and the touch), the two steps a [`SharedCache`](crate::SharedCache)
+    /// runs under its read and write locks.
     ///
     /// # Panics
     ///
     /// Panics if `key`'s dimension differs from previously inserted keys.
     pub fn lookup(&mut self, key: &FeatureVector, now: SimTime) -> LookupResult<L> {
-        self.stats.record_lookup();
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let probe = self.probe(key, &mut scratch);
+        self.scratch = scratch;
+        self.commit(probe, now)
+    }
+
+    /// A lookup's read half: the bounded scan, the A-kNN vote and the
+    /// choice of the served entry. It reads only the index, the labels,
+    /// the confidences and the config, and changes nothing, so probes may
+    /// run side by side under a read lock.
+    pub(crate) fn probe(&self, key: &FeatureVector, scratch: &mut LookupScratch<L>) -> Probe<L> {
         let Some(index) = &self.index else {
-            self.stats.record_miss(MissReason::EmptyIndex);
-            self.stats.debug_assert_balanced();
-            return LookupResult::Miss(MissReason::EmptyIndex);
+            return Probe(LookupResult::Miss(MissReason::EmptyIndex));
         };
         let LookupScratch {
             neighbors,
             labeled,
             decide,
-        } = &mut self.scratch;
+        } = scratch;
         // The vote discards every neighbour beyond the threshold, so the
         // index is asked only for those within it (the threshold as it
         // stands now — adaptive controllers move it between lookups). The
@@ -285,9 +311,7 @@ impl<L: Copy + Eq + Hash + fmt::Debug> ApproxCache<L> {
             neighbors,
         );
         if neighbors.is_empty() && !index.is_empty() {
-            self.stats.record_miss(MissReason::TooFar);
-            self.stats.debug_assert_balanced();
-            return LookupResult::Miss(MissReason::TooFar);
+            return Probe(LookupResult::Miss(MissReason::TooFar));
         }
         // Neighbours without a backing entry (an index/store desync) are
         // dropped from the vote instead of crashing the device. One pass
@@ -310,39 +334,51 @@ impl<L: Copy + Eq + Hash + fmt::Debug> ApproxCache<L> {
                 support,
                 homogeneity,
             } => {
-                // Touch the nearest entry carrying the winning label. The
+                // Serve the nearest entry carrying the winning label. The
                 // winner came from `labeled`, so a carrier exists; degrade
                 // to a miss if that ever stops holding.
                 let served = labeled
                     .iter()
                     .find(|&&(_, candidate, _)| candidate == label)
-                    .map(|&(_, _, id)| id);
+                    .and_then(|&(_, _, id)| self.entries.get(&id));
                 let Some(served) = served else {
-                    self.stats.record_miss(MissReason::InsufficientSupport);
-                    self.stats.debug_assert_balanced();
-                    return LookupResult::Miss(MissReason::InsufficientSupport);
+                    return Probe(LookupResult::Miss(MissReason::InsufficientSupport));
                 };
-                if let Some(entry) = self.entries.get_mut(&served) {
-                    let before = EntryMeta::of(entry);
-                    entry.last_used = now;
-                    entry.uses += 1;
-                    self.victims.on_update(before, EntryMeta::of(entry));
-                }
-                self.stats.record_hit();
-                LookupResult::Hit {
+                Probe(LookupResult::Hit {
                     label,
-                    entry: EntryId(served),
+                    entry: served.id,
+                    confidence: served.confidence,
                     nearest_distance,
                     support,
                     homogeneity,
-                }
+                })
             }
-            AknnOutcome::Miss(reason) => {
-                self.stats.record_miss(reason);
-                self.stats.debug_assert_balanced();
-                LookupResult::Miss(reason)
-            }
+            AknnOutcome::Miss(reason) => Probe(LookupResult::Miss(reason)),
         }
+    }
+
+    /// A lookup's write half: counts the lookup and its hit or miss, and
+    /// on a hit touches the served entry (`last_used`, `uses`, the victim
+    /// index). A served entry that has left the store since the probe is
+    /// not touched; ids are never reused, so no other entry takes the
+    /// touch. It writes only statistics and recency, which no probe reads,
+    /// so a deferred commit cannot change a later probe's answer.
+    pub(crate) fn commit(&mut self, probe: Probe<L>, now: SimTime) -> LookupResult<L> {
+        self.stats.record_lookup();
+        match probe.0 {
+            LookupResult::Hit { entry, .. } => {
+                if let Some(served) = self.entries.get_mut(&entry.0) {
+                    let before = EntryMeta::of(served);
+                    served.last_used = now;
+                    served.uses += 1;
+                    self.victims.on_update(before, EntryMeta::of(served));
+                }
+                self.stats.record_hit();
+            }
+            LookupResult::Miss(reason) => self.stats.record_miss(reason),
+        }
+        self.stats.debug_assert_balanced();
+        probe.0
     }
 
     /// Inserts a result, subject to admission control and capacity.
@@ -403,6 +439,8 @@ impl<L: Copy + Eq + Hash + fmt::Debug> ApproxCache<L> {
 
         let id = EntryId(self.next_id);
         self.next_id += 1;
+        // xtask-allow(alloc): one copy per admitted entry, not per frame —
+        // the index takes its key by value and the entry keeps the original.
         self.index
             .get_or_insert_with(|| LinearScan::new(key.dim()))
             .insert(id.0, key.clone());
@@ -590,6 +628,20 @@ mod tests {
         let entry = c.entry(id).unwrap();
         assert_eq!(entry.uses, 1);
         assert_eq!(entry.last_used, SimTime::from_millis(500));
+    }
+
+    #[test]
+    fn commit_skips_an_entry_gone_since_the_probe() {
+        let mut c = cache(4);
+        let id = insert_at(&mut c, 0.0, 7, 0).entry().unwrap();
+        let mut scratch = LookupScratch::default();
+        let probe = c.probe(&fv(&[0.2, 0.0]), &mut scratch);
+        assert_eq!(c.stats().lookups, 0, "a probe counts nothing");
+        assert!(c.remove(id));
+        let result = c.commit(probe, SimTime::from_millis(500));
+        assert_eq!(result.label(), Some(&7), "the answer is the probe's");
+        assert_eq!((c.stats().lookups, c.stats().hits), (1, 1));
+        assert!(c.is_empty(), "no entry took the touch");
     }
 
     #[test]

@@ -92,13 +92,8 @@ fn oracle_lookup(
     for entry in entries {
         reference.insert(entry.id.0, entry.key.clone());
     }
-    let label_of = |id: u64| {
-        entries
-            .iter()
-            .find(|e| e.id.0 == id)
-            .map(|e| e.label)
-            .unwrap()
-    };
+    let entry_of = |id: u64| entries.iter().find(|e| e.id.0 == id).unwrap();
+    let label_of = |id: u64| entry_of(id).label;
     let top = reference.nearest(query, aknn.k);
     let voters: Vec<(f64, u32)> = top.iter().map(|n| (n.distance, label_of(n.id))).collect();
     let verdict = match decide(&voters, aknn) {
@@ -112,6 +107,7 @@ fn oracle_lookup(
             LookupResult::Hit {
                 label,
                 entry: EntryId(served.id),
+                confidence: entry_of(served.id).confidence,
                 nearest_distance,
                 support,
                 homogeneity,
@@ -310,11 +306,13 @@ fn pinned_histories_reach_every_verdict_and_the_inclusive_boundary() {
         LookupResult::Hit {
             label,
             entry,
+            confidence,
             nearest_distance,
             support,
             homogeneity,
         } => {
             assert_eq!((label, entry, support), (7, EntryId(0), 3));
+            assert_eq!(confidence.to_bits(), 1.0f64.to_bits());
             assert_eq!(nearest_distance.to_bits(), 2.0f64.to_bits());
             assert_eq!(homogeneity.to_bits(), 0.75f64.to_bits());
         }

@@ -7,6 +7,11 @@
 //! must match a sequential execution exactly, and concurrent lookups
 //! never drift the counters.
 //!
+//! Lookups scan side by side under a read lock and may queue their
+//! counting and recency touch behind a busy write lock; two tests pin
+//! that no queued commit is lost or applied twice, with and without a
+//! writer evicting underneath the readers.
+//!
 //! The last test pins [`SharedCache::frozen_view`], the fleet engine's
 //! determinism hinge: a view answers like its owner did at the snapshot,
 //! and probing it leaves the owner untouched.
@@ -147,6 +152,99 @@ fn lookups_and_inserts_interleave_without_counter_drift() {
     assert_eq!(hits, expected, "every self-lookup must hit");
     assert_eq!(cache.stats().hits, expected);
     assert_eq!(cache.stats().lookups, expected);
+}
+
+#[test]
+fn readers_only_touch_each_hit_exactly_once() {
+    const ROUNDS: u64 = 8;
+    let cache = store();
+    let all_keys = keys();
+    for (i, key) in all_keys.iter().enumerate().take(40) {
+        cache.insert(
+            key.clone(),
+            i as u32,
+            0.9,
+            EntrySource::LocalInference,
+            SimTime::from_millis(i as u64),
+        );
+    }
+    // Half the probes are cached keys, half are cells nothing was
+    // inserted at.
+    let handles: Vec<_> = (0..4u64)
+        .map(|t| {
+            let cache = cache.clone();
+            let keys = all_keys.clone();
+            thread::spawn(move || {
+                let mut hits = 0u64;
+                for round in 0..ROUNDS {
+                    for (i, key) in keys.iter().enumerate().take(80) {
+                        let at = SimTime::from_millis(1_000 + t * 1_000 + round * 100 + i as u64);
+                        hits += u64::from(cache.lookup(key, at).is_hit());
+                    }
+                }
+                hits
+            })
+        })
+        .collect();
+    let hits: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
+    assert_eq!(hits, 4 * ROUNDS * 40, "each reader hits every cached key");
+    let stats = cache.stats();
+    assert_eq!((stats.lookups, stats.hits), (4 * ROUNDS * 80, hits));
+    assert!(stats.is_balanced(), "{stats:?}");
+    let uses: u64 = cache
+        .snapshot(SimTime::from_secs(9))
+        .entries
+        .iter()
+        .map(|e| e.uses)
+        .sum();
+    assert_eq!(uses, hits, "a touch lost or applied twice");
+}
+
+#[test]
+fn readers_with_an_evicting_writer_count_every_lookup() {
+    // A small store the writer overflows many times while four readers
+    // look up keys that come and go.
+    const ROUNDS: usize = 4;
+    let cache: SharedCache<u32> =
+        SharedCache::new(CacheConfig::new(24).with_admission(AdmissionPolicy::admit_all()));
+    let all_keys = keys();
+    let writer = {
+        let cache = cache.clone();
+        let keys = all_keys.clone();
+        thread::spawn(move || {
+            for (i, key) in keys.iter().enumerate() {
+                let at = SimTime::from_millis(i as u64);
+                cache.insert(key.clone(), 1, 0.9, EntrySource::LocalInference, at);
+            }
+        })
+    };
+    let readers: Vec<_> = (0..4usize)
+        .map(|t| {
+            let cache = cache.clone();
+            let keys = all_keys.clone();
+            thread::spawn(move || {
+                let mut hits = 0u64;
+                for _ in 0..ROUNDS {
+                    for (i, key) in keys.iter().enumerate().skip(t).step_by(2) {
+                        let at = SimTime::from_millis(i as u64);
+                        hits += u64::from(cache.lookup(key, at).is_hit());
+                    }
+                }
+                hits
+            })
+        })
+        .collect();
+    writer.join().unwrap();
+    let issued: u64 = (0..4usize)
+        .map(|t| (ROUNDS * (KEYS - t).div_ceil(2)) as u64)
+        .sum();
+    let hits: u64 = readers.into_iter().map(|h| h.join().unwrap()).sum();
+    let stats = cache.stats();
+    assert_eq!(stats.lookups, issued, "a lookup went uncounted");
+    assert_eq!(stats.hits, hits, "a hit went uncounted");
+    assert!(stats.is_balanced(), "{stats:?}");
+    assert_eq!((stats.inserts, cache.len()), (KEYS as u64, 24));
+    assert_eq!(stats.evictions, (KEYS - 24) as u64);
 }
 
 #[derive(Debug, Clone)]

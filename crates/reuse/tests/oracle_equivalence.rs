@@ -8,10 +8,15 @@
 //! sequences (lookups, inserts across sources and confidences, expiry
 //! sweeps, clears) for every standard eviction policy and compares the
 //! observable outcome of every single operation plus the full counter
-//! state after each step.
+//! state after each step. The counters, the recency order and the full
+//! snapshot are read between lookups too, so a lookup whose recency
+//! touch has not landed before the next read fails the oracle.
 
 use features::FeatureVector;
-use reuse::{ApproxCache, CacheConfig, EntrySource, EvictionPolicy, LookupResult, SharedCache};
+use reuse::{
+    ApproxCache, CacheConfig, CacheEntry, CacheSnapshot, EntrySource, EvictionPolicy, LookupResult,
+    SharedCache,
+};
 use simcore::{SimDuration, SimRng, SimTime};
 
 const DIM: usize = 8;
@@ -37,6 +42,13 @@ fn source(rng: &mut SimRng) -> EntrySource {
     } else {
         EntrySource::LocalInference
     }
+}
+
+/// The oracle's snapshot in the shared store's order (by entry id).
+fn sorted_snapshot(oracle: &ApproxCache<u32>, now: SimTime) -> CacheSnapshot<u32> {
+    let mut snap = CacheSnapshot::capture(oracle, now);
+    snap.entries.sort_by_key(|e| e.id);
+    snap
 }
 
 /// Drives both backends through the same operation stream and asserts
@@ -79,6 +91,19 @@ fn assert_equivalent(policy: EvictionPolicy, seed: u64) {
             shared.stats(),
             "counters diverged at step {step}"
         );
+        let hottest: Vec<CacheEntry<u32>> = oracle.hottest(3).into_iter().cloned().collect();
+        assert_eq!(
+            hottest,
+            shared.hottest(3),
+            "recency diverged at step {step}"
+        );
+        if step % 50 == 0 {
+            assert_eq!(
+                sorted_snapshot(&oracle, now),
+                shared.snapshot(now),
+                "snapshot diverged at step {step}"
+            );
+        }
     }
     assert!(
         oracle.stats().evictions > 0,

@@ -4,7 +4,9 @@
 //!
 //! - **Rule G, the lock-order graph.** Over the concurrent core
 //!   (`crates/reuse/src/concurrent/`), nodes are named lock sites (the
-//!   normalized receiver chain of each `.lock()` call) and edges are
+//!   normalized receiver chain of each `.lock()`, `.try_lock()`,
+//!   `.read()`, `.write()`, `.try_read()` or `.try_write()` call, so a
+//!   reader-writer lock's read and write sides are one node) and edges are
 //!   acquired-while-held relations: a direct second acquisition under a
 //!   live guard, or a lock acquired inside a fn called while a guard is
 //!   held (call edges propagate one level deep, through `self.method(..)`
@@ -24,7 +26,7 @@ use crate::lexer::TokenKind;
 use crate::rules::{
     is_counter_home, registry_of, FileContext, Rule, Violation, COUNTER_REGISTRIES,
 };
-use crate::tree::receiver_chain;
+use crate::tree::{lock_call, receiver_chain};
 
 /// Files whose `assert*!` spans count as reconciliation sites for the
 /// counter census: the registry's own balance invariant and the
@@ -160,11 +162,16 @@ fn collect_lock_facts(ctx: &FileContext, facts: &mut LockFacts) {
         // Lock nodes acquired in the current statement.
         let mut stmt_locks: Vec<String> = Vec::new();
         let mut register_at_semi: Option<String> = None;
+        // An `if let`/`while let` guard, live inside the block it opens.
+        let mut register_at_brace: Option<String> = None;
         let mut has_let = false;
         for i in lo..=hi.min(tokens.len().saturating_sub(1)) {
             let t = &tokens[i];
             if t.is_punct('{') {
                 depth += 1;
+                if let Some(node) = register_at_brace.take() {
+                    guards.push((depth, node));
+                }
                 (stmt_locks, register_at_semi, has_let) = (Vec::new(), None, false);
                 continue;
             }
@@ -172,25 +179,22 @@ fn collect_lock_facts(ctx: &FileContext, facts: &mut LockFacts) {
                 depth = depth.saturating_sub(1);
                 guards.retain(|&(d, _)| depth >= d);
                 (stmt_locks, register_at_semi, has_let) = (Vec::new(), None, false);
+                register_at_brace = None;
                 continue;
             }
             if t.is_punct(';') {
                 if let Some(node) = register_at_semi.take() {
                     guards.push((depth, node));
                 }
-                (stmt_locks, has_let) = (Vec::new(), false);
+                (stmt_locks, has_let, register_at_brace) = (Vec::new(), false, None);
                 continue;
             }
             if t.is_ident("let") {
                 has_let = true;
                 continue;
             }
-            // `.lock(` acquisition.
-            if t.is_punct('.')
-                && i + 2 < tokens.len()
-                && tokens[i + 1].is_ident("lock")
-                && tokens[i + 2].is_punct('(')
-            {
+            // Lock acquisition: `.lock(`, `.read(`, `.try_write(`, ...
+            if lock_call(tokens, i).is_some() {
                 let line = tokens[i + 1].line;
                 let node = receiver_chain(tokens, tree, i);
                 let suppressed = ctx.allowed(Rule::LockGraph, line)
@@ -208,12 +212,15 @@ fn collect_lock_facts(ctx: &FileContext, facts: &mut LockFacts) {
                         line,
                     ));
                 }
-                // Guard-binding shape: the call's `)` directly before `;`.
+                // Guard-binding shape: the call's `)` directly before `;`
+                // (a `let`) or `{` (an `if let`/`while let`).
                 if has_let {
-                    if let Some(close) = tree.match_of(i + 2) {
-                        if tokens.get(close + 1).is_some_and(|n| n.is_punct(';')) {
-                            register_at_semi = Some(node.clone());
+                    match tree.match_of(i + 2).and_then(|close| tokens.get(close + 1)) {
+                        Some(next) if next.is_punct(';') => register_at_semi = Some(node.clone()),
+                        Some(next) if next.is_punct('{') => {
+                            register_at_brace = Some(node.clone());
                         }
+                        _ => {}
                     }
                 }
                 stmt_locks.push(node);

@@ -16,7 +16,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::lexer::{lex, Lexed, Token, TokenKind};
-use crate::tree::{receiver_chain, Tree};
+use crate::tree::{lock_call, receiver_chain, Tree};
 
 /// A lint rule identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -641,14 +641,17 @@ fn check_counters(ctx: &FileContext, out: &mut Vec<Violation>) {
     }
 }
 
-/// Rule L. Flags a `.lock(` call while another guard binding is live in
-/// an enclosing (or the same) scope, and a second `.lock(` within one
-/// statement. The store lock is a non-reentrant mutex, so a second
-/// acquisition under a live guard deadlocks the thread on itself; this
-/// rule keeps every acquisition the only live one through refactors.
+/// Rule L. Flags a lock acquisition (`.lock(`, `.try_lock(`, `.read(`,
+/// `.write(`, `.try_read(`, `.try_write(`) while another guard binding is
+/// live in an enclosing (or the same) scope, and a second acquisition
+/// within one statement. No lock in the concurrent store is reentrant,
+/// so a second acquisition under a live guard deadlocks the thread on
+/// itself; this rule keeps every acquisition the only live one through
+/// refactors.
 ///
 /// A guard is considered live from the end of a statement of the exact
-/// shape `let … = <expr>.lock();` until its enclosing block closes.
+/// shape `let … = <expr>.lock();` until its enclosing block closes, and
+/// through the block of an `if let … = <expr>.try_write() {`.
 /// Statement-scoped temporaries (`…lock().len();`, chained in a larger
 /// expression) are not registered — they die at the `;` — but still
 /// count toward the one-lock-per-statement limit.
@@ -660,10 +663,12 @@ fn check_locks(ctx: &FileContext, out: &mut Vec<Violation>) {
     let mut depth = 0usize;
     // Registration depths of live guard bindings.
     let mut guards: Vec<usize> = Vec::new();
-    // `.lock(` calls seen in the current statement so far.
+    // Lock calls seen in the current statement so far.
     let mut locks_this_stmt = 0usize;
-    // The current statement is a guard binding; register at its `;`.
+    // The current statement is a guard binding; register at its `;`, or
+    // inside the block that its `{` opens.
     let mut register_at_semi = false;
+    let mut register_at_brace = false;
     let mut has_let = false;
 
     // Depth bookkeeping must see every brace (including test code), so
@@ -671,33 +676,35 @@ fn check_locks(ctx: &FileContext, out: &mut Vec<Violation>) {
     for (i, t) in tokens.iter().enumerate() {
         if t.is_punct('{') {
             depth += 1;
-            (locks_this_stmt, register_at_semi, has_let) = (0, false, false);
+            if register_at_brace {
+                guards.push(depth);
+            }
+            (locks_this_stmt, has_let) = (0, false);
+            (register_at_semi, register_at_brace) = (false, false);
             continue;
         }
         if t.is_punct('}') {
             depth = depth.saturating_sub(1);
             guards.retain(|&d| depth >= d);
-            (locks_this_stmt, register_at_semi, has_let) = (0, false, false);
+            (locks_this_stmt, has_let) = (0, false);
+            (register_at_semi, register_at_brace) = (false, false);
             continue;
         }
         if t.is_punct(';') {
             if register_at_semi {
                 guards.push(depth);
             }
-            (locks_this_stmt, register_at_semi, has_let) = (0, false, false);
+            (locks_this_stmt, has_let) = (0, false);
+            (register_at_semi, register_at_brace) = (false, false);
             continue;
         }
         if t.is_ident("let") {
             has_let = true;
             continue;
         }
-        if !(t.is_punct('.')
-            && i + 2 < tokens.len()
-            && tokens[i + 1].is_ident("lock")
-            && tokens[i + 2].is_punct('('))
-        {
+        let Some(method) = lock_call(tokens, i) else {
             continue;
-        }
+        };
         let line = tokens[i + 1].line;
         if (!guards.is_empty() || locks_this_stmt > 0)
             && !ctx.in_test(i)
@@ -708,16 +715,17 @@ fn check_locks(ctx: &FileContext, out: &mut Vec<Violation>) {
                 out,
                 Rule::Locks,
                 line,
-                "`.lock()` while another guard is live — holding two locks, or one \
-                 twice, risks deadlock"
-                    .to_owned(),
+                format!(
+                    "`.{method}()` while another guard is live — holding two locks, or one \
+                     twice, risks deadlock"
+                ),
                 "release the first guard before locking again (store methods take exactly \
                  one lock), or justify with `// xtask-allow(locks): <reason>`",
             );
         }
         locks_this_stmt += 1;
         // Guard-binding shape: the lock call's matching `)` is followed
-        // directly by `;`.
+        // directly by `;` (a `let`) or by `{` (an `if let`/`while let`).
         if has_let {
             let mut j = i + 3;
             let mut paren = 1usize;
@@ -729,8 +737,10 @@ fn check_locks(ctx: &FileContext, out: &mut Vec<Violation>) {
                 }
                 j += 1;
             }
-            if j < tokens.len() && tokens[j].is_punct(';') {
-                register_at_semi = true;
+            match tokens.get(j) {
+                Some(next) if next.is_punct(';') => register_at_semi = true,
+                Some(next) if next.is_punct('{') => register_at_brace = true,
+                _ => {}
             }
         }
     }
@@ -891,9 +901,14 @@ pub const HOT_FNS_ANYWHERE: &[&str] = &[
     "fill_imu_window",
 ];
 
-/// Fns that are hot-path within the concurrent core (store operations
-/// executed under the store lock).
-pub const HOT_FNS_CONCURRENT: &[&str] = &["lookup", "insert"];
+/// Fns that are hot-path within the concurrent core and the store it
+/// locks: the per-frame store operations and the two halves of a lookup,
+/// the probe under the read lock and the commit under the write lock.
+pub const HOT_FNS_CONCURRENT: &[&str] = &["lookup", "insert", "probe", "commit"];
+
+/// Files where [`HOT_FNS_CONCURRENT`] are hot: the concurrent core and
+/// the store whose operations it runs under its locks.
+const HOT_SCOPE: &[&str] = &[LOCK_SCOPE_PREFIX, "crates/reuse/src/store.rs"];
 
 /// Allocation patterns rule A flags inside hot fns.
 const ALLOC_METHODS: &[&str] = &["clone", "to_vec", "collect"];
@@ -901,12 +916,14 @@ const ALLOC_METHODS: &[&str] = &["clone", "to_vec", "collect"];
 /// Rule A. Flags allocations (`Vec::new`, `Box::new`, `format!`,
 /// `vec!`, `.clone()`, `.to_vec()`, `.collect()`) inside the designated
 /// hot-path fn bodies. These fns run per frame — `nearest_within_into`
-/// / `decide_in` on every lookup, the store's `lookup` / `insert` under
-/// the store lock — and the flat-buffer kernels exist precisely so they
-/// stay allocation-free.
+/// / `decide_in` on every lookup, the store's `lookup` / `insert` and a
+/// lookup's `probe` / `commit` halves under the store lock — and the
+/// flat-buffer kernels exist precisely so they stay allocation-free.
 fn check_alloc(ctx: &FileContext, out: &mut Vec<Violation>) {
     let tokens = ctx.tokens();
-    let concurrent = ctx.rel_path.starts_with(LOCK_SCOPE_PREFIX);
+    let concurrent = HOT_SCOPE
+        .iter()
+        .any(|scope| ctx.rel_path.starts_with(scope));
     for f in ctx.tree().fns() {
         let hot = HOT_FNS_ANYWHERE.contains(&f.name.as_str())
             || (concurrent && HOT_FNS_CONCURRENT.contains(&f.name.as_str()));

@@ -198,6 +198,21 @@ fn find_impls(tokens: &[Token], match_of: &[Option<usize>]) -> Vec<ImplScope> {
     impls
 }
 
+/// Method names that acquire a lock (see [`lock_call`]).
+const LOCK_METHODS: &[&str] = &["lock", "try_lock", "read", "write", "try_read", "try_write"];
+
+/// The acquiring method when `tokens[i]` is the `.` of a lock call such
+/// as `.lock(` or `.try_write(`: a mutex's `lock` and `try_lock`, a
+/// reader-writer lock's `read`, `write`, `try_read` and `try_write`.
+pub fn lock_call(tokens: &[Token], i: usize) -> Option<&str> {
+    let method = tokens.get(i + 1)?;
+    (tokens[i].is_punct('.')
+        && method.kind == TokenKind::Ident
+        && LOCK_METHODS.contains(&method.ident_name())
+        && tokens.get(i + 2)?.is_punct('('))
+    .then(|| method.ident_name())
+}
+
 /// Names the receiver chain ending at the `.` (or field) token at
 /// `dot_idx`, walking left: identifiers and `.`/`::` joins are kept,
 /// call and index groups collapse to `(_)` / `[_]`. `self.shard(idx)`
@@ -298,21 +313,30 @@ mod tests {
 
     #[test]
     fn receiver_chains_normalize_calls_and_indexes() {
-        let lexed = lex("self.shard(idx).lock(); self.shards[i].lock(); guard.lock();");
+        let lexed = lex("self.shard(idx).lock(); self.shards[i].read(); guard.try_write();");
         let tree = Tree::new(&lexed.tokens);
-        let dots: Vec<usize> = lexed
-            .tokens
-            .iter()
-            .enumerate()
-            .filter(|&(i, t)| {
-                t.is_punct('.') && lexed.tokens.get(i + 1).is_some_and(|n| n.is_ident("lock"))
-            })
-            .map(|(i, _)| i)
+        let dots: Vec<usize> = (0..lexed.tokens.len())
+            .filter(|&i| lock_call(&lexed.tokens, i).is_some())
             .collect();
         let chains: Vec<String> = dots
             .iter()
             .map(|&d| receiver_chain(&lexed.tokens, &tree, d))
             .collect();
         assert_eq!(chains, vec!["self.shard(_)", "self.shards[_]", "guard"]);
+    }
+
+    #[test]
+    fn lock_calls_cover_mutex_and_rwlock_methods() {
+        let lexed = lex(
+            "a.lock(); b.try_lock(); c.read(); d.write(); e.try_read(); \
+             f.try_write(); g.lock; h.reader(); read(x);",
+        );
+        let methods: Vec<&str> = (0..lexed.tokens.len())
+            .filter_map(|i| lock_call(&lexed.tokens, i))
+            .collect();
+        assert_eq!(
+            methods,
+            vec!["lock", "try_lock", "read", "write", "try_read", "try_write"]
+        );
     }
 }

@@ -308,6 +308,86 @@ fn lock_graph_honours_the_locks_allow_marker() {
 }
 
 #[test]
+fn bad_rwlocks_fire_for_every_call_form() {
+    // One second acquisition per call form: `.read(` under a write guard,
+    // `.write(` under a read guard, `.try_lock(` in the statement that
+    // took `.lock(`, `.try_read(` inside an `if let … .try_write() {`
+    // block, and `.try_write(` under the queue's guard.
+    let hits = lint(
+        "bad",
+        "rwlocks",
+        "crates/reuse/src/concurrent/fixture.rs",
+        0,
+    );
+    let mut lines: Vec<usize> = hits
+        .iter()
+        .filter(|&&(r, _)| r == Rule::Locks)
+        .map(|&(_, l)| l)
+        .collect();
+    lines.sort_unstable();
+    assert_eq!(lines, vec![10, 17, 22, 27, 34], "got {hits:?}");
+}
+
+#[test]
+fn lock_graph_joins_read_and_write_sides_into_one_node() {
+    let (graph, violations) = graph_of("bad", "rwlocks", "crates/reuse/src/concurrent/fixture.rs");
+    assert_eq!(graph.nodes, vec!["self.cache", "self.queue"], "{graph:?}");
+    let cycles = graph.cycles();
+    // `.read(` under `.write(` is a self-edge of the one store node.
+    assert!(
+        cycles.iter().any(|c| c.iter().all(|n| n == "self.cache")),
+        "{graph:?}"
+    );
+    // `refill` (queue, then store by `.try_write(`) against
+    // `drain_under_write` (store, then queue through `drain`).
+    assert!(
+        cycles
+            .iter()
+            .any(|c| c.contains(&"self.cache".to_string()) && c.contains(&"self.queue".to_string())),
+        "{graph:?}"
+    );
+    assert!(
+        violations.iter().any(|&(r, _)| r == Rule::LockGraph),
+        "got {violations:?}"
+    );
+}
+
+#[test]
+fn good_rwlocks_are_clean_and_keep_their_nesting_as_an_edge() {
+    let hits = lint(
+        "good",
+        "rwlocks",
+        "crates/reuse/src/concurrent/fixture.rs",
+        0,
+    );
+    assert!(hits.is_empty(), "got {hits:?}");
+    let (graph, violations) = graph_of("good", "rwlocks", "crates/reuse/src/concurrent/fixture.rs");
+    assert_eq!(
+        graph.nodes,
+        vec!["self.cache", "self.queue", "self.scratch"],
+        "{graph:?}"
+    );
+    // The queue is taken under the store's write lock twice: behind
+    // `let … = .write();` in `stats` and inside the
+    // `if let … = .try_write() {` block in `commit`.
+    let nested: Vec<(&str, &str, Option<&str>)> = graph
+        .edges
+        .iter()
+        .map(|e| (e.from.as_str(), e.to.as_str(), e.via.as_deref()))
+        .collect();
+    assert_eq!(
+        nested,
+        vec![
+            ("self.cache", "self.queue", Some("drain")),
+            ("self.cache", "self.queue", Some("drain")),
+        ],
+        "{graph:?}"
+    );
+    assert!(graph.cycles().is_empty(), "{graph:?}");
+    assert!(violations.is_empty(), "got {violations:?}");
+}
+
+#[test]
 fn bad_seed_split_fires() {
     let hits = lint("bad", "seed_split", "crates/approxcache/src/fixture.rs", 0);
     let lines: Vec<usize> = hits

@@ -57,8 +57,21 @@ fn lock_order_graph_is_nonempty_and_acyclic() {
     let report = lint_repo(&root, &budget).unwrap();
     assert_eq!(
         report.lock_graph.nodes,
-        vec!["self.core.cache".to_string()],
-        "expected the store's one lock family"
+        vec!["self.core.cache", "self.core.pending", "self.core.scratch"],
+        "expected the store's read-write lock, its commit queue and its lookup buffers"
+    );
+    // The one nesting: queued commits are applied under the store's
+    // write lock, so the store is always taken before the queue.
+    assert!(
+        !report.lock_graph.edges.is_empty()
+            && report
+                .lock_graph
+                .edges
+                .iter()
+                .all(|e| (e.from.as_str(), e.to.as_str())
+                    == ("self.core.cache", "self.core.pending")),
+        "unexpected lock nesting: {:?}",
+        report.lock_graph.edges
     );
     assert!(
         report.lock_graph.cycles().is_empty(),
@@ -92,6 +105,7 @@ fn allow_census_is_pinned() {
     assert_eq!(
         census,
         vec![
+            "crates/reuse/src/store.rs: alloc",
             "crates/reuse/src/store.rs: determinism",
             "crates/reuse/src/store.rs: determinism",
             "crates/reuse/src/store.rs: determinism",
