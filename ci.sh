@@ -47,6 +47,12 @@ echo "== cargo test (concurrent store, optimized: thread interleavings) =="
 # no-lost-commit tests must also run on the code that ships.
 cargo test --release -q -p reuse --test concurrent_store
 
+echo "== cargo test (store oracle, optimized: keys read back from the index) =="
+# The store keeps each key only in the index and snapshots read keys back
+# out of the flat buffer, so the snapshot-equality oracle must also run
+# on the release-compiled flat-buffer code.
+cargo test --release -q -p reuse --test oracle_equivalence
+
 echo "== verify_claims (headline regression gate) =="
 # At the default 30 simulated seconds it rewrites the tracked
 # results/*-full.json and verify_claims.json goldens with the same bytes;

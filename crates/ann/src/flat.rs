@@ -170,6 +170,18 @@ impl FlatBuffer {
         }
     }
 
+    /// `id`'s key, rebuilt from its head lanes and its tail: the
+    /// components exactly as inserted (rows hold `f32` copies, so every
+    /// bit comes back), or `None` when no row has that id.
+    pub fn key(&self, id: u64) -> Option<Vec<f32>> {
+        let &row = self.positions.get(&id)?;
+        let tail_dim = self.tail_dim();
+        let mut key = Vec::with_capacity(self.dim);
+        key.extend((0..self.head_dim()).map(|lane| self.heads[head_slot(row, lane)]));
+        key.extend_from_slice(&self.tails[row * tail_dim..(row + 1) * tail_dim]);
+        Some(key)
+    }
+
     /// Removes `id`'s row by swap-remove, returning whether it existed.
     pub fn remove(&mut self, id: u64) -> bool {
         let Some(row) = self.positions.remove(&id) else {
@@ -301,17 +313,9 @@ mod tests {
         buffer
     }
 
-    /// Row `row`'s key, put back together from its head lanes and tail.
+    /// Row `row`'s key, read back through the id stored at that row.
     pub(super) fn key_at(b: &FlatBuffer, row: usize) -> Vec<f32> {
-        let tail_dim = b.tail_dim();
-        (0..b.head_dim())
-            .map(|lane| b.heads[head_slot(row, lane)])
-            .chain(
-                b.tails[row * tail_dim..(row + 1) * tail_dim]
-                    .iter()
-                    .copied(),
-            )
-            .collect()
+        b.key(b.ids[row]).unwrap()
     }
 
     #[test]

@@ -51,6 +51,14 @@ impl LinearScan {
             flat: FlatBuffer::new(dim),
         }
     }
+
+    /// The key stored under `id`, rebuilt from the flat buffer: bit for
+    /// bit the key that was inserted, or `None` for an id not held. The
+    /// index is the only copy of its keys, so a reader that needs one (a
+    /// cache exporting its entries) asks here.
+    pub fn key(&self, id: u64) -> Option<FeatureVector> {
+        FeatureVector::from_vec(self.flat.key(id)?).ok()
+    }
 }
 
 impl NnIndex for LinearScan {
@@ -115,6 +123,12 @@ impl ReferenceLinearScan {
             entries: Vec::new(),
             positions: HashMap::new(),
         }
+    }
+
+    /// The key stored under `id`, as inserted.
+    pub fn key(&self, id: u64) -> Option<&FeatureVector> {
+        let &pos = self.positions.get(&id)?;
+        self.entries.get(pos).map(|(_, key)| key)
     }
 }
 
@@ -398,6 +412,59 @@ mod proptests {
             let mut reused = Vec::new();
             fast.nearest_into(&query, k, &mut scratch, &mut reused);
             prop_assert_eq!(reused, a);
+        }
+
+        /// The scan is the only copy of its keys, so reading one back must
+        /// give the inserted bits: under random insert, replace-by-id and
+        /// remove, at widths below, at and past one head chunk and on
+        /// buffers of up to five head blocks (a swap-remove moves the last
+        /// row across blocks), every live id's key equals the reference's
+        /// stored key `to_bits` for `to_bits`, and a missing id reads
+        /// `None` from both.
+        #[test]
+        fn read_back_keys_match_the_reference(
+            dim in prop_oneof![Just(1usize), Just(3), Just(8), Just(9), Just(64)],
+            fill in 0usize..40,
+            ops in proptest::collection::vec(
+                (0u64..48, proptest::option::of(any::<u64>())),
+                0..80,
+            ),
+        ) {
+            let key = |seed: u64| {
+                // Components over many decades in both signs, with
+                // repeats, so a lossy or transposed copy shows.
+                let components = (0..dim as u64)
+                    .map(|j| {
+                        let z = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(j as u32 * 7);
+                        ((z >> 40) as i32 - (1 << 23)) as f32 * 10f32.powi((z % 9) as i32 - 4)
+                    })
+                    .collect();
+                FeatureVector::from_vec(components).unwrap()
+            };
+            let mut fast = LinearScan::new(dim);
+            let mut reference = ReferenceLinearScan::new(dim);
+            let bits = |key: Option<&FeatureVector>| {
+                key.map(|k| k.as_slice().iter().map(|c| c.to_bits()).collect::<Vec<u32>>())
+            };
+            for id in 0..fill as u64 {
+                fast.insert(id, key(id));
+                reference.insert(id, key(id));
+            }
+            for (id, insert) in ops {
+                match insert {
+                    Some(seed) => {
+                        fast.insert(id, key(seed));
+                        reference.insert(id, key(seed));
+                    }
+                    None => {
+                        prop_assert_eq!(fast.remove(id), reference.remove(id));
+                    }
+                }
+                for id in 0..48u64 {
+                    prop_assert_eq!(bits(fast.key(id).as_ref()), bits(reference.key(id)));
+                }
+            }
+            prop_assert_eq!(fast.key(u64::MAX), None);
         }
     }
 }

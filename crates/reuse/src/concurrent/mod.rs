@@ -266,10 +266,10 @@ impl<L: Copy + Eq + Hash + fmt::Debug> SharedCache<L> {
         self.core.cache.read().peek_nearest(key)
     }
 
-    /// The `limit` most recently used entries, newest first (cloned, so
+    /// The `limit` most recently used entries, newest first (copies, so
     /// the lock is released before returning).
     pub fn hottest(&self, limit: usize) -> Vec<CacheEntry<L>> {
-        self.with_write(|cache| cache.hottest(limit).into_iter().cloned().collect())
+        self.with_write(|cache| cache.hottest(limit))
     }
 
     /// A snapshot of every entry, sorted by entry id — the deterministic

@@ -37,7 +37,16 @@ impl std::fmt::Display for EntrySource {
     }
 }
 
-/// One cached recognition result.
+/// One cached recognition result, as the store exports it: to snapshots,
+/// to `frozen_view`'s restore, to peers over the wire.
+///
+/// The store does not hold `CacheEntry` values. It keeps a keyless
+/// record per entry and each key once, in its index, and rebuilds an
+/// entry, key bit for bit, whenever one is asked for
+/// ([`ApproxCache::entry`](crate::ApproxCache::entry),
+/// [`iter`](crate::ApproxCache::iter),
+/// [`hottest`](crate::ApproxCache::hottest)). So an entry is a copy:
+/// changing it changes nothing cached.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CacheEntry<L> {
     /// Stable identifier within the owning cache.
@@ -58,14 +67,45 @@ pub struct CacheEntry<L> {
     pub source: EntrySource,
 }
 
-impl<L> CacheEntry<L> {
+/// What the store keeps of one entry: every field of a [`CacheEntry`]
+/// but the key, which lives only in the store's index. Victim selection
+/// and the lookup's vote read records; [`Record::with_key`] turns one
+/// back into the exported entry.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Record<L> {
+    pub(crate) id: EntryId,
+    pub(crate) label: L,
+    pub(crate) confidence: f64,
+    pub(crate) inserted_at: SimTime,
+    pub(crate) last_used: SimTime,
+    pub(crate) uses: u64,
+    pub(crate) source: EntrySource,
+}
+
+impl<L: Copy> Record<L> {
+    /// The exported entry: this record with its key put back.
+    pub(crate) fn with_key(&self, key: FeatureVector) -> CacheEntry<L> {
+        CacheEntry {
+            id: self.id,
+            key,
+            label: self.label,
+            confidence: self.confidence,
+            inserted_at: self.inserted_at,
+            last_used: self.last_used,
+            uses: self.uses,
+            source: self.source,
+        }
+    }
+}
+
+impl<L> Record<L> {
     /// Age since insertion at `now`.
-    pub fn age(&self, now: SimTime) -> simcore::SimDuration {
+    pub(crate) fn age(&self, now: SimTime) -> simcore::SimDuration {
         now.saturating_duration_since(self.inserted_at)
     }
 
     /// Time since the entry last served a hit.
-    pub fn idle(&self, now: SimTime) -> simcore::SimDuration {
+    pub(crate) fn idle(&self, now: SimTime) -> simcore::SimDuration {
         now.saturating_duration_since(self.last_used)
     }
 }
@@ -77,9 +117,8 @@ mod tests {
 
     #[test]
     fn age_and_idle_track_timestamps() {
-        let e = CacheEntry {
+        let r = Record {
             id: EntryId(1),
-            key: FeatureVector::zeros(2),
             label: 3u32,
             confidence: 0.9,
             inserted_at: SimTime::from_millis(100),
@@ -88,10 +127,14 @@ mod tests {
             source: EntrySource::LocalInference,
         };
         let now = SimTime::from_millis(1_000);
-        assert_eq!(e.age(now), SimDuration::from_millis(900));
-        assert_eq!(e.idle(now), SimDuration::from_millis(600));
+        assert_eq!(r.age(now), SimDuration::from_millis(900));
+        assert_eq!(r.idle(now), SimDuration::from_millis(600));
         // Saturating: clock before insertion yields zero, not panic.
-        assert_eq!(e.age(SimTime::ZERO), SimDuration::ZERO);
+        assert_eq!(r.age(SimTime::ZERO), SimDuration::ZERO);
+        // The exported entry is the record plus its key.
+        let e = r.with_key(FeatureVector::zeros(2));
+        assert_eq!((e.id, e.label, e.uses), (r.id, r.label, r.uses));
+        assert_eq!(e.key, FeatureVector::zeros(2));
     }
 
     #[test]

@@ -4,7 +4,7 @@ use serde::{Deserialize, Serialize};
 
 use simcore::{SimDuration, SimTime};
 
-use crate::entry::{CacheEntry, EntryId};
+use crate::entry::{EntryId, Record};
 
 /// Which entry to discard when capacity is reached.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -50,11 +50,11 @@ impl EvictionPolicy {
         ]
     }
 
-    /// Picks the victim among `entries` at time `now`. Returns `None` for
-    /// an empty iterator.
-    pub fn choose_victim<'a, L: 'a>(
+    /// Picks the victim among the store's `entries` at time `now`.
+    /// Returns `None` for an empty iterator.
+    pub(crate) fn choose_victim<'a, L: 'a>(
         &self,
-        entries: impl Iterator<Item = &'a CacheEntry<L>>,
+        entries: impl Iterator<Item = &'a Record<L>>,
         now: SimTime,
     ) -> Option<EntryId> {
         match self {
@@ -103,12 +103,10 @@ impl std::fmt::Display for EvictionPolicy {
 mod tests {
     use super::*;
     use crate::entry::EntrySource;
-    use features::FeatureVector;
 
-    fn entry(id: u64, inserted_ms: u64, used_ms: u64, uses: u64, conf: f64) -> CacheEntry<u32> {
-        CacheEntry {
+    fn entry(id: u64, inserted_ms: u64, used_ms: u64, uses: u64, conf: f64) -> Record<u32> {
+        Record {
             id: EntryId(id),
-            key: FeatureVector::zeros(1),
             label: 0,
             confidence: conf,
             inserted_at: SimTime::from_millis(inserted_ms),
@@ -237,8 +235,8 @@ mod tests {
 
     #[test]
     fn empty_iterator_yields_none() {
-        let none: Option<EntryId> = EvictionPolicy::Lru
-            .choose_victim(std::iter::empty::<&CacheEntry<u32>>(), SimTime::ZERO);
+        let none: Option<EntryId> =
+            EvictionPolicy::Lru.choose_victim(std::iter::empty::<&Record<u32>>(), SimTime::ZERO);
         assert_eq!(none, None);
     }
 

@@ -13,7 +13,11 @@
 //!
 //! - [`ApproxCache`] — the store: exact linear-scan index, bounded capacity,
 //!   eviction, admission control, per-operation statistics. The body of
-//!   every `SharedCache`, and the oracle it is tested against.
+//!   every `SharedCache`, and the oracle it is tested against. It holds
+//!   each key once, in its index, beside a keyless record per entry.
+//! - [`CacheEntry`] — the export type: one entry with its key, rebuilt
+//!   from the record and the index whenever one is read (`entry`,
+//!   `iter`, `hottest`, snapshots), so it is always a copy.
 //! - [`EvictionPolicy`] — LRU / LFU / TTL / utility-aware victim choice.
 //! - [`AdmissionPolicy`] — confidence floor plus near-duplicate refresh
 //!   (a new observation of a cached subject refreshes the entry instead of

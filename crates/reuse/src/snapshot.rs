@@ -24,11 +24,12 @@ pub struct CacheSnapshot<L> {
 }
 
 impl<L: Copy + Eq + Hash + std::fmt::Debug> CacheSnapshot<L> {
-    /// Captures the current contents of `cache`.
+    /// Captures the current contents of `cache`, each key read back
+    /// from its index.
     pub fn capture(cache: &ApproxCache<L>, now: SimTime) -> CacheSnapshot<L> {
         CacheSnapshot {
             taken_at: now,
-            entries: cache.iter().cloned().collect(),
+            entries: cache.iter().collect(),
         }
     }
 

@@ -11,7 +11,7 @@ use features::FeatureVector;
 use simcore::SimTime;
 
 use crate::admission::AdmissionPolicy;
-use crate::entry::{CacheEntry, EntryId, EntrySource};
+use crate::entry::{CacheEntry, EntryId, EntrySource, Record};
 use crate::evict::EvictionPolicy;
 use crate::stats::CacheStats;
 use crate::victim::{EntryMeta, VictimChoice, VictimIndex};
@@ -169,8 +169,10 @@ impl<L> Default for LookupScratch<L> {
 /// See the [crate docs](crate) for a usage example.
 pub struct ApproxCache<L> {
     config: CacheConfig,
+    /// Every entry's key, and the only copy of it.
     index: Option<LinearScan>,
-    entries: HashMap<u64, CacheEntry<L>>,
+    /// Everything else about each entry, by id.
+    entries: HashMap<u64, Record<L>>,
     /// Incremental eviction metadata mirroring `entries` — victim
     /// selection is O(log n) instead of a full scan (see [`VictimIndex`]).
     victims: VictimIndex,
@@ -248,16 +250,27 @@ impl<L: Copy + Eq + Hash + fmt::Debug> ApproxCache<L> {
         &self.stats
     }
 
-    /// The entry with `id`, if it is still cached.
-    pub fn entry(&self, id: EntryId) -> Option<&CacheEntry<L>> {
-        self.entries.get(&id.0)
+    /// The entry with `id`, if it is still cached — a copy, its key read
+    /// back from the index.
+    pub fn entry(&self, id: EntryId) -> Option<CacheEntry<L>> {
+        self.export(self.entries.get(&id.0)?)
     }
 
-    /// Iterates over all cached entries (arbitrary order).
-    pub fn iter(&self) -> impl Iterator<Item = &CacheEntry<L>> {
+    /// Iterates over copies of all cached entries (arbitrary order), each
+    /// key read back from the index as it is reached.
+    pub fn iter(&self) -> impl Iterator<Item = CacheEntry<L>> + '_ {
         // xtask-allow(determinism): callers are documented to treat the
         // order as arbitrary; every aggregation over it is order-free.
-        self.entries.values()
+        self.entries
+            .values()
+            .filter_map(|record| self.export(record))
+    }
+
+    /// `record` as an exported entry, with its key from the index. An id
+    /// the index does not hold (a store/index desync) exports nothing.
+    fn export(&self, record: &Record<L>) -> Option<CacheEntry<L>> {
+        let key = self.index.as_ref()?.key(record.id.0)?;
+        Some(record.with_key(key))
     }
 
     /// The nearest cached entry to `key` with its distance, regardless of
@@ -412,13 +425,13 @@ impl<L: Copy + Eq + Hash + fmt::Debug> ApproxCache<L> {
             index.nearest_within_into(&key, 1, f64::INFINITY, &mut self.scratch.neighbors);
             if let Some(nearest) = self.scratch.neighbors.first() {
                 if nearest.distance <= self.config.admission.dedup_distance {
-                    if let Some(entry) = self.entries.get_mut(&nearest.id) {
-                        if entry.label == label {
-                            let before = EntryMeta::of(entry);
-                            entry.last_used = now;
-                            entry.uses += 1;
-                            entry.confidence = entry.confidence.max(confidence);
-                            self.victims.on_update(before, EntryMeta::of(entry));
+                    if let Some(record) = self.entries.get_mut(&nearest.id) {
+                        if record.label == label {
+                            let before = EntryMeta::of(record);
+                            record.last_used = now;
+                            record.uses += 1;
+                            record.confidence = record.confidence.max(confidence);
+                            self.victims.on_update(before, EntryMeta::of(record));
                             self.stats.record_refresh();
                             return InsertOutcome::Refreshed(EntryId(nearest.id));
                         }
@@ -439,14 +452,13 @@ impl<L: Copy + Eq + Hash + fmt::Debug> ApproxCache<L> {
 
         let id = EntryId(self.next_id);
         self.next_id += 1;
-        // xtask-allow(alloc): one copy per admitted entry, not per frame —
-        // the index takes its key by value and the entry keeps the original.
+        // The key moves into the index, its one home; the record keeps
+        // the rest.
         self.index
             .get_or_insert_with(|| LinearScan::new(key.dim()))
-            .insert(id.0, key.clone());
-        let entry = CacheEntry {
+            .insert(id.0, key);
+        let record = Record {
             id,
-            key,
             label,
             confidence,
             inserted_at: now,
@@ -454,8 +466,8 @@ impl<L: Copy + Eq + Hash + fmt::Debug> ApproxCache<L> {
             uses: 0,
             source,
         };
-        self.victims.on_insert(EntryMeta::of(&entry));
-        self.entries.insert(id.0, entry);
+        self.victims.on_insert(EntryMeta::of(&record));
+        self.entries.insert(id.0, record);
         self.stats.record_insert();
         InsertOutcome::Inserted(id)
     }
@@ -487,8 +499,8 @@ impl<L: Copy + Eq + Hash + fmt::Debug> ApproxCache<L> {
 
     fn remove_internal(&mut self, id: EntryId) -> bool {
         match self.entries.remove(&id.0) {
-            Some(entry) => {
-                self.victims.on_remove(EntryMeta::of(&entry));
+            Some(record) => {
+                self.victims.on_remove(EntryMeta::of(&record));
                 if let Some(index) = self.index.as_mut() {
                     index.remove(id.0);
                 }
@@ -546,14 +558,18 @@ impl<L: Copy + Eq + Hash + fmt::Debug> ApproxCache<L> {
         victims.len()
     }
 
-    /// The entries most recently used, up to `limit`, newest first — what
-    /// a device offers when a peer asks it to share its hot set.
-    pub fn hottest(&self, limit: usize) -> Vec<&CacheEntry<L>> {
+    /// Copies of the entries most recently used, up to `limit`, newest
+    /// first — what a device offers when a peer asks it to share its hot
+    /// set. Only the `limit` chosen keys are read back from the index.
+    pub fn hottest(&self, limit: usize) -> Vec<CacheEntry<L>> {
         // xtask-allow(determinism): sorted by a total key before use.
-        let mut entries: Vec<&CacheEntry<L>> = self.entries.values().collect();
-        entries.sort_by_key(|e| std::cmp::Reverse((e.last_used, e.uses, e.id)));
-        entries.truncate(limit);
-        entries
+        let mut records: Vec<&Record<L>> = self.entries.values().collect();
+        records.sort_by_key(|r| std::cmp::Reverse((r.last_used, r.uses, r.id)));
+        records
+            .into_iter()
+            .take(limit)
+            .filter_map(|record| self.export(record))
+            .collect()
     }
 }
 
@@ -751,6 +767,45 @@ mod tests {
             let id = out.entry().unwrap();
             assert!(seen.insert(id), "id {id} recycled");
         }
+    }
+
+    #[test]
+    fn entries_read_back_their_inserted_keys_after_rows_move() {
+        // Keys wider than one head chunk, far apart so nothing dedups;
+        // nine live rows span two head blocks, so each eviction and
+        // removal swap-moves the last row into the hole, often across
+        // blocks.
+        let key = |i: u32| {
+            fv(&(0..12)
+                .map(|j| i as f32 * 100.0 + j as f32 / 7.0)
+                .collect::<Vec<_>>())
+        };
+        let mut c = cache(9);
+        let mut inserted = HashMap::new();
+        for i in 0..40u32 {
+            let id = c
+                .insert(
+                    key(i),
+                    i,
+                    0.9,
+                    EntrySource::LocalInference,
+                    SimTime::from_millis(i.into()),
+                )
+                .entry()
+                .unwrap();
+            inserted.insert(id, key(i));
+            if i % 5 == 4 {
+                let oldest = c.hottest(9).last().unwrap().id;
+                assert!(c.remove(oldest));
+            }
+        }
+        assert!(c.stats().evictions > 0 && c.stats().removals > 0);
+        assert_eq!(c.iter().count(), c.len());
+        for entry in c.iter() {
+            assert_eq!(entry.key, inserted[&entry.id], "{}", entry.id);
+            assert_eq!(c.entry(entry.id).unwrap(), entry);
+        }
+        assert_eq!(c.entry(EntryId(0)), None, "evicted long ago");
     }
 
     #[test]

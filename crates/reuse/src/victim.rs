@@ -16,10 +16,10 @@ use std::collections::BTreeSet;
 
 use simcore::{SimDuration, SimTime};
 
-use crate::entry::{CacheEntry, EntryId};
+use crate::entry::{EntryId, Record};
 use crate::evict::EvictionPolicy;
 
-/// The ordering-relevant slice of a cache entry, captured before and
+/// The ordering-relevant slice of an entry's record, captured before and
 /// after each metadata mutation so stale set elements can be removed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct EntryMeta {
@@ -30,12 +30,12 @@ pub(crate) struct EntryMeta {
 }
 
 impl EntryMeta {
-    pub(crate) fn of<L>(entry: &CacheEntry<L>) -> EntryMeta {
+    pub(crate) fn of<L>(record: &Record<L>) -> EntryMeta {
         EntryMeta {
-            id: entry.id.0,
-            inserted_at: entry.inserted_at,
-            last_used: entry.last_used,
-            uses: entry.uses,
+            id: record.id.0,
+            inserted_at: record.inserted_at,
+            last_used: record.last_used,
+            uses: record.uses,
         }
     }
 }
@@ -221,13 +221,11 @@ impl VictimIndex {
 mod tests {
     use super::*;
     use crate::entry::EntrySource;
-    use features::FeatureVector;
     use simcore::SimRng;
 
-    fn entry(id: u64, inserted_ms: u64, used_ms: u64, uses: u64) -> CacheEntry<u32> {
-        CacheEntry {
+    fn entry(id: u64, inserted_ms: u64, used_ms: u64, uses: u64) -> Record<u32> {
+        Record {
             id: EntryId(id),
-            key: FeatureVector::zeros(1),
             label: 0,
             confidence: 0.9,
             inserted_at: SimTime::from_millis(inserted_ms),
@@ -255,7 +253,7 @@ mod tests {
         for policy in policies() {
             let mut rng = SimRng::seed(0x5eed).split(policy.name());
             let mut index = VictimIndex::new(policy);
-            let mut entries: Vec<CacheEntry<u32>> = Vec::new();
+            let mut entries: Vec<Record<u32>> = Vec::new();
             let mut next_id = 0u64;
             for step in 0..600u64 {
                 let now = SimTime::from_millis(step * 13);
@@ -264,7 +262,7 @@ mod tests {
                     // Insert, with deliberately colliding timestamps so
                     // the id tiebreaks get exercised.
                     let inserted = SimTime::from_millis((step / 3) * 20);
-                    let e = CacheEntry {
+                    let e = Record {
                         inserted_at: inserted,
                         last_used: inserted,
                         ..entry(next_id, 0, 0, 0)

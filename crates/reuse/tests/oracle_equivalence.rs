@@ -91,7 +91,7 @@ fn assert_equivalent(policy: EvictionPolicy, seed: u64) {
             shared.stats(),
             "counters diverged at step {step}"
         );
-        let hottest: Vec<CacheEntry<u32>> = oracle.hottest(3).into_iter().cloned().collect();
+        let hottest: Vec<CacheEntry<u32>> = oracle.hottest(3);
         assert_eq!(
             hottest,
             shared.hottest(3),

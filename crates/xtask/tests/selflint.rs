@@ -105,7 +105,6 @@ fn allow_census_is_pinned() {
     assert_eq!(
         census,
         vec![
-            "crates/reuse/src/store.rs: alloc",
             "crates/reuse/src/store.rs: determinism",
             "crates/reuse/src/store.rs: determinism",
             "crates/reuse/src/store.rs: determinism",

@@ -16,7 +16,7 @@ fn wire_protocol_carries_cache_entries_between_caches() {
     let mut a: ApproxCache<ClassId> = ApproxCache::new(CacheConfig::new(16));
     let key = FeatureVector::from_vec(vec![0.5; 64]).unwrap();
     a.insert(key.clone(), ClassId(7), 0.92, EntrySource::LocalInference, SimTime::ZERO);
-    let entry = a.hottest(1)[0];
+    let entry = &a.hottest(1)[0];
 
     let message = P2pMessage::Advertise {
         entries: vec![WireEntry {
