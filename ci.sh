@@ -47,6 +47,12 @@ echo "== cargo test (concurrent store, optimized: thread interleavings) =="
 # no-lost-commit tests must also run on the code that ships.
 cargo test --release -q -p reuse --test concurrent_store
 
+echo "== cargo test (fleet invariance, optimized: views read by two workers) =="
+# A fleet round's frozen peer views are plain row copies that shards on
+# several workers read at once with no lock; the (S, W) == (1, 1)
+# invariance tests must also run on the code that ships.
+cargo test --release -q -p approxcache --lib fleet
+
 echo "== cargo test (store oracle, optimized: keys read back from the index) =="
 # The store keeps each key only in the index and snapshots read keys back
 # out of the flat buffer, so the snapshot-equality oracle must also run

@@ -182,11 +182,16 @@ impl FlatBuffer {
         Some(key)
     }
 
-    /// Removes `id`'s row by swap-remove, returning whether it existed.
-    pub fn remove(&mut self, id: u64) -> bool {
-        let Some(row) = self.positions.remove(&id) else {
-            return false;
-        };
+    /// The row `id` occupies, or `None` when no row has that id.
+    pub fn row(&self, id: u64) -> Option<usize> {
+        self.positions.get(&id).copied()
+    }
+
+    /// Removes `id`'s row by swap-remove, returning the row it vacated
+    /// (the last row now sits there, unless the removed row was the
+    /// last), or `None` when no row has that id.
+    pub fn remove(&mut self, id: u64) -> Option<usize> {
+        let row = self.positions.remove(&id)?;
         self.ids.swap_remove(row);
         // Mirror the swap-remove in the keys: the last row's head lanes
         // and tail move into the vacated row, and the buffers shrink by
@@ -204,7 +209,7 @@ impl FlatBuffer {
         }
         self.tails.truncate(last * tail_dim);
         self.heads.truncate(last.div_ceil(LANES) * HEAD_BLOCK);
-        true
+        Some(row)
     }
 
     /// Removes every row.
@@ -331,8 +336,8 @@ mod tests {
         assert_eq!(b.len(), 3);
         assert!(!b.insert(20, &[9.0, 9.0]), "replace is not a create");
         assert_eq!(key_at(&b, b.positions[&20]), [9.0, 9.0]);
-        assert!(b.remove(10));
-        assert!(!b.remove(10));
+        assert_eq!(b.remove(10), Some(0), "id 10 vacated row 0");
+        assert_eq!(b.remove(10), None);
         assert_eq!(b.len(), 2);
         // Swap-remove moved row 2 (id 30) into row 0.
         assert_eq!(b.ids[0], 30);
@@ -357,17 +362,17 @@ mod tests {
         assert_eq!(key_at(&b, 16), rows[16].1);
         // Removing row 3 moves row 16 (the only row of block 2) into it
         // and frees block 2.
-        assert!(b.remove(3));
+        assert_eq!(b.remove(3), Some(3));
         assert_eq!(b.heads.len(), 2 * HEAD_BLOCK);
         assert_eq!(b.ids[3], 16);
         assert_eq!(key_at(&b, 3), rows[16].1);
         assert_eq!(b.tails.len(), 16 * 2);
         // Block 1 survives until its last row goes.
         for id in [8u64, 9, 10, 11, 12, 13, 14] {
-            assert!(b.remove(id));
+            assert!(b.remove(id).is_some());
             assert_eq!(b.heads.len(), 2 * HEAD_BLOCK);
         }
-        assert!(b.remove(15));
+        assert!(b.remove(15).is_some());
         assert_eq!(b.len(), 8);
         assert_eq!(b.heads.len(), HEAD_BLOCK);
     }
@@ -568,7 +573,8 @@ mod proptests {
                     }
                     Op::Copy(..) => {}
                     Op::Remove(id) => {
-                        prop_assert_eq!(b.remove(id), model.iter().any(|(i, _)| *i == id));
+                        let row = model.iter().position(|(i, _)| *i == id);
+                        prop_assert_eq!(b.remove(id), row);
                         apply(&mut model, id, None);
                     }
                 }

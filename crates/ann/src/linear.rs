@@ -59,6 +59,21 @@ impl LinearScan {
     pub fn key(&self, id: u64) -> Option<FeatureVector> {
         FeatureVector::from_vec(self.flat.key(id)?).ok()
     }
+
+    /// The row `id`'s key occupies: rows are dense, `0..len()`, so a
+    /// caller can keep its own data for each entry in a `Vec` parallel
+    /// to them.
+    pub fn row(&self, id: u64) -> Option<usize> {
+        self.flat.row(id)
+    }
+
+    /// Removes `id`, returning the row it vacated, or `None` when `id`
+    /// is not held. Removal is a swap-remove: the last row moves into the
+    /// vacated one, so `Vec::swap_remove(row)` keeps a row-parallel `Vec`
+    /// in step.
+    pub fn remove_row(&mut self, id: u64) -> Option<usize> {
+        self.flat.remove(id)
+    }
 }
 
 impl NnIndex for LinearScan {
@@ -76,7 +91,7 @@ impl NnIndex for LinearScan {
     }
 
     fn remove(&mut self, id: u64) -> bool {
-        self.flat.remove(id)
+        self.flat.remove(id).is_some()
     }
 
     fn nearest_within_into(

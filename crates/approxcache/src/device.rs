@@ -7,7 +7,7 @@ use dnnsim::{CascadeModel, DnnModel, EnergyModel, InferenceBackend, Radio};
 use features::{FeatureVector, RandomProjection};
 use imu::{GateDecision, ImuSample, MotionEstimator};
 use p2pnet::{P2pMessage, RemoteHit, ResilienceConfig, ResilienceCounters, Transport, WireEntry};
-use reuse::{EntrySource, LookupResult, SharedCache};
+use reuse::{EntrySource, LookupResult, LookupScratch, PeerLookup, SharedCache};
 use scene::{ClassId, Frame};
 use simcore::units::Millijoules;
 use simcore::{
@@ -193,9 +193,13 @@ pub struct Device {
     /// delivered)` pairs; drained by the simulation for circuit-breaker
     /// feedback. Only recorded when a breaker is configured.
     peer_outcomes: Vec<(usize, bool)>,
+    /// The buffers this device's peer lookups run in, so asking a frozen
+    /// view allocates nothing once they are warm.
+    peer_scratch: LookupScratch<ClassId>,
     /// Edge-tier state (None — the default — keeps the device
-    /// byte-identical to the edge-free pipeline).
-    edge: Option<EdgeState>,
+    /// byte-identical to the edge-free pipeline). Boxed: most devices
+    /// (every fleet phone) have none and carry one pointer.
+    edge: Option<Box<EdgeState>>,
 }
 
 /// Per-device edge-tier state: the shared cache handle, the WAN
@@ -423,12 +427,12 @@ impl<'a> DeviceBuilder<'a> {
                     })
                     .ok()?,
                 };
-                Some(EdgeState {
+                Some(Box::new(EdgeState {
                     transport: Transport::new(cfg.link),
                     cache,
                     counters: edge::EdgeCounters::default(),
                     config: cfg,
-                })
+                }))
             });
         Device {
             id: self.id,
@@ -464,6 +468,7 @@ impl<'a> DeviceBuilder<'a> {
             fallback_until: None,
             counters: ResilienceCounters::default(),
             peer_outcomes: Vec::new(),
+            peer_scratch: LookupScratch::default(),
             edge,
         }
     }
@@ -588,12 +593,13 @@ impl Device {
 
     /// Processes one frame. `imu_window` holds the samples since the
     /// previous frame; `peers` are the caches of in-range devices, nearest
-    /// first. Returns the recorded outcome.
+    /// first: live handles, or frozen views of them. Returns the recorded
+    /// outcome.
     pub fn process_frame(
         &mut self,
         frame: &Frame,
         imu_window: &[ImuSample],
-        peers: &[&SharedCache<ClassId>],
+        peers: &[&dyn PeerLookup<ClassId>],
         now: SimTime,
     ) -> FrameOutcome {
         let mut latency = SimDuration::ZERO;
@@ -786,7 +792,7 @@ impl Device {
                 };
                 self.next_query_id += 1;
                 draft.peer_attempts += 1;
-                let hit = remote_lookup(peer_cache, &key, now);
+                let hit = remote_lookup(*peer_cache, &key, now, &mut self.peer_scratch);
                 let reply = P2pMessage::Reply { query_id: 0, hit };
                 let rtt = self.transport.round_trip(
                     query.encoded_len(),
@@ -1231,11 +1237,12 @@ fn radio_of(link: &p2pnet::LinkSpec) -> Radio {
 
 /// Runs the remote side of a peer query against `cache`.
 fn remote_lookup(
-    cache: &SharedCache<ClassId>,
+    cache: &dyn PeerLookup<ClassId>,
     key: &FeatureVector,
     now: SimTime,
+    scratch: &mut LookupScratch<ClassId>,
 ) -> Option<RemoteHit> {
-    match cache.lookup(key, now) {
+    match cache.lookup(key, now, scratch) {
         LookupResult::Hit {
             label,
             confidence,

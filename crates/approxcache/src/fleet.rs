@@ -20,11 +20,11 @@
 //!   state, and each ends its step by advancing its own input stream to
 //!   the next round's position.
 //! - **Peer queries hit frozen per-round views.** Each device exposes a
-//!   [`frozen_view`](reuse::SharedCache::frozen_view) of its cache,
-//!   rebuilt only when its
-//!   [`contents_version`](reuse::SharedCache::contents_version) moved.
-//!   A peer's lookup side-effects land on the discarded view — fleet
-//!   semantics: being queried does not disturb the owner.
+//!   [`frozen_view`](reuse::SharedCache::frozen_view) of its cache — a
+//!   lock-free copy of its rows with the owner's ids — rebuilt only when
+//!   its [`contents_version`](reuse::SharedCache::contents_version)
+//!   moved. Shards read the views side by side; a view has no statistics
+//!   or recency, so being queried does not disturb the owner.
 //! - **All gossip crosses the round barrier.** Beacons and
 //!   advertisements — in-shard and out — are collected into per-shard
 //!   outboxes, posted to a [`BoundaryExchange`], and applied at a later
@@ -45,7 +45,7 @@ use p2pnet::{
     BoundaryExchange, Discovery, Envelope, FaultSchedule, P2pMessage, ProximityGrid,
     ProximityModel, ResilienceCounters, WireEntry,
 };
-use reuse::SharedCache;
+use reuse::{FrozenView, PeerLookup};
 use scene::{ClassId, ClassUniverse, FrameRenderer, World};
 use simcore::parallel::{default_threads, run_labeled_jobs_on};
 use simcore::{SimDuration, SimRng, SimTime};
@@ -142,7 +142,7 @@ struct RoundCtx<'a> {
     schedule: &'a FaultSchedule,
     renderer: &'a FrameRenderer,
     world: &'a World,
-    views: &'a [SharedCache<ClassId>],
+    views: &'a [Option<FrozenView<ClassId>>],
     grid: Option<&'a ProximityGrid>,
     fanout: usize,
     now: SimTime,
@@ -289,10 +289,9 @@ pub fn run_fleet(
     let mut slots: Vec<Slot> = built.into_iter().flatten().collect();
 
     // Frozen peer views, one per device, rebuilt lazily when a cache's
-    // contents version moves. The placeholder is never queried: the
-    // sentinel version forces a real build in round 1's view phase.
-    let placeholder: SharedCache<ClassId> = SharedCache::new(reuse::CacheConfig::new(1));
-    let mut views: Vec<SharedCache<ClassId>> = (0..devices).map(|_| placeholder.clone()).collect();
+    // contents version moves. The sentinel version builds every view in
+    // round 1's view phase; without a peer tier none is built or asked.
+    let mut views: Vec<Option<FrozenView<ClassId>>> = (0..devices).map(|_| None).collect();
     let mut view_versions: Vec<u64> = vec![u64::MAX; devices];
 
     let mut lanes: Vec<Lane> = (0..shards)
@@ -346,7 +345,7 @@ pub fn run_fleet(
         // before this round's gossip application — so every shard sees
         // the same peer state no matter when it runs.
         if peer_tier {
-            let refreshed: Vec<Vec<(usize, SharedCache<ClassId>, u64)>> = run_labeled_jobs_on(
+            let refreshed: Vec<Vec<(usize, FrozenView<ClassId>, u64)>> = run_labeled_jobs_on(
                 threads,
                 bounds
                     .iter()
@@ -359,7 +358,7 @@ pub fn run_fleet(
                             for (d, slot) in slots.iter().enumerate().take(hi).skip(lo) {
                                 let version = slot.device.cache().contents_version();
                                 if view_versions.get(d).copied() != Some(version) {
-                                    out.push((d, slot.device.cache().frozen_view(now), version));
+                                    out.push((d, slot.device.cache().frozen_view(), version));
                                 }
                             }
                             out
@@ -370,7 +369,7 @@ pub fn run_fleet(
             );
             for (d, view, version) in refreshed.into_iter().flatten() {
                 if let (Some(slot), Some(stamp)) = (views.get_mut(d), view_versions.get_mut(d)) {
-                    *slot = view;
+                    *slot = Some(view);
                     *stamp = version;
                 }
             }
@@ -583,9 +582,9 @@ fn shard_round(
         if !ctx.schedule.is_idle() {
             neighbor_indices.retain(|&n| ctx.schedule.reachable(d, n, ctx.now));
         }
-        let peer_views: Vec<&SharedCache<ClassId>> = neighbor_indices
+        let peer_views: Vec<&dyn PeerLookup<ClassId>> = neighbor_indices
             .iter()
-            .filter_map(|&n| ctx.views.get(n))
+            .filter_map(|&n| Some(ctx.views.get(n)?.as_ref()? as &dyn PeerLookup<ClassId>))
             .collect();
 
         slot.device.set_radio_dark(dark);
@@ -753,6 +752,29 @@ mod tests {
         .expect("valid scenario")
         .to_json();
         assert_eq!(sharded, reference, "fault-storm run must stay invariant");
+    }
+
+    #[test]
+    fn dense_crowd_on_two_workers_matches_the_single_shard_run() {
+        // 64 phones 3 m apart: every phone has a crowd in radio range, so
+        // shards on two workers read the same frozen views at once.
+        let mut scenario = fleet_scenario(64).with_duration(SimDuration::from_secs(3));
+        scenario.spawn_spacing = 3.0;
+        let config = PipelineConfig::calibrated(&scenario, 99);
+        let run = |options: FleetOptions| {
+            run_fleet(&scenario, &config, SystemVariant::Full, 99, &options)
+                .expect("valid scenario")
+        };
+        let reference = run(FleetOptions::single());
+        assert!(
+            reference.path_fraction(crate::device::ResolutionPath::PeerCache) > 0.0,
+            "peers must answer: {reference}"
+        );
+        let sharded = run(FleetOptions {
+            shards: 8,
+            threads: threads(2),
+        });
+        assert_eq!(sharded.to_json(), reference.to_json());
     }
 
     #[test]

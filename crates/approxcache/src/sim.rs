@@ -492,8 +492,10 @@ pub fn run(
                 .iter()
                 .map(|&n| devices[n].cache().clone())
                 .collect();
-            let cache_refs: Vec<&reuse::SharedCache<scene::ClassId>> =
-                neighbor_caches.iter().collect();
+            let cache_refs: Vec<&dyn reuse::PeerLookup<scene::ClassId>> = neighbor_caches
+                .iter()
+                .map(|cache| cache as &dyn reuse::PeerLookup<scene::ClassId>)
+                .collect();
 
             let device = &mut devices[d];
             device.set_radio_dark(dark);

@@ -1,7 +1,7 @@
 //! The concurrent store.
 //!
-//! [`SharedCache`] is the one type every device, peer view and edge
-//! server holds: a cloneable handle to one [`ApproxCache`] behind one
+//! [`SharedCache`] is the one cache type every device and edge server
+//! holds: a cloneable handle to one [`ApproxCache`] behind one
 //! `parking_lot::RwLock`. Once a lookup has found the store locked, the
 //! handle's lookups are split in two. The read half, the scan
 //! and the vote (`ApproxCache::probe`), runs under the read lock, so
@@ -9,10 +9,10 @@
 //! counting the lookup and touching the served entry
 //! (`ApproxCache::commit`), runs at once when the write lock is free
 //! and is queued when it is not. Until then — for good, on every sim
-//! device and fleet view — a lookup runs whole under the write lock,
-//! with the store's own buffers, as on the plain store. Every other
-//! operation that writes, or reads statistics or recency, takes the
-//! write lock and applies the queue first.
+//! device — a lookup runs whole under the write lock, with the store's
+//! own buffers, as on the plain store. Every other operation that
+//! writes, or reads statistics or recency, takes the write lock and
+//! applies the queue first.
 //!
 //! Equivalence contract: an uncontended handle runs every lookup as the
 //! plain store does, so it is operation-for-operation identical to the
@@ -24,10 +24,9 @@
 //! statistics, recency or contents sees the store before the queue is
 //! applied. No commit is lost or applied twice.
 //!
-//! [`SharedCache::frozen_view`] copies the contents into an independent
-//! store for peer queries against a fixed point in time;
-//! [`SharedCache::contents_version`] tells a holder of such a view when
-//! it went stale.
+//! [`SharedCache::frozen_view`] copies the rows under the read lock into
+//! a lock-free [`FrozenView`] that keeps the owner's ids;
+//! [`SharedCache::contents_version`] says when such a view went stale.
 //!
 //! Lock discipline: no lock is reentrant, so no method calls back into
 //! the handle while holding one. The store lock is taken before the
@@ -44,11 +43,13 @@ use parking_lot::{Mutex, RwLock};
 use features::FeatureVector;
 use simcore::{SimDuration, SimTime};
 
-use crate::admission::AdmissionPolicy;
 use crate::entry::{CacheEntry, EntryId, EntrySource};
 use crate::snapshot::CacheSnapshot;
 use crate::stats::CacheStats;
-use crate::store::{ApproxCache, CacheConfig, InsertOutcome, LookupResult, LookupScratch, Probe};
+use crate::store::{
+    ApproxCache, CacheConfig, FrozenView, InsertOutcome, LookupResult, LookupScratch, PeerLookup,
+    Probe,
+};
 
 /// Queued commits past this many are applied by the lookup that queued
 /// the last one, under a blocking write lock, so a stream of readers that
@@ -57,7 +58,6 @@ const PENDING_CAP: usize = 64;
 
 /// What every clone of a [`SharedCache`] handle points at.
 struct Core<L> {
-    config: CacheConfig,
     cache: RwLock<ApproxCache<L>>,
     /// The buffers of split lookups, lent to one probe at a time. A probe
     /// that finds them lent builds a spare; boxed, so a handle whose
@@ -96,9 +96,7 @@ impl<L> Clone for SharedCache<L> {
 
 impl<L> fmt::Debug for SharedCache<L> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SharedCache")
-            .field("capacity", &self.core.config.capacity)
-            .finish_non_exhaustive()
+        f.debug_struct("SharedCache").finish_non_exhaustive()
     }
 }
 
@@ -109,11 +107,9 @@ impl<L: Copy + Eq + Hash + fmt::Debug> SharedCache<L> {
     ///
     /// Panics if `config` is invalid.
     pub fn new(config: CacheConfig) -> SharedCache<L> {
-        let cache = ApproxCache::new(config.clone());
         SharedCache {
             core: Arc::new(Core {
-                config,
-                cache: RwLock::new(cache),
+                cache: RwLock::new(ApproxCache::new(config)),
                 scratch: Mutex::new(None),
                 pending: Mutex::new(Vec::new()),
                 contended: AtomicBool::new(false),
@@ -186,7 +182,7 @@ impl<L: Copy + Eq + Hash + fmt::Debug> SharedCache<L> {
     /// the recency update lands.
     pub fn lookup(&self, key: &FeatureVector, now: SimTime) -> LookupResult<L> {
         // A handle whose lookups have never found the store locked (every
-        // sim device and fleet view) keeps the plain store's lookup and
+        // sim device) keeps the plain store's lookup and
         // buffers: read and write halves under one write lock.
         if !self.core.contended.load(Ordering::Relaxed) {
             if let Some(mut cache) = self.core.cache.try_write() {
@@ -272,8 +268,7 @@ impl<L: Copy + Eq + Hash + fmt::Debug> SharedCache<L> {
         self.with_write(|cache| cache.hottest(limit))
     }
 
-    /// A snapshot of every entry, sorted by entry id — the deterministic
-    /// copy [`frozen_view`](Self::frozen_view) restores from.
+    /// A snapshot of every entry, sorted by entry id.
     pub fn snapshot(&self, now: SimTime) -> CacheSnapshot<L> {
         let mut snap = self.with_write(|cache| CacheSnapshot::capture(cache, now));
         snap.entries.sort_by_key(|e| e.id);
@@ -305,42 +300,31 @@ impl<L: Copy + Eq + Hash + fmt::Debug> SharedCache<L> {
         snap
     }
 
-    /// Restores a snapshot through the normal insert path (admission and
-    /// eviction apply), hottest entries first, under one lock. Returns
-    /// how many entries were inserted or absorbed as refreshes.
-    pub fn restore(&self, snapshot: &CacheSnapshot<L>, now: SimTime) -> usize {
-        let restored = self.with_write(|cache| snapshot.restore_into(cache, now));
-        // One step per entry, as many as one `insert` call each would take.
-        self.bump_version(restored as u64);
-        restored
+    /// A copy of the current rows for peer queries against a fixed point
+    /// in time, taken under the read lock: queued commits touch only
+    /// what a view does not copy. The fleet engine rebuilds one per
+    /// device per round, gated on [`contents_version`](Self::contents_version).
+    pub fn frozen_view(&self) -> FrozenView<L> {
+        self.core.cache.read().frozen_view()
     }
+}
 
-    /// A self-contained copy of this cache's current contents, built
-    /// for peer queries against a fixed point in time (the fleet engine
-    /// rebuilds one per device per round, gated on
-    /// [`contents_version`](Self::contents_version)).
-    ///
-    /// The view keeps the owner's index configuration and distance
-    /// threshold, but admits unconditionally with exactly enough
-    /// capacity that every owned entry survives the copy — lookups
-    /// against the view answer like the owner while their
-    /// recency/statistics side-effects land on the discarded view
-    /// instead of the owner.
-    pub fn frozen_view(&self, now: SimTime) -> SharedCache<L> {
-        let snapshot = self.snapshot(now);
-        let mut config = self.core.config.clone();
-        config.capacity = snapshot.len().max(1);
-        config.admission = AdmissionPolicy::admit_all();
-        let view = SharedCache::new(config);
-        view.set_distance_threshold(self.distance_threshold());
-        view.restore(&snapshot, now);
-        view
+impl<L: Copy + Eq + Hash + fmt::Debug> PeerLookup<L> for SharedCache<L> {
+    /// [`SharedCache::lookup`], in the handle's own buffers.
+    fn lookup(
+        &self,
+        key: &FeatureVector,
+        now: SimTime,
+        _scratch: &mut LookupScratch<L>,
+    ) -> LookupResult<L> {
+        SharedCache::lookup(self, key, now)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::admission::AdmissionPolicy;
     use ann::AknnConfig;
 
     fn fv(x: f32, y: f32) -> FeatureVector {
@@ -405,7 +389,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_is_sorted_by_id_and_restores() {
+    fn snapshot_is_sorted_by_id() {
         let source: SharedCache<u32> = SharedCache::new(base_config(64));
         for i in 0..12 {
             insert_at(&source, i as f32 * 30.0, i, i as u64);
@@ -416,15 +400,6 @@ mod tests {
         let mut sorted = ids.clone();
         sorted.sort_unstable();
         assert_eq!(ids, sorted);
-
-        let dest: SharedCache<u32> = SharedCache::new(base_config(64));
-        let v0 = dest.contents_version();
-        assert_eq!(dest.restore(&snap, SimTime::from_secs(2)), 12);
-        assert_eq!(dest.contents_version(), v0 + 12, "one step per entry");
-        for i in 0..12u32 {
-            let hit = dest.lookup(&fv(i as f32 * 30.0, 5.0), SimTime::from_secs(3));
-            assert_eq!(hit.label(), Some(&i), "key {i}");
-        }
     }
 
     #[test]

@@ -37,8 +37,8 @@ impl std::fmt::Display for EntrySource {
     }
 }
 
-/// One cached recognition result, as the store exports it: to snapshots,
-/// to `frozen_view`'s restore, to peers over the wire.
+/// One cached recognition result, as the store exports it: to snapshots
+/// and to peers over the wire.
 ///
 /// The store does not hold `CacheEntry` values. It keeps a keyless
 /// record per entry and each key once, in its index, and rebuilds an

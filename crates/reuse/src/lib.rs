@@ -14,7 +14,7 @@
 //! - [`ApproxCache`] — the store: exact linear-scan index, bounded capacity,
 //!   eviction, admission control, per-operation statistics. The body of
 //!   every `SharedCache`, and the oracle it is tested against. It holds
-//!   each key once, in its index, beside a keyless record per entry.
+//!   each key once, in its index, with a keyless record in the key's row.
 //! - [`CacheEntry`] — the export type: one entry with its key, rebuilt
 //!   from the record and the index whenever one is read (`entry`,
 //!   `iter`, `hottest`, snapshots), so it is always a copy.
@@ -25,9 +25,8 @@
 //! - [`calibrate`] — distance-threshold calibration from sample
 //!   same-subject vs cross-class distances.
 //! - [`concurrent`] — [`SharedCache`]: one store whose lookups scan
-//!   under a read lock and commit their recency touches after, plus
-//!   frozen point-in-time views for peer queries and a contents version
-//!   that says when such a view went stale.
+//!   under a read lock and commit their recency touches after. Peers ask
+//!   it, or a [`FrozenView`] of its rows, through [`PeerLookup`].
 //!
 //! # Example
 //!
@@ -62,4 +61,6 @@ pub use entry::{CacheEntry, EntryId, EntrySource};
 pub use evict::EvictionPolicy;
 pub use snapshot::CacheSnapshot;
 pub use stats::CacheStats;
-pub use store::{ApproxCache, CacheConfig, InsertOutcome, LookupResult};
+pub use store::{
+    ApproxCache, CacheConfig, FrozenView, InsertOutcome, LookupResult, LookupScratch, PeerLookup,
+};

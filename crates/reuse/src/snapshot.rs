@@ -1,8 +1,7 @@
 //! Cache snapshots: a copy of a cache's entries.
 //!
-//! [`SharedCache::frozen_view`](crate::SharedCache::frozen_view) copies a
-//! cache through one, and the equivalence tests compare two caches by
-//! their serialized snapshots.
+//! The equivalence tests compare two caches by their serialized
+//! snapshots.
 
 use std::hash::Hash;
 
@@ -42,33 +41,6 @@ impl<L: Copy + Eq + Hash + std::fmt::Debug> CacheSnapshot<L> {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// Restores the snapshot into `cache`, hottest entries first so that
-    /// if the snapshot exceeds the cache's capacity the coldest entries
-    /// are the ones that never make it in. Entries pass through the
-    /// cache's normal admission and eviction machinery; per-entry
-    /// use counts restart (the restored run is a new session).
-    ///
-    /// Returns the number of entries actually inserted (or absorbed as
-    /// refreshes).
-    pub fn restore_into(&self, cache: &mut ApproxCache<L>, now: SimTime) -> usize {
-        let mut ordered: Vec<&CacheEntry<L>> = self.entries.iter().collect();
-        ordered.sort_by_key(|e| std::cmp::Reverse((e.last_used, e.uses, e.id)));
-        let mut restored = 0;
-        for entry in ordered.into_iter().take(cache.capacity()) {
-            let outcome = cache.insert(
-                entry.key.clone(),
-                entry.label,
-                entry.confidence,
-                entry.source,
-                now,
-            );
-            if outcome.entry().is_some() {
-                restored += 1;
-            }
-        }
-        restored
-    }
 }
 
 #[cfg(test)]
@@ -99,58 +71,23 @@ mod tests {
     }
 
     #[test]
-    fn capture_restore_round_trip() {
+    fn capture_copies_every_entry() {
         let mut original = filled_cache(8);
         let snapshot = CacheSnapshot::capture(&original, SimTime::from_secs(1));
         assert_eq!(snapshot.len(), 8);
         assert!(!snapshot.is_empty());
-
-        let mut restored: ApproxCache<u32> =
-            ApproxCache::new(CacheConfig::new(64).with_admission(AdmissionPolicy::admit_all()));
-        let count = snapshot.restore_into(&mut restored, SimTime::from_secs(2));
-        assert_eq!(count, 8);
-        assert_eq!(restored.len(), 8);
-        // Every original key still hits with the right label.
-        for i in 0..8u32 {
-            let hit = restored.lookup(&fv(i as f32 * 10.0), SimTime::from_secs(3));
-            assert_eq!(hit.label(), Some(&i), "entry {i}");
+        assert_eq!(snapshot.taken_at, SimTime::from_secs(1));
+        // Every entry comes back with its key and label.
+        let mut labels: Vec<u32> = snapshot.entries.iter().map(|e| e.label).collect();
+        labels.sort_unstable();
+        assert_eq!(labels, (0..8).collect::<Vec<u32>>());
+        for entry in &snapshot.entries {
+            assert_eq!(entry.key, fv(entry.label as f32 * 10.0));
         }
         // And the original cache is untouched by capture.
         assert_eq!(original.len(), 8);
-        let _ = original.lookup(&fv(0.0), SimTime::from_secs(3));
-    }
-
-    #[test]
-    fn restore_respects_capacity_keeping_hottest() {
-        let mut big = filled_cache(16);
-        // Touch entries 12..16 so they are the hottest.
-        for i in 12..16u32 {
-            let _ = big.lookup(&fv(i as f32 * 10.0), SimTime::from_secs(5));
-        }
-        let snapshot = CacheSnapshot::capture(&big, SimTime::from_secs(6));
-        let mut small: ApproxCache<u32> =
-            ApproxCache::new(CacheConfig::new(4).with_admission(AdmissionPolicy::admit_all()));
-        let restored = snapshot.restore_into(&mut small, SimTime::from_secs(7));
-        assert_eq!(restored, 4);
-        assert_eq!(small.len(), 4);
-        for i in 12..16u32 {
-            let hit = small.lookup(&fv(i as f32 * 10.0), SimTime::from_secs(8));
-            assert_eq!(hit.label(), Some(&i), "hot entry {i} must survive");
-        }
-    }
-
-    #[test]
-    fn restore_passes_admission() {
-        let mut source: ApproxCache<u32> =
-            ApproxCache::new(CacheConfig::new(8).with_admission(AdmissionPolicy::admit_all()));
-        source.insert(fv(0.0), 1, 0.2, EntrySource::LocalInference, SimTime::ZERO);
-        let snapshot = CacheSnapshot::capture(&source, SimTime::from_secs(1));
-        // The destination enforces the default confidence floor: the
-        // low-confidence entry is not restored.
-        let mut strict: ApproxCache<u32> = ApproxCache::new(CacheConfig::new(8));
-        let restored = snapshot.restore_into(&mut strict, SimTime::from_secs(2));
-        assert_eq!(restored, 0);
-        assert!(strict.is_empty());
+        let hit = original.lookup(&fv(0.0), SimTime::from_secs(3));
+        assert_eq!(hit.label(), Some(&0));
     }
 
     #[test]

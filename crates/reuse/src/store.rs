@@ -1,6 +1,5 @@
 //! The approximate cache store.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
 
@@ -139,13 +138,15 @@ impl InsertOutcome {
 
 /// Reusable per-lookup buffers. Lookups run once per frame; after the
 /// buffers reach their working size (bounded by the hit test's `k`), the
-/// whole lookup path is allocation-free.
+/// whole lookup path is allocation-free. A store holds its own; a device
+/// holds one for the [`FrozenView`]s it asks.
 #[derive(Debug)]
-pub(crate) struct LookupScratch<L> {
+pub struct LookupScratch<L> {
     /// Raw index results, filled by `nearest_within_into`.
     neighbors: Vec<Neighbor>,
-    /// Neighbours joined with their entry's label: `(distance, label, id)`.
-    labeled: Vec<(f64, L, u64)>,
+    /// Neighbours joined with their row's entry:
+    /// `(distance, label, id, confidence)`.
+    labeled: Vec<(f64, L, u64, f64)>,
     /// The hit test's own buffers.
     decide: DecideScratch<L>,
 }
@@ -169,11 +170,13 @@ impl<L> Default for LookupScratch<L> {
 /// See the [crate docs](crate) for a usage example.
 pub struct ApproxCache<L> {
     config: CacheConfig,
-    /// Every entry's key, and the only copy of it.
+    /// Every entry's key, and the only copy of it; its id → row map is
+    /// the store's only map.
     index: Option<LinearScan>,
-    /// Everything else about each entry, by id.
-    entries: HashMap<u64, Record<L>>,
-    /// Incremental eviction metadata mirroring `entries` — victim
+    /// Everything else about each entry, row-parallel to the index: the
+    /// record of the key in row `r` is `records[r]`.
+    records: Vec<Record<L>>,
+    /// Incremental eviction metadata mirroring `records` — victim
     /// selection is O(log n) instead of a full scan (see [`VictimIndex`]).
     victims: VictimIndex,
     next_id: u64,
@@ -197,7 +200,7 @@ impl<L: Copy> Probe<L> {
 impl<L> fmt::Debug for ApproxCache<L> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ApproxCache")
-            .field("len", &self.entries.len())
+            .field("len", &self.records.len())
             .field("capacity", &self.config.capacity)
             .field("stats", &self.stats)
             .finish()
@@ -217,7 +220,7 @@ impl<L: Copy + Eq + Hash + fmt::Debug> ApproxCache<L> {
         ApproxCache {
             config,
             index: None,
-            entries: HashMap::new(),
+            records: Vec::new(),
             victims,
             next_id: 0,
             stats: CacheStats::default(),
@@ -232,12 +235,12 @@ impl<L: Copy + Eq + Hash + fmt::Debug> ApproxCache<L> {
 
     /// Number of cached entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.records.len()
     }
 
     /// True if nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.records.is_empty()
     }
 
     /// Maximum number of entries.
@@ -253,17 +256,19 @@ impl<L: Copy + Eq + Hash + fmt::Debug> ApproxCache<L> {
     /// The entry with `id`, if it is still cached — a copy, its key read
     /// back from the index.
     pub fn entry(&self, id: EntryId) -> Option<CacheEntry<L>> {
-        self.export(self.entries.get(&id.0)?)
+        self.export(self.records.get(self.row(id.0)?)?)
     }
 
-    /// Iterates over copies of all cached entries (arbitrary order), each
-    /// key read back from the index as it is reached.
+    /// Iterates over copies of all cached entries (in row order, which
+    /// removals permute: treat it as arbitrary), each key read back from
+    /// the index as it is reached.
     pub fn iter(&self) -> impl Iterator<Item = CacheEntry<L>> + '_ {
-        // xtask-allow(determinism): callers are documented to treat the
-        // order as arbitrary; every aggregation over it is order-free.
-        self.entries
-            .values()
-            .filter_map(|record| self.export(record))
+        self.records.iter().filter_map(|record| self.export(record))
+    }
+
+    /// The row entry `id` sits in, through the index's id → row map.
+    fn row(&self, id: u64) -> Option<usize> {
+        self.index.as_ref()?.row(id)
     }
 
     /// `record` as an exported entry, with its key from the index. An id
@@ -279,8 +284,8 @@ impl<L: Copy + Eq + Hash + fmt::Debug> ApproxCache<L> {
     pub fn peek_nearest(&self, key: &FeatureVector) -> Option<(f64, L)> {
         let index = self.index.as_ref()?;
         let nearest = index.nearest(key, 1).into_iter().next()?;
-        let entry = self.entries.get(&nearest.id)?;
-        Some((nearest.distance, entry.label))
+        let record = self.records.get(self.row(nearest.id)?)?;
+        Some((nearest.distance, record.label))
     }
 
     /// Looks up `key` at time `now`, updating recency metadata on a hit:
@@ -303,71 +308,13 @@ impl<L: Copy + Eq + Hash + fmt::Debug> ApproxCache<L> {
     /// the confidences and the config, and changes nothing, so probes may
     /// run side by side under a read lock.
     pub(crate) fn probe(&self, key: &FeatureVector, scratch: &mut LookupScratch<L>) -> Probe<L> {
-        let Some(index) = &self.index else {
-            return Probe(LookupResult::Miss(MissReason::EmptyIndex));
-        };
-        let LookupScratch {
-            neighbors,
-            labeled,
-            decide,
-        } = scratch;
-        // The vote discards every neighbour beyond the threshold, so the
-        // index is asked only for those within it (the threshold as it
-        // stands now — adaptive controllers move it between lookups). The
-        // in-threshold members of the top-k are the top-k of the
-        // in-threshold set: the verdict is the unbounded one, except that
-        // "nothing within the threshold" arrives as an empty answer.
-        index.nearest_within_into(
-            key,
-            self.config.aknn.k,
-            self.config.aknn.distance_threshold,
-            neighbors,
-        );
-        if neighbors.is_empty() && !index.is_empty() {
-            return Probe(LookupResult::Miss(MissReason::TooFar));
-        }
-        // Neighbours without a backing entry (an index/store desync) are
-        // dropped from the vote instead of crashing the device. One pass
-        // builds the labelled list that both the vote and the
-        // served-entry choice read from.
-        labeled.clear();
-        for n in neighbors.iter() {
-            if let Some(entry) = self.entries.get(&n.id) {
-                labeled.push((n.distance, entry.label, n.id));
-            }
-        }
-        match ann::aknn::decide_in(
-            labeled.iter().map(|&(d, label, _)| (d, label)),
+        Probe(probe(
+            self.index.as_ref(),
             &self.config.aknn,
-            decide,
-        ) {
-            AknnOutcome::Hit {
-                label,
-                nearest_distance,
-                support,
-                homogeneity,
-            } => {
-                // Serve the nearest entry carrying the winning label. The
-                // winner came from `labeled`, so a carrier exists; degrade
-                // to a miss if that ever stops holding.
-                let served = labeled
-                    .iter()
-                    .find(|&&(_, candidate, _)| candidate == label)
-                    .and_then(|&(_, _, id)| self.entries.get(&id));
-                let Some(served) = served else {
-                    return Probe(LookupResult::Miss(MissReason::InsufficientSupport));
-                };
-                Probe(LookupResult::Hit {
-                    label,
-                    entry: served.id,
-                    confidence: served.confidence,
-                    nearest_distance,
-                    support,
-                    homogeneity,
-                })
-            }
-            AknnOutcome::Miss(reason) => Probe(LookupResult::Miss(reason)),
-        }
+            key,
+            scratch,
+            |row| self.records.get(row).map(|r| (r.label, r.confidence)),
+        ))
     }
 
     /// A lookup's write half: counts the lookup and its hit or miss, and
@@ -380,7 +327,8 @@ impl<L: Copy + Eq + Hash + fmt::Debug> ApproxCache<L> {
         self.stats.record_lookup();
         match probe.0 {
             LookupResult::Hit { entry, .. } => {
-                if let Some(served) = self.entries.get_mut(&entry.0) {
+                let row = self.row(entry.0);
+                if let Some(served) = row.and_then(|row| self.records.get_mut(row)) {
                     let before = EntryMeta::of(served);
                     served.last_used = now;
                     served.uses += 1;
@@ -423,9 +371,10 @@ impl<L: Copy + Eq + Hash + fmt::Debug> ApproxCache<L> {
             // benchmark's traced `edge-ingest` client can record yet
             // (ROADMAP item 1) — see DESIGN.md "Performance model".
             index.nearest_within_into(&key, 1, f64::INFINITY, &mut self.scratch.neighbors);
-            if let Some(nearest) = self.scratch.neighbors.first() {
+            if let Some(&nearest) = self.scratch.neighbors.first() {
                 if nearest.distance <= self.config.admission.dedup_distance {
-                    if let Some(record) = self.entries.get_mut(&nearest.id) {
+                    let row = self.row(nearest.id);
+                    if let Some(record) = row.and_then(|row| self.records.get_mut(row)) {
                         if record.label == label {
                             let before = EntryMeta::of(record);
                             record.last_used = now;
@@ -441,9 +390,9 @@ impl<L: Copy + Eq + Hash + fmt::Debug> ApproxCache<L> {
         }
 
         // Capacity: evict before inserting. The victim choice is a pure
-        // minimum with an id tie-break, so the map's iteration order
-        // cannot influence it.
-        if self.entries.len() >= self.config.capacity {
+        // minimum with an id tie-break, so the row order cannot
+        // influence it.
+        if self.records.len() >= self.config.capacity {
             if let Some(victim) = self.peek_victim(now) {
                 self.remove_internal(victim);
                 self.stats.record_eviction();
@@ -452,11 +401,12 @@ impl<L: Copy + Eq + Hash + fmt::Debug> ApproxCache<L> {
 
         let id = EntryId(self.next_id);
         self.next_id += 1;
-        // The key moves into the index, its one home; the record keeps
-        // the rest.
+        // The key moves into the index, its one home, as a new last row;
+        // the record keeps the rest in the matching row.
         self.index
             .get_or_insert_with(|| LinearScan::new(key.dim()))
             .insert(id.0, key);
+        debug_assert_eq!(self.row(id.0), Some(self.records.len()));
         let record = Record {
             id,
             label,
@@ -467,7 +417,7 @@ impl<L: Copy + Eq + Hash + fmt::Debug> ApproxCache<L> {
             source,
         };
         self.victims.on_insert(EntryMeta::of(&record));
-        self.entries.insert(id.0, record);
+        self.records.push(record);
         self.stats.record_insert();
         InsertOutcome::Inserted(id)
     }
@@ -479,12 +429,9 @@ impl<L: Copy + Eq + Hash + fmt::Debug> ApproxCache<L> {
         match self.victims.victim(now) {
             VictimChoice::Found(id) => Some(id),
             VictimChoice::Empty => None,
-            // xtask-allow(determinism): order-free minimum with an id
-            // tie-break; the map's iteration order cannot influence it.
-            VictimChoice::ScanRequired => self
-                .config
-                .eviction
-                .choose_victim(self.entries.values(), now),
+            VictimChoice::ScanRequired => {
+                self.config.eviction.choose_victim(self.records.iter(), now)
+            }
         }
     }
 
@@ -497,22 +444,20 @@ impl<L: Copy + Eq + Hash + fmt::Debug> ApproxCache<L> {
         removed
     }
 
+    /// Removes `id`'s key and record: the index swap-removes the key's
+    /// row and reports it, and the records mirror that swap-remove.
     fn remove_internal(&mut self, id: EntryId) -> bool {
-        match self.entries.remove(&id.0) {
-            Some(record) => {
-                self.victims.on_remove(EntryMeta::of(&record));
-                if let Some(index) = self.index.as_mut() {
-                    index.remove(id.0);
-                }
-                true
-            }
-            None => false,
-        }
+        let Some(row) = self.index.as_mut().and_then(|index| index.remove_row(id.0)) else {
+            return false;
+        };
+        let record = self.records.swap_remove(row);
+        self.victims.on_remove(EntryMeta::of(&record));
+        true
     }
 
     /// Removes every entry (statistics are retained).
     pub fn clear(&mut self) {
-        self.entries.clear();
+        self.records.clear();
         self.victims.clear();
         if let Some(index) = &mut self.index {
             index.clear();
@@ -543,11 +488,9 @@ impl<L: Copy + Eq + Hash + fmt::Debug> ApproxCache<L> {
     /// periodically so stale keys stop occupying capacity (see the
     /// lighting-drift experiment).
     pub fn expire_older_than(&mut self, now: SimTime, max_age: simcore::SimDuration) -> usize {
-        // xtask-allow(determinism): set-semantics filter; removal order
-        // does not affect the surviving entries or the count.
         let victims: Vec<EntryId> = self
-            .entries
-            .values()
+            .records
+            .iter()
             .filter(|e| e.age(now) > max_age)
             .map(|e| e.id)
             .collect();
@@ -562,14 +505,134 @@ impl<L: Copy + Eq + Hash + fmt::Debug> ApproxCache<L> {
     /// first — what a device offers when a peer asks it to share its hot
     /// set. Only the `limit` chosen keys are read back from the index.
     pub fn hottest(&self, limit: usize) -> Vec<CacheEntry<L>> {
-        // xtask-allow(determinism): sorted by a total key before use.
-        let mut records: Vec<&Record<L>> = self.entries.values().collect();
+        let mut records: Vec<&Record<L>> = self.records.iter().collect();
         records.sort_by_key(|r| std::cmp::Reverse((r.last_used, r.uses, r.id)));
         records
             .into_iter()
             .take(limit)
             .filter_map(|record| self.export(record))
             .collect()
+    }
+
+    /// A [`FrozenView`] of the current contents.
+    pub fn frozen_view(&self) -> FrozenView<L> {
+        let rows = self.records.iter().map(|r| (r.label, r.confidence));
+        FrozenView {
+            index: self.index.clone(),
+            rows: rows.collect(),
+            aknn: self.config.aknn,
+        }
+    }
+}
+
+/// A lookup's read half over an index and the label and confidence kept
+/// row-parallel to it (`at(row)`), shared by the store and its
+/// [`FrozenView`]s: the bounded scan, the A-kNN vote and the choice of
+/// the served entry.
+fn probe<L: Copy + Eq>(
+    index: Option<&LinearScan>,
+    aknn: &AknnConfig,
+    key: &FeatureVector,
+    scratch: &mut LookupScratch<L>,
+    at: impl Fn(usize) -> Option<(L, f64)>,
+) -> LookupResult<L> {
+    let Some(index) = index else {
+        return LookupResult::Miss(MissReason::EmptyIndex);
+    };
+    let LookupScratch {
+        neighbors,
+        labeled,
+        decide,
+    } = scratch;
+    // The vote discards every neighbour beyond the threshold, so the
+    // index is asked only for those within it (the threshold as it
+    // stands now — adaptive controllers move it between lookups). The
+    // in-threshold members of the top-k are the top-k of the
+    // in-threshold set: the verdict is the unbounded one, except that
+    // "nothing within the threshold" arrives as an empty answer.
+    index.nearest_within_into(key, aknn.k, aknn.distance_threshold, neighbors);
+    if neighbors.is_empty() && !index.is_empty() {
+        return LookupResult::Miss(MissReason::TooFar);
+    }
+    // Neighbours without a backing row (an index/store desync) are
+    // dropped from the vote instead of crashing the device. One pass
+    // builds the labelled list that both the vote and the served-entry
+    // choice read from.
+    labeled.clear();
+    for n in neighbors.iter() {
+        if let Some((label, confidence)) = index.row(n.id).and_then(&at) {
+            labeled.push((n.distance, label, n.id, confidence));
+        }
+    }
+    match ann::aknn::decide_in(
+        labeled.iter().map(|&(d, label, ..)| (d, label)),
+        aknn,
+        decide,
+    ) {
+        AknnOutcome::Hit {
+            label,
+            nearest_distance,
+            support,
+            homogeneity,
+        } => {
+            // Serve the nearest entry carrying the winning label. The
+            // winner came from `labeled`, so a carrier exists; degrade
+            // to a miss if that ever stops holding.
+            let served = labeled
+                .iter()
+                .find(|&&(_, candidate, ..)| candidate == label);
+            let Some(&(_, _, id, confidence)) = served else {
+                return LookupResult::Miss(MissReason::InsufficientSupport);
+            };
+            LookupResult::Hit {
+                label,
+                entry: EntryId(id),
+                confidence,
+                nearest_distance,
+                support,
+                homogeneity,
+            }
+        }
+        AknnOutcome::Miss(reason) => LookupResult::Miss(reason),
+    }
+}
+
+/// An immutable copy of a cache's rows: the owner's index, each row's
+/// label and confidence, and the owner's hit test. It keeps the owner's
+/// ids, so a lookup gets the owner's answer as of the copy, served entry
+/// included, and, with no statistics or recency, changes nothing.
+#[derive(Debug, Clone)]
+pub struct FrozenView<L> {
+    index: Option<LinearScan>,
+    /// `(label, confidence)` of the key in each row of `index`.
+    rows: Vec<(L, f64)>,
+    aknn: AknnConfig,
+}
+
+/// A cache a device asks as a peer: a live
+/// [`SharedCache`](crate::SharedCache) or a [`FrozenView`]. `scratch` is
+/// the asker's; a view looks up in it, allocating nothing once warm.
+pub trait PeerLookup<L> {
+    /// Looks `key` up at `now`.
+    fn lookup(
+        &self,
+        key: &FeatureVector,
+        now: SimTime,
+        scratch: &mut LookupScratch<L>,
+    ) -> LookupResult<L>;
+}
+
+impl<L: Copy + Eq> PeerLookup<L> for FrozenView<L> {
+    /// The store's read half over the copy, with nothing to commit.
+    fn lookup(
+        &self,
+        key: &FeatureVector,
+        _now: SimTime,
+        scratch: &mut LookupScratch<L>,
+    ) -> LookupResult<L> {
+        probe(self.index.as_ref(), &self.aknn, key, scratch, |row| {
+            self.rows.get(row).copied()
+        })
     }
 }
 
@@ -781,7 +844,7 @@ mod tests {
                 .collect::<Vec<_>>())
         };
         let mut c = cache(9);
-        let mut inserted = HashMap::new();
+        let mut inserted = std::collections::HashMap::new();
         for i in 0..40u32 {
             let id = c
                 .insert(
@@ -912,5 +975,94 @@ mod proptests {
             prop_assert_eq!(s.lookups, s.hits + s.misses());
             prop_assert!(s.inserts >= c.len() as u64);
         }
+
+        /// Records stay row-parallel to the index: after random insert,
+        /// refresh, evict (inserts past capacity), expire, remove and
+        /// clear, the record in row `r` belongs to the id the index keeps
+        /// in row `r`, and `entry(id)` gives back that entry's inserted
+        /// key and label — or `None` once it has left.
+        #[test]
+        fn records_sit_in_their_ids_rows(ops in proptest::collection::vec(row_op(), 1..100)) {
+            // Keys wider than one head chunk so rows have tails; far
+            // apart, so only a `Refresh` (an exact repeat) dedups.
+            let key = |x: u32| {
+                FeatureVector::from_vec((0..10).map(|j| (x * 10 + j) as f32).collect()).unwrap()
+            };
+            let mut c: ApproxCache<u32> = ApproxCache::new(
+                CacheConfig::new(6).with_admission(AdmissionPolicy {
+                    min_confidence: 0.0,
+                    min_peer_confidence: 0.0,
+                    dedup_distance: 0.5,
+                }),
+            );
+            let mut inserted: Vec<(EntryId, u32)> = Vec::new();
+            let mut now = SimTime::ZERO;
+            for op in ops {
+                now += simcore::SimDuration::from_millis(5);
+                let live: Vec<EntryId> = c.records.iter().map(|r| r.id).collect();
+                match op {
+                    RowOp::Insert { x } => {
+                        let id = c.insert(key(x), x, 0.9, EntrySource::LocalInference, now);
+                        if let InsertOutcome::Inserted(id) = id {
+                            inserted.push((id, x));
+                        }
+                    }
+                    RowOp::Refresh { nth } if !live.is_empty() => {
+                        let id = live[nth % live.len()];
+                        let x = inserted.iter().find(|&&(i, _)| i == id).unwrap().1;
+                        let out = c.insert(key(x), x, 0.95, EntrySource::LocalInference, now);
+                        prop_assert_eq!(out, InsertOutcome::Refreshed(id));
+                    }
+                    RowOp::Remove { nth } if !live.is_empty() => {
+                        prop_assert!(c.remove(live[nth % live.len()]));
+                    }
+                    RowOp::Refresh { .. } | RowOp::Remove { .. } => {}
+                    RowOp::Expire { max_age_ms } => {
+                        c.expire_older_than(now, simcore::SimDuration::from_millis(max_age_ms));
+                    }
+                    RowOp::Clear => c.clear(),
+                }
+                let rows = c.index.as_ref().map_or(0, |index| index.len());
+                prop_assert_eq!(rows, c.records.len());
+                prop_assert!(c.len() <= c.capacity());
+                for (row, record) in c.records.iter().enumerate() {
+                    prop_assert_eq!(c.row(record.id.0), Some(row));
+                }
+                for &(id, x) in &inserted {
+                    let live = c.records.iter().any(|r| r.id == id);
+                    match c.entry(id) {
+                        Some(entry) => {
+                            prop_assert!(live);
+                            prop_assert_eq!((entry.id, entry.label), (id, x));
+                            prop_assert_eq!(entry.key, key(x));
+                        }
+                        None => prop_assert!(!live),
+                    }
+                }
+            }
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum RowOp {
+        Insert { x: u32 },
+        Refresh { nth: usize },
+        Remove { nth: usize },
+        Expire { max_age_ms: u64 },
+        Clear,
+    }
+
+    fn row_op() -> impl Strategy<Value = RowOp> {
+        // Inserts listed three times: the shim's `prop_oneof!` has no
+        // weights, and the store should reach capacity and evict.
+        prop_oneof![
+            (0u32..1000).prop_map(|x| RowOp::Insert { x }),
+            (0u32..1000).prop_map(|x| RowOp::Insert { x }),
+            (0u32..1000).prop_map(|x| RowOp::Insert { x }),
+            (0usize..16).prop_map(|nth| RowOp::Refresh { nth }),
+            (0usize..16).prop_map(|nth| RowOp::Remove { nth }),
+            (10u64..200).prop_map(|max_age_ms| RowOp::Expire { max_age_ms }),
+            Just(RowOp::Clear),
+        ]
     }
 }

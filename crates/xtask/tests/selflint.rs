@@ -102,16 +102,7 @@ fn allow_census_is_pinned() {
         .iter()
         .map(|(file, rule)| format!("{file}: {rule}"))
         .collect();
-    assert_eq!(
-        census,
-        vec![
-            "crates/reuse/src/store.rs: determinism",
-            "crates/reuse/src/store.rs: determinism",
-            "crates/reuse/src/store.rs: determinism",
-            "crates/reuse/src/store.rs: determinism",
-        ],
-        "allow census drifted"
-    );
+    assert_eq!(census, Vec::<String>::new(), "allow census drifted");
 }
 
 #[test]
