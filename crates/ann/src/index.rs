@@ -87,8 +87,11 @@ pub trait NnIndex: Send {
     /// Panics if `key.dim() != self.dim()`.
     fn insert(&mut self, id: u64, key: FeatureVector);
 
-    /// Removes the entry with `id`, returning whether it existed.
-    fn remove(&mut self, id: u64) -> bool;
+    /// Removes the entry with `id`, returning the row it vacated, or
+    /// `None` when `id` is not held. Removal is a swap-remove: the last
+    /// row moves into the vacated one, so `Vec::swap_remove(row)` keeps a
+    /// row-parallel `Vec` in step.
+    fn remove(&mut self, id: u64) -> Option<usize>;
 
     /// The one search: writes into `out` (cleared first) the up-to-`k`
     /// nearest entries to `query` **among those within `max_distance`**,

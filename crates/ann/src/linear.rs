@@ -31,7 +31,7 @@ use crate::index::{check_insert, check_query, finish_within, squared_limit, Neig
 /// let mut index = LinearScan::new(3);
 /// index.insert(10, FeatureVector::from_vec(vec![1.0, 0.0, 0.0]).unwrap());
 /// assert_eq!(index.len(), 1);
-/// assert!(index.remove(10));
+/// assert_eq!(index.remove(10), Some(0));
 /// assert!(index.is_empty());
 /// ```
 #[derive(Debug, Clone)]
@@ -66,14 +66,6 @@ impl LinearScan {
     pub fn row(&self, id: u64) -> Option<usize> {
         self.flat.row(id)
     }
-
-    /// Removes `id`, returning the row it vacated, or `None` when `id`
-    /// is not held. Removal is a swap-remove: the last row moves into the
-    /// vacated one, so `Vec::swap_remove(row)` keeps a row-parallel `Vec`
-    /// in step.
-    pub fn remove_row(&mut self, id: u64) -> Option<usize> {
-        self.flat.remove(id)
-    }
 }
 
 impl NnIndex for LinearScan {
@@ -90,8 +82,8 @@ impl NnIndex for LinearScan {
         self.flat.insert(id, key.as_slice());
     }
 
-    fn remove(&mut self, id: u64) -> bool {
-        self.flat.remove(id).is_some()
+    fn remove(&mut self, id: u64) -> Option<usize> {
+        self.flat.remove(id)
     }
 
     fn nearest_within_into(
@@ -167,16 +159,14 @@ impl NnIndex for ReferenceLinearScan {
         }
     }
 
-    fn remove(&mut self, id: u64) -> bool {
-        let Some(pos) = self.positions.remove(&id) else {
-            return false;
-        };
+    fn remove(&mut self, id: u64) -> Option<usize> {
+        let pos = self.positions.remove(&id)?;
         self.entries.swap_remove(pos);
         if pos < self.entries.len() {
             let moved_id = self.entries[pos].0;
             self.positions.insert(moved_id, pos);
         }
-        true
+        Some(pos)
     }
 
     fn nearest_within_into(
@@ -289,8 +279,8 @@ mod tests {
         for id in 0..5u64 {
             index.insert(id, fv(&[id as f32]));
         }
-        assert!(index.remove(0));
-        assert!(!index.remove(0));
+        assert_eq!(index.remove(0), Some(0));
+        assert_eq!(index.remove(0), None);
         assert_eq!(index.len(), 4);
         // The remaining ids must all still be findable at their keys.
         for id in 1..5u64 {
@@ -307,7 +297,7 @@ mod tests {
         }
         // Remove from the middle, the front and the back.
         for id in [2u64, 0, 5] {
-            assert!(index.remove(id));
+            assert!(index.remove(id).is_some());
         }
         assert_eq!(index.len(), 3);
         for id in [1u64, 3, 4] {

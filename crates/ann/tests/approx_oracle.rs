@@ -254,8 +254,8 @@ fn whole_answer_survives_pinned_churn() {
         oracle.insert(id as u64, fv(key));
     }
     for id in (0..96u64).step_by(3) {
-        assert!(index.remove(id), "lost id {id}");
-        assert!(oracle.remove(id));
+        assert!(index.remove(id).is_some(), "lost id {id}");
+        assert!(oracle.remove(id).is_some());
     }
     for (slot, id) in (0..96u64).step_by(6).enumerate() {
         index.insert(1000 + slot as u64, fv(&keys[id as usize]));

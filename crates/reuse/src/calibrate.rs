@@ -90,6 +90,26 @@ pub fn calibrate_threshold(same_subject: &[f64], cross_class: &[f64]) -> Calibra
     best
 }
 
+/// A simple parametric alternative: `mean(same) + sigmas · std(same)`,
+/// used when no cross-class sample is available (e.g. cold start).
+///
+/// # Panics
+///
+/// Panics if `same_subject` is empty, contains non-finite values, or
+/// `sigmas` is negative.
+pub fn threshold_from_same_distribution(same_subject: &[f64], sigmas: f64) -> f64 {
+    assert!(
+        !same_subject.is_empty(),
+        "threshold_from_same_distribution: sample must be non-empty"
+    );
+    assert!(
+        sigmas >= 0.0,
+        "threshold_from_same_distribution: sigmas must be non-negative"
+    );
+    let summary = simcore::Summary::from_samples(same_subject);
+    summary.mean + sigmas * summary.std_dev
+}
+
 #[cfg(test)]
 // Tests compare exactly-constructed floats; exact equality is intentional.
 #[allow(clippy::float_cmp)]
@@ -134,6 +154,15 @@ mod tests {
         assert!(cal.threshold >= 1.0 && cal.threshold < 3.0);
         assert_eq!(cal.same_acceptance, 1.0);
         assert_eq!(cal.cross_acceptance, 0.0);
+    }
+
+    #[test]
+    fn parametric_threshold_is_mean_plus_sigmas() {
+        let same = [1.0, 1.0, 3.0, 3.0]; // mean 2, std 1
+        let t = threshold_from_same_distribution(&same, 2.0);
+        assert!((t - 4.0).abs() < 1e-12);
+        let t0 = threshold_from_same_distribution(&same, 0.0);
+        assert!((t0 - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -126,8 +126,8 @@ impl<L: Copy + Eq + Hash + fmt::Debug> SharedCache<L> {
         self.core.version.load(Ordering::Acquire)
     }
 
-    fn bump_version(&self, steps: u64) {
-        self.core.version.fetch_add(steps, Ordering::Release);
+    fn bump_version(&self) {
+        self.core.version.fetch_add(1, Ordering::Release);
     }
 
     /// Runs `f` on the store under the write lock, after applying every
@@ -206,7 +206,7 @@ impl<L: Copy + Eq + Hash + fmt::Debug> SharedCache<L> {
     ) -> InsertOutcome {
         let outcome = self.with_write(|cache| cache.insert(key, label, confidence, source, now));
         if outcome.entry().is_some() {
-            self.bump_version(1);
+            self.bump_version();
         }
         outcome
     }
@@ -229,14 +229,14 @@ impl<L: Copy + Eq + Hash + fmt::Debug> SharedCache<L> {
     /// Removes every entry (statistics retained).
     pub fn clear(&self) {
         self.with_write(ApproxCache::clear);
-        self.bump_version(1);
+        self.bump_version();
     }
 
     /// Drops every entry older than `max_age`, returning how many went.
     pub fn expire_older_than(&self, now: SimTime, max_age: SimDuration) -> usize {
         let dropped = self.with_write(|cache| cache.expire_older_than(now, max_age));
         if dropped > 0 {
-            self.bump_version(1);
+            self.bump_version();
         }
         dropped
     }
@@ -253,7 +253,7 @@ impl<L: Copy + Eq + Hash + fmt::Debug> SharedCache<L> {
     /// Panics if `threshold` is not positive and finite.
     pub fn set_distance_threshold(&self, threshold: f64) {
         self.with_write(|cache| cache.set_distance_threshold(threshold));
-        self.bump_version(1);
+        self.bump_version();
     }
 
     /// The nearest cached entry to `key` with its distance (read-only
@@ -395,7 +395,7 @@ mod tests {
             insert_at(&source, i as f32 * 30.0, i, i as u64);
         }
         let snap = source.snapshot(SimTime::from_secs(1));
-        assert_eq!(snap.len(), 12);
+        assert_eq!(snap.entries.len(), 12);
         let ids: Vec<u64> = snap.entries.iter().map(|e| e.id.0).collect();
         let mut sorted = ids.clone();
         sorted.sort_unstable();

@@ -31,16 +31,6 @@ impl<L: Copy + Eq + Hash + std::fmt::Debug> CacheSnapshot<L> {
             entries: cache.iter().collect(),
         }
     }
-
-    /// Number of captured entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if nothing was captured.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -74,8 +64,7 @@ mod tests {
     fn capture_copies_every_entry() {
         let mut original = filled_cache(8);
         let snapshot = CacheSnapshot::capture(&original, SimTime::from_secs(1));
-        assert_eq!(snapshot.len(), 8);
-        assert!(!snapshot.is_empty());
+        assert_eq!(snapshot.entries.len(), 8);
         assert_eq!(snapshot.taken_at, SimTime::from_secs(1));
         // Every entry comes back with its key and label.
         let mut labels: Vec<u32> = snapshot.entries.iter().map(|e| e.label).collect();

@@ -243,11 +243,6 @@ impl<L: Copy + Eq + Hash + fmt::Debug> ApproxCache<L> {
         self.records.is_empty()
     }
 
-    /// Maximum number of entries.
-    pub fn capacity(&self) -> usize {
-        self.config.capacity
-    }
-
     /// Operation counters so far.
     pub fn stats(&self) -> &CacheStats {
         &self.stats
@@ -447,7 +442,7 @@ impl<L: Copy + Eq + Hash + fmt::Debug> ApproxCache<L> {
     /// Removes `id`'s key and record: the index swap-removes the key's
     /// row and reports it, and the records mirror that swap-remove.
     fn remove_internal(&mut self, id: EntryId) -> bool {
-        let Some(row) = self.index.as_mut().and_then(|index| index.remove_row(id.0)) else {
+        let Some(row) = self.index.as_mut().and_then(|index| index.remove(id.0)) else {
             return false;
         };
         let record = self.records.swap_remove(row);
@@ -515,7 +510,7 @@ impl<L: Copy + Eq + Hash + fmt::Debug> ApproxCache<L> {
     }
 
     /// A [`FrozenView`] of the current contents.
-    pub fn frozen_view(&self) -> FrozenView<L> {
+    pub(crate) fn frozen_view(&self) -> FrozenView<L> {
         let rows = self.records.iter().map(|r| (r.label, r.confidence));
         FrozenView {
             index: self.index.clone(),
@@ -539,35 +534,30 @@ fn probe<L: Copy + Eq>(
     let Some(index) = index else {
         return LookupResult::Miss(MissReason::EmptyIndex);
     };
-    let LookupScratch {
-        neighbors,
-        labeled,
-        decide,
-    } = scratch;
     // The vote discards every neighbour beyond the threshold, so the
     // index is asked only for those within it (the threshold as it
     // stands now — adaptive controllers move it between lookups). The
     // in-threshold members of the top-k are the top-k of the
     // in-threshold set: the verdict is the unbounded one, except that
     // "nothing within the threshold" arrives as an empty answer.
-    index.nearest_within_into(key, aknn.k, aknn.distance_threshold, neighbors);
-    if neighbors.is_empty() && !index.is_empty() {
+    index.nearest_within_into(key, aknn.k, aknn.distance_threshold, &mut scratch.neighbors);
+    if scratch.neighbors.is_empty() && !index.is_empty() {
         return LookupResult::Miss(MissReason::TooFar);
     }
     // Neighbours without a backing row (an index/store desync) are
     // dropped from the vote instead of crashing the device. One pass
     // builds the labelled list that both the vote and the served-entry
     // choice read from.
-    labeled.clear();
-    for n in neighbors.iter() {
+    scratch.labeled.clear();
+    for n in &scratch.neighbors {
         if let Some((label, confidence)) = index.row(n.id).and_then(&at) {
-            labeled.push((n.distance, label, n.id, confidence));
+            scratch.labeled.push((n.distance, label, n.id, confidence));
         }
     }
     match ann::aknn::decide_in(
-        labeled.iter().map(|&(d, label, ..)| (d, label)),
+        scratch.labeled.iter().map(|&(d, label, ..)| (d, label)),
         aknn,
-        decide,
+        &mut scratch.decide,
     ) {
         AknnOutcome::Hit {
             label,
@@ -578,7 +568,8 @@ fn probe<L: Copy + Eq>(
             // Serve the nearest entry carrying the winning label. The
             // winner came from `labeled`, so a carrier exists; degrade
             // to a miss if that ever stops holding.
-            let served = labeled
+            let served = scratch
+                .labeled
                 .iter()
                 .find(|&&(_, candidate, ..)| candidate == label);
             let Some(&(_, _, id, confidence)) = served else {
@@ -601,7 +592,7 @@ fn probe<L: Copy + Eq>(
 /// label and confidence, and the owner's hit test. It keeps the owner's
 /// ids, so a lookup gets the owner's answer as of the copy, served entry
 /// included, and, with no statistics or recency, changes nothing.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct FrozenView<L> {
     index: Option<LinearScan>,
     /// `(label, confidence)` of the key in each row of `index`.
@@ -969,7 +960,7 @@ mod proptests {
                         }
                     }
                 }
-                prop_assert!(c.len() <= c.capacity());
+                prop_assert!(c.len() <= c.config().capacity);
             }
             let s = *c.stats();
             prop_assert_eq!(s.lookups, s.hits + s.misses());
@@ -1024,7 +1015,7 @@ mod proptests {
                 }
                 let rows = c.index.as_ref().map_or(0, |index| index.len());
                 prop_assert_eq!(rows, c.records.len());
-                prop_assert!(c.len() <= c.capacity());
+                prop_assert!(c.len() <= c.config().capacity);
                 for (row, record) in c.records.iter().enumerate() {
                     prop_assert_eq!(c.row(record.id.0), Some(row));
                 }
