@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Full local CI: formatting, lints, tests, and the headline-claim
-# regression gate. Mirrors what a reviewer runs before merging.
+# Full local CI: formatting, lints, tests, the R-tables and the
+# headline-claim regression gate. Mirrors what a reviewer runs before
+# merging.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -59,13 +60,6 @@ echo "== cargo test (store oracle, optimized: keys read back from the index) =="
 # on the release-compiled flat-buffer code.
 cargo test --release -q -p reuse --test oracle_equivalence
 
-echo "== verify_claims (headline regression gate) =="
-# At the default 30 simulated seconds it rewrites the tracked
-# results/*-full.json and verify_claims.json goldens with the same bytes;
-# any other length would overwrite them, so the run is pinned and gated.
-EXPERIMENT_SECONDS=30 cargo run --release -q -p bench --bin verify_claims
-git diff --exit-code -- results/
-
 echo "== benchmark smoke (every workload's output checks, ~17 s) =="
 # Gates: builds benchmark/ against the workspace's public API and runs
 # all of its output checks at 1 % size. The numbers it prints are not
@@ -77,11 +71,22 @@ bash benchmark/run.sh --smoke
 # edit under benchmark/ fails here rather than at the driver.
 git diff --exit-code -- BENCHMARK.json benchmark/
 
-echo "== R-tables (gating: the tracked results/r*.csv are goldens) =="
-# Every macro experiment at the default 30 simulated seconds must write
-# exactly the CSVs in git; the run is deterministic on any core count.
+echo "== R-tables and headline claims (gating: results/ holds the goldens) =="
+# Every macro experiment at the default 30 simulated seconds, then every
+# headline claim checked on the rows that carry it; the binary exits 1
+# when a claim fails. The run must rewrite exactly the files in git: the
+# R-table CSVs, the claim reports and verify_claims.json. It is
+# deterministic on any core count; any other length would overwrite the
+# goldens, so the run is pinned.
 EXPERIMENT_SECONDS=30 cargo run --release -q -p bench --bin experiments
-git diff --exit-code -- 'results/r*.csv'
+git diff --exit-code -- results/
+# A renamed scenario writes its report under a new name: an untracked
+# file under results/ is a golden nobody committed.
+untracked="$(git ls-files --others --exclude-standard -- results/)"
+if [ -n "$untracked" ]; then
+    echo "untracked files under results/: $untracked" >&2
+    exit 1
+fi
 
 echo "== edge smoke (informational: real TCP server round-trip) =="
 # Never gates: spawns edge-server on an ephemeral port, drives one

@@ -443,7 +443,7 @@ impl<'a> DeviceBuilder<'a> {
             dnn,
             energy,
             gate: effective.gate,
-            estimator: MotionEstimator::default(),
+            estimator: MotionEstimator,
             costs: effective.costs,
             peer: effective.peer.clone(),
             expiry: effective.expiry,

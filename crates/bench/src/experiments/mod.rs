@@ -3,9 +3,11 @@
 //! Each row of [`ALL`] pairs an `R-n` id from `EXPERIMENTS.md` with the
 //! function that runs it. An experiment never prints: it collects its
 //! header, tables, `wrote <path>` lines and notes in a [`Transcript`],
-//! and writes its CSVs under [`results_dir`](crate::results_dir). [`run`] fans the selected
-//! rows across one worker per core and hands the transcripts back in
-//! table order, so the output reads exactly as a sequential run would.
+//! and writes its CSVs under [`results_dir`](crate::results_dir). It
+//! returns a [`RowResult`]: the cells the headline claims read (R-1, R-21
+//! and R-22), empty for every other row. [`run`] fans the selected rows
+//! across one worker per core and hands the outputs back in table order,
+//! so the output reads exactly as a sequential run would.
 //!
 //! ```sh
 //! cargo run --release -p bench --bin experiments              # every row
@@ -33,13 +35,16 @@ mod r9_model_zoo;
 
 use simcore::parallel;
 
+use crate::claims::RowResult;
 use crate::Transcript;
 
-/// One experiment: runs it to completion, appending its output.
-pub type Run = fn(&mut Transcript);
+/// One experiment: runs it to completion, appending its output and
+/// returning the cells its claims read.
+pub type Run = fn(&mut Transcript) -> RowResult;
 
 /// Every macro experiment, in the order the suite reports them. The
-/// micro-benchmarks R-11 .. R-14 are Criterion benches, not rows.
+/// micro-benchmarks R-11 .. R-14 are probes of the benchmark under
+/// `benchmark/`, not rows.
 pub const ALL: &[(&str, Run)] = &[
     ("R-1", r1_headline_latency::run),
     ("R-2", r2_accuracy_threshold::run),
@@ -78,21 +83,21 @@ pub fn select(ids: &[String]) -> Result<Vec<(&'static str, Run)>, String> {
         .collect())
 }
 
-/// Runs `rows` on one worker per core and returns their transcripts in
-/// the order given.
+/// Runs `rows` on one worker per core and returns their transcripts and
+/// results in the order given.
 ///
 /// # Panics
 ///
 /// Re-raises a panicking experiment as `job '<id>' panicked: <payload>`
 /// once every other experiment has finished.
-pub fn run(rows: &[(&'static str, Run)]) -> Vec<Transcript> {
+pub fn run(rows: &[(&'static str, Run)]) -> Vec<(Transcript, RowResult)> {
     let jobs = rows
         .iter()
         .map(|&(id, run)| {
             let job = move || {
                 let mut transcript = Transcript::default();
-                run(&mut transcript);
-                transcript
+                let result = run(&mut transcript);
+                (transcript, result)
             };
             (id.to_owned(), job)
         })
@@ -101,11 +106,18 @@ pub fn run(rows: &[(&'static str, Run)]) -> Vec<Transcript> {
 }
 
 #[cfg(test)]
+// A dead radio's peer share is exactly zero.
+#[allow(clippy::float_cmp)]
 mod tests {
     use std::collections::BTreeSet;
+    use std::num::NonZeroUsize;
+    use std::sync::OnceLock;
 
     use super::*;
+    use crate::claims::{check_rows, Cell, CLAIMS};
     use crate::results_dir;
+    use p2pnet::LinkSpec;
+    use simcore::SimDuration;
 
     /// The `R-n` ids of `EXPERIMENTS.md` headings of the form `R-n — …`.
     fn documented_ids() -> Vec<String> {
@@ -165,11 +177,90 @@ mod tests {
 
     #[test]
     fn a_panicking_experiment_is_reported_by_its_id() {
-        let quiet: Run = |out| out.note(format_args!("done"));
+        let quiet: Run = |out| {
+            out.note(format_args!("done"));
+            RowResult::default()
+        };
         let broken: Run = |_| panic!("boom");
         let payload = std::panic::catch_unwind(|| run(&[("R-1", quiet), ("R-6", broken)]))
             .expect_err("the panic is re-raised");
         let message = payload.downcast_ref::<String>().expect("formatted message");
         assert_eq!(message, "job 'R-6' panicked: boom");
+    }
+
+    type Rows = Vec<(&'static str, RowResult)>;
+
+    /// The claim-bearing rows' cells at 8 simulated seconds on `threads`
+    /// workers, computed without writing a CSV.
+    fn claim_rows(threads: usize) -> Rows {
+        let duration = SimDuration::from_secs(8);
+        let threads = NonZeroUsize::new(threads).expect("positive");
+        vec![
+            ("R-1", r1_headline_latency::cells(duration, threads)),
+            ("R-21", r21_resilience::cells(duration, threads)),
+            ("R-22", r22_edge::cells(duration, threads)),
+        ]
+    }
+
+    /// [`claim_rows`] on one worker, shared by the tests that read it.
+    fn healthy() -> &'static Rows {
+        static ROWS: OnceLock<Rows> = OnceLock::new();
+        ROWS.get_or_init(|| claim_rows(1))
+    }
+
+    /// `cell` run again with every peer message lost.
+    fn with_dead_radio(cell: &Cell) -> Cell {
+        let mut config = cell.config.clone();
+        if let Some(peer) = config.peer.as_mut() {
+            peer.link = LinkSpec {
+                loss_prob: 1.0,
+                ..LinkSpec::wifi_direct()
+            };
+        }
+        Cell::run(
+            cell.label,
+            cell.scenario.clone(),
+            config,
+            cell.variant,
+            cell.seed,
+        )
+    }
+
+    #[test]
+    fn every_claim_holds_alike_on_one_and_four_workers() {
+        // Every cell's scenario, config, seed and report, to the bit.
+        assert_eq!(format!("{:?}", healthy()), format!("{:?}", claim_rows(4)));
+        let checked = check_rows(healthy());
+        assert_eq!(checked.len(), CLAIMS.len());
+        let failures: Vec<_> = checked.iter().filter(|(c, _)| !c.passed).collect();
+        assert!(failures.is_empty(), "failures: {failures:#?}");
+    }
+
+    #[test]
+    fn a_dead_radio_fails_the_peer_claim_and_names_the_tier() {
+        let dead: Rows = healthy()
+            .iter()
+            .map(|(id, row)| {
+                let cells = row.cells.iter().map(with_dead_radio).collect();
+                (*id, RowResult { cells })
+            })
+            .collect();
+        let checked = check_rows(&dead);
+        let (peer, cell) = checked
+            .iter()
+            .find(|(c, _)| c.claim == "peer-tier")
+            .expect("peer claim checked");
+        assert!(!peer.passed);
+        assert_eq!(peer.observed, 0.0);
+        let breakdown = cell.breakdown();
+        assert!(
+            breakdown.contains("every peer query timed out"),
+            "the breakdown must name the dead tier:\n{breakdown}"
+        );
+        // The single-device claims do not touch the radio.
+        assert!(checked
+            .iter()
+            .filter(|(c, _)| c.claim == "R-1")
+            .all(|(c, _)| c.passed));
     }
 }

@@ -2,12 +2,12 @@
 //! (where all three mechanisms contribute). Shows what each mechanism is
 //! worth and that no single one explains the result.
 
-use crate::{experiment_duration, Transcript, MASTER_SEED};
+use crate::{claims::RowResult, experiment_duration, Transcript, MASTER_SEED};
 use approxcache::prelude::*;
 use simcore::table::{fnum, fpct, Table};
 use workloads::multi;
 
-pub(crate) fn run(out: &mut Transcript) {
+pub(crate) fn run(out: &mut Transcript) -> RowResult {
     let scenario = multi::museum(8).with_duration(experiment_duration());
     let config = PipelineConfig::calibrated(&scenario, MASTER_SEED);
     let baseline = crate::summary_run(&scenario, &config, SystemVariant::NoCache, MASTER_SEED);
@@ -45,4 +45,5 @@ pub(crate) fn run(out: &mut Transcript) {
         baseline.latency_ms.mean,
         fpct(baseline.accuracy)
     ));
+    RowResult::default()
 }

@@ -4,7 +4,7 @@
 //! stale entries that would otherwise dilute k-NN votes, at a reuse
 //! cost).
 
-use crate::{experiment_duration, Transcript, MASTER_SEED};
+use crate::{claims::RowResult, experiment_duration, Transcript, MASTER_SEED};
 use approxcache::prelude::*;
 use approxcache::CacheExpiry;
 use scene::SceneConfig;
@@ -12,7 +12,7 @@ use simcore::table::{fnum, fpct, Table};
 use simcore::SimDuration;
 use workloads::video;
 
-pub(crate) fn run(out: &mut Transcript) {
+pub(crate) fn run(out: &mut Transcript) -> RowResult {
     let duration = experiment_duration() * 2;
     let mut table = Table::new(vec![
         "drift_per_s",
@@ -60,4 +60,5 @@ pub(crate) fn run(out: &mut Transcript) {
         "lighting drift vs cache staleness (turn-and-look)",
         &table,
     );
+    RowResult::default()
 }

@@ -3,14 +3,14 @@
 //! neighbour discovery at several beacon rates. Slower beacons delay peer
 //! visibility (fewer peer hits) but cost less radio.
 
-use crate::{experiment_duration, Transcript, MASTER_SEED};
+use crate::{claims::RowResult, experiment_duration, Transcript, MASTER_SEED};
 use approxcache::prelude::*;
 use p2pnet::DiscoveryConfig;
 use simcore::table::{fnum, fpct, Table};
 use simcore::SimDuration;
 use workloads::multi;
 
-pub(crate) fn run(out: &mut Transcript) {
+pub(crate) fn run(out: &mut Transcript) -> RowResult {
     let scenario = multi::museum(8).with_duration(experiment_duration());
     let base = PipelineConfig::calibrated(&scenario, MASTER_SEED);
 
@@ -58,4 +58,5 @@ pub(crate) fn run(out: &mut Transcript) {
         "oracle proximity vs beacon discovery (museum x8)",
         &table,
     );
+    RowResult::default()
 }

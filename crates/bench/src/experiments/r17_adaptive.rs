@@ -3,14 +3,14 @@
 //! controller recover accuracy, compared against the same miscalibration
 //! without adaptation and against an offline-calibrated reference.
 
-use crate::{experiment_duration, Transcript, MASTER_SEED};
+use crate::{claims::RowResult, experiment_duration, Transcript, MASTER_SEED};
 use ann::AknnConfig;
 use approxcache::prelude::*;
 use approxcache::AdaptiveConfig;
 use simcore::table::{fnum, fpct, Table};
 use workloads::video;
 
-pub(crate) fn run(out: &mut Transcript) {
+pub(crate) fn run(out: &mut Transcript) -> RowResult {
     let scenario = video::slow_pan().with_duration(experiment_duration() * 2);
     let calibrated = PipelineConfig::calibrated(&scenario, MASTER_SEED);
     let good_threshold = calibrated.cache.aknn.distance_threshold;
@@ -54,4 +54,5 @@ pub(crate) fn run(out: &mut Transcript) {
         "audit-driven threshold adaptation from a miscalibrated start (slow pan)",
         &table,
     );
+    RowResult::default()
 }

@@ -5,12 +5,12 @@
 //! two stack: the cached int8 system is the fastest configuration while
 //! keeping accuracy above the uncached fp32 baseline.
 
-use crate::{experiment_duration, Transcript, MASTER_SEED};
+use crate::{claims::RowResult, experiment_duration, Transcript, MASTER_SEED};
 use approxcache::prelude::*;
 use simcore::table::{fnum, fpct, Table};
 use workloads::video;
 
-pub(crate) fn run(out: &mut Transcript) {
+pub(crate) fn run(out: &mut Transcript) -> RowResult {
     let scenario = video::turn_and_look().with_duration(experiment_duration());
     let base = PipelineConfig::calibrated(&scenario, MASTER_SEED);
 
@@ -49,4 +49,5 @@ pub(crate) fn run(out: &mut Transcript) {
         "int8 quantization x approximate caching (turn-and-look)",
         &table,
     );
+    RowResult::default()
 }

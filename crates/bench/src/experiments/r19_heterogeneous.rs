@@ -3,7 +3,7 @@
 //! gain the most because their avoided inferences are the most expensive,
 //! while flagships lose almost nothing by sharing.
 
-use crate::{experiment_duration, Transcript, MASTER_SEED};
+use crate::{claims::RowResult, experiment_duration, Transcript, MASTER_SEED};
 use approxcache::prelude::*;
 use dnnsim::DeviceClass;
 use imu::MotionProfile;
@@ -11,7 +11,7 @@ use scene::SceneConfig;
 use simcore::table::{fnum, fpct, Table};
 use simcore::units::Millijoules;
 
-pub(crate) fn run(out: &mut Transcript) {
+pub(crate) fn run(out: &mut Transcript) -> RowResult {
     let scenario = Scenario::multi_device(
         MotionProfile::TurnAndLook {
             dwell_secs: 3.0,
@@ -71,4 +71,5 @@ pub(crate) fn run(out: &mut Transcript) {
         "mixed budget/flagship museum: who gains from collaboration",
         &table,
     );
+    RowResult::default()
 }

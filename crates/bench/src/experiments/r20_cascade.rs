@@ -4,12 +4,12 @@
 //! combination is strictly better than either alone on miss-heavy
 //! streams.
 
-use crate::{experiment_duration, Transcript, MASTER_SEED};
+use crate::{claims::RowResult, experiment_duration, Transcript, MASTER_SEED};
 use approxcache::prelude::*;
 use simcore::table::{fnum, fpct, Table};
 use workloads::video;
 
-pub(crate) fn run(out: &mut Transcript) {
+pub(crate) fn run(out: &mut Transcript) -> RowResult {
     // Walking tour: the most miss-heavy standard scenario, with the
     // heavyweight model where a cascade matters most.
     let scenario = video::walking_tour().with_duration(experiment_duration());
@@ -53,4 +53,5 @@ pub(crate) fn run(out: &mut Transcript) {
         "big/little cascade x approximate caching (walking tour)",
         &table,
     );
+    RowResult::default()
 }

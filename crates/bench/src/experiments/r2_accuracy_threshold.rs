@@ -3,13 +3,13 @@
 //! calibrated value on a slow pan, reporting hit rate, reuse, accuracy
 //! and the accuracy delta vs always-infer.
 
-use crate::{experiment_duration, Transcript, MASTER_SEED};
+use crate::{claims::RowResult, experiment_duration, Transcript, MASTER_SEED};
 use ann::AknnConfig;
 use approxcache::prelude::*;
 use simcore::table::{fnum, fpct, Table};
 use workloads::{sweep, video};
 
-pub(crate) fn run(out: &mut Transcript) {
+pub(crate) fn run(out: &mut Transcript) -> RowResult {
     let scenario = video::slow_pan().with_duration(experiment_duration());
     let calibrated = PipelineConfig::calibrated(&scenario, MASTER_SEED);
     let calibrated_threshold = calibrated.cache.aknn.distance_threshold;
@@ -53,4 +53,5 @@ pub(crate) fn run(out: &mut Transcript) {
         calibrated_threshold,
         fpct(baseline.accuracy)
     ));
+    RowResult::default()
 }

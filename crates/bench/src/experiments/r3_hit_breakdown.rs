@@ -1,12 +1,12 @@
 //! R-3 — where reuse comes from: per-scenario breakdown of frames answered
 //! by the IMU fast path, the local approximate cache, peers, and the DNN.
 
-use crate::{experiment_duration, Transcript, MASTER_SEED};
+use crate::{claims::RowResult, experiment_duration, Transcript, MASTER_SEED};
 use approxcache::prelude::*;
 use simcore::table::{fpct, Table};
 use workloads::{multi, video};
 
-pub(crate) fn run(out: &mut Transcript) {
+pub(crate) fn run(out: &mut Transcript) -> RowResult {
     let duration = experiment_duration();
     let mut scenarios = video::all();
     scenarios.push(multi::museum(8));
@@ -75,4 +75,5 @@ pub(crate) fn run(out: &mut Transcript) {
         "mean per-frame latency by answering path",
         &latency_table,
     );
+    RowResult::default()
 }

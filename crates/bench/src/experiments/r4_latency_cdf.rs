@@ -2,12 +2,12 @@
 //! (the hardest single-device scenario, so the CDF shows both the reuse
 //! mass near zero and the inference tail).
 
-use crate::{experiment_duration, Transcript, MASTER_SEED};
+use crate::{claims::RowResult, experiment_duration, Transcript, MASTER_SEED};
 use approxcache::prelude::*;
 use simcore::table::{fnum, Table};
 use workloads::video;
 
-pub(crate) fn run(out: &mut Transcript) {
+pub(crate) fn run(out: &mut Transcript) -> RowResult {
     let scenario = video::walking_tour().with_duration(experiment_duration());
     let config = PipelineConfig::calibrated(&scenario, MASTER_SEED);
     let base = crate::summary_run(&scenario, &config, SystemVariant::NoCache, MASTER_SEED);
@@ -34,4 +34,5 @@ pub(crate) fn run(out: &mut Transcript) {
         "median: no-cache {:.1} ms vs full {:.2} ms; p99: {:.1} vs {:.1}",
         base.latency_ms.p50, full.latency_ms.p50, base.latency_ms.p99, full.latency_ms.p99
     ));
+    RowResult::default()
 }

@@ -1,12 +1,12 @@
 //! R-5 — the value of neighbours: hit rate, latency and network cost as
 //! the number of co-located devices grows in the museum scenario.
 
-use crate::{experiment_duration, Transcript, MASTER_SEED};
+use crate::{claims::RowResult, experiment_duration, Transcript, MASTER_SEED};
 use approxcache::prelude::*;
 use simcore::table::{fnum, fpct, Table};
 use workloads::multi;
 
-pub(crate) fn run(out: &mut Transcript) {
+pub(crate) fn run(out: &mut Transcript) -> RowResult {
     let duration = experiment_duration();
     let counts = [1usize, 2, 4, 8, 16];
     let mut table = Table::new(vec![
@@ -37,4 +37,5 @@ pub(crate) fn run(out: &mut Transcript) {
         "effect of peer count (museum, full system)",
         &table,
     );
+    RowResult::default()
 }

@@ -4,14 +4,14 @@
 //! access below the working-set size, frequency-aware policies degrade
 //! gracefully).
 
-use crate::{experiment_duration, Transcript, MASTER_SEED};
+use crate::{claims::RowResult, experiment_duration, Transcript, MASTER_SEED};
 use approxcache::prelude::*;
 use reuse::{CacheConfig, EvictionPolicy};
 use simcore::table::{fnum, fpct, Table};
 use simcore::SimDuration;
 use workloads::sweep;
 
-pub(crate) fn run(out: &mut Transcript) {
+pub(crate) fn run(out: &mut Transcript) -> RowResult {
     // Eviction only matters when the stream *revisits* subjects after the
     // working set exceeds capacity. A fast turn-and-look sweeps a ring of
     // exhibits over and over (cyclic access — the workload where victim
@@ -63,4 +63,5 @@ pub(crate) fn run(out: &mut Transcript) {
         "capacity x eviction policy under object churn",
         &table,
     );
+    RowResult::default()
 }

@@ -2,13 +2,13 @@
 //! maximum reuse age on stationary and handheld streams, reporting the
 //! fast-path share, the wrong-reuse rate it induces, and mean latency.
 
-use crate::{experiment_duration, Transcript, MASTER_SEED};
+use crate::{claims::RowResult, experiment_duration, Transcript, MASTER_SEED};
 use approxcache::prelude::*;
 use imu::{ImuGate, MotionProfile};
 use simcore::table::{fnum, fpct, Table};
 use simcore::SimDuration;
 
-pub(crate) fn run(out: &mut Transcript) {
+pub(crate) fn run(out: &mut Transcript) -> RowResult {
     let duration = experiment_duration();
     let scenarios = [
         Scenario::single_device(MotionProfile::Stationary).with_duration(duration),
@@ -79,4 +79,5 @@ pub(crate) fn run(out: &mut Transcript) {
         "reuse-age bound under object churn",
         &age_table,
     );
+    RowResult::default()
 }

@@ -2,12 +2,12 @@
 //! slow pan. Inference power dominates, so energy savings track latency
 //! savings minus the (small) radio cost of collaboration.
 
-use crate::{experiment_duration, Transcript, MASTER_SEED};
+use crate::{claims::RowResult, experiment_duration, Transcript, MASTER_SEED};
 use approxcache::prelude::*;
 use simcore::table::{fnum, fpct, Table};
 use workloads::video;
 
-pub(crate) fn run(out: &mut Transcript) {
+pub(crate) fn run(out: &mut Transcript) -> RowResult {
     let scenario = video::slow_pan().with_duration(experiment_duration());
     let base_config = PipelineConfig::calibrated(&scenario, MASTER_SEED);
 
@@ -41,4 +41,5 @@ pub(crate) fn run(out: &mut Transcript) {
         "per-frame energy across the model zoo (slow pan)",
         &table,
     );
+    RowResult::default()
 }

@@ -3,13 +3,13 @@
 //! Heavier models benefit *more* from caching — the avoided work is
 //! bigger while the lookup cost is constant.
 
-use crate::{experiment_duration, Transcript, MASTER_SEED};
+use crate::{claims::RowResult, experiment_duration, Transcript, MASTER_SEED};
 use approxcache::prelude::*;
 use dnnsim::DeviceClass;
 use simcore::table::{fnum, fpct, Table};
 use workloads::video;
 
-pub(crate) fn run(out: &mut Transcript) {
+pub(crate) fn run(out: &mut Transcript) -> RowResult {
     let scenario = video::turn_and_look().with_duration(experiment_duration());
     let base_config = PipelineConfig::calibrated(&scenario, MASTER_SEED);
 
@@ -38,4 +38,5 @@ pub(crate) fn run(out: &mut Transcript) {
         "model zoo x device class (turn-and-look)",
         &table,
     );
+    RowResult::default()
 }

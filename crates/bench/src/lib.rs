@@ -2,16 +2,17 @@
 //!
 //! Each macro `R-*` experiment from `EXPERIMENTS.md` is a row of
 //! [`experiments::ALL`], run by the `experiments` binary, which prints
-//! its tables and writes the same rows as CSV under `results/`. The
-//! micro-benchmarks (`R-11`..`R-14`) are Criterion benches under
-//! `benches/`.
+//! its tables, writes the same rows as CSV under `results/` and checks
+//! the headline claims of [`claims::CLAIMS`] on the rows that carry
+//! them. The micro-benchmarks (`R-11`..`R-14`) are probes of the
+//! benchmark under `benchmark/`.
 //!
 //! Experiment length is controlled by the `EXPERIMENT_SECONDS` environment
 //! variable (default 30 simulated seconds), so a quick pass and a
 //! paper-faithful run differ only in that variable.
 
+pub mod claims;
 pub mod experiments;
-pub mod verify;
 
 use std::fmt::{self, Write as _};
 use std::path::PathBuf;
@@ -83,21 +84,6 @@ pub fn detailed_run(
     match approxcache::run(scenario, config, variant, seed, approxcache::Detail::Full) {
         Ok(result) => result,
         Err(e) => panic!("{e}"),
-    }
-}
-
-/// The fault regime of the R-21 resilience experiment: outages covering
-/// the given fraction of each device's timeline, occasional crashes, and
-/// a sprinkle of poisoned advertisements. Shared between the `verify`
-/// harness and the R-21 experiment so the claim checks exactly
-/// what the experiment sweeps.
-pub fn r21_faults(outage_fraction: f64) -> p2pnet::FaultConfig {
-    p2pnet::FaultConfig {
-        outage_fraction,
-        outage_mean: SimDuration::from_secs(2),
-        crashes_per_device_minute: 1.0,
-        poison_prob: 0.02,
-        ..p2pnet::FaultConfig::default()
     }
 }
 

@@ -282,7 +282,7 @@ pub fn euclidean(a: &FeatureVector, b: &FeatureVector) -> f64 {
 /// # Panics
 ///
 /// Panics if the dimensions differ.
-pub fn manhattan(a: &FeatureVector, b: &FeatureVector) -> f64 {
+fn manhattan(a: &FeatureVector, b: &FeatureVector) -> f64 {
     assert_same_dim(a, b);
     a.as_slice()
         .iter()

@@ -40,9 +40,7 @@ impl MotionEstimate {
     }
 }
 
-/// Reduces sample windows to [`MotionEstimate`]s, with optional
-/// exponentially weighted smoothing across windows to suppress single-window
-/// spikes.
+/// Reduces sample windows to [`MotionEstimate`]s.
 ///
 /// # Example
 ///
@@ -55,44 +53,13 @@ impl MotionEstimate {
 ///     gyro: [0.0, 0.0, 0.1],
 ///     accel: [0.0; 3],
 /// }).collect();
-/// let est = MotionEstimator::default().estimate(&samples);
+/// let est = MotionEstimator.estimate(&samples);
 /// assert!(est.rotation_rad > 0.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct MotionEstimator {
-    /// EWMA factor in `[0, 1]`: weight given to the *new* window. `1.0`
-    /// disables smoothing.
-    pub smoothing: f64,
-    #[serde(skip)]
-    smoothed: Option<MotionEstimate>,
-}
-
-impl Default for MotionEstimator {
-    fn default() -> Self {
-        MotionEstimator {
-            smoothing: 1.0,
-            smoothed: None,
-        }
-    }
-}
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct MotionEstimator;
 
 impl MotionEstimator {
-    /// Creates an estimator with EWMA smoothing factor `smoothing`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `smoothing` is outside `(0, 1]`.
-    pub fn with_smoothing(smoothing: f64) -> MotionEstimator {
-        assert!(
-            smoothing > 0.0 && smoothing <= 1.0,
-            "with_smoothing: smoothing must be in (0, 1], got {smoothing}"
-        );
-        MotionEstimator {
-            smoothing,
-            smoothed: None,
-        }
-    }
-
     /// Estimates motion over `window` (the samples since the last frame).
     ///
     /// An empty window yields a zero estimate — the gate treats "no
@@ -140,33 +107,6 @@ impl MotionEstimator {
             sample_count: window.len(),
         }
     }
-
-    /// Estimates and folds into the running EWMA, returning the smoothed
-    /// estimate. With `smoothing == 1.0` this is identical to
-    /// [`estimate`](Self::estimate).
-    pub fn estimate_smoothed(&mut self, window: &[ImuSample]) -> MotionEstimate {
-        let raw = self.estimate(window);
-        let blended = match self.smoothed {
-            None => raw,
-            Some(prev) => {
-                let a = self.smoothing;
-                MotionEstimate {
-                    rotation_rad: a * raw.rotation_rad + (1.0 - a) * prev.rotation_rad,
-                    gyro_rms: a * raw.gyro_rms + (1.0 - a) * prev.gyro_rms,
-                    accel_rms: a * raw.accel_rms + (1.0 - a) * prev.accel_rms,
-                    window_secs: raw.window_secs,
-                    sample_count: raw.sample_count,
-                }
-            }
-        };
-        self.smoothed = Some(blended);
-        blended
-    }
-
-    /// Clears the smoothing state (e.g. when the app resumes).
-    pub fn reset(&mut self) {
-        self.smoothed = None;
-    }
 }
 
 #[cfg(test)]
@@ -191,7 +131,7 @@ mod tests {
     // Exact comparison is intentional: an empty window is exactly zero.
     #[allow(clippy::float_cmp)]
     fn empty_window_is_zero_motion() {
-        let est = MotionEstimator::default().estimate(&[]);
+        let est = MotionEstimator.estimate(&[]);
         assert_eq!(est, MotionEstimate::default());
         assert_eq!(est.motion_score(), 0.0);
     }
@@ -200,7 +140,7 @@ mod tests {
     fn constant_rotation_integrates_correctly() {
         // 0.5 rad/s over 10 samples spanning 90 ms: the integral counts
         // every sample at the mean spacing (10 ms), so 10·0.5·0.01 rad.
-        let est = MotionEstimator::default().estimate(&constant_window(0.5, 0.0, 10));
+        let est = MotionEstimator.estimate(&constant_window(0.5, 0.0, 10));
         assert!(
             (est.rotation_rad - 0.05).abs() < 1e-9,
             "{}",
@@ -213,13 +153,13 @@ mod tests {
 
     #[test]
     fn accel_rms_is_magnitude() {
-        let est = MotionEstimator::default().estimate(&constant_window(0.0, 2.0, 5));
+        let est = MotionEstimator.estimate(&constant_window(0.0, 2.0, 5));
         assert!((est.accel_rms - 2.0).abs() < 1e-9);
     }
 
     #[test]
     fn motion_score_increases_with_rotation_and_accel() {
-        let estimator = MotionEstimator::default();
+        let estimator = MotionEstimator;
         let still = estimator.estimate(&constant_window(0.0, 0.0, 10));
         let turning = estimator.estimate(&constant_window(1.0, 0.0, 10));
         let shaking = estimator.estimate(&constant_window(0.0, 3.0, 10));
@@ -231,35 +171,16 @@ mod tests {
     // Exact comparison is intentional: one sample integrates exactly zero.
     #[allow(clippy::float_cmp)]
     fn single_sample_window_has_zero_duration() {
-        let est = MotionEstimator::default().estimate(&constant_window(1.0, 1.0, 1));
+        let est = MotionEstimator.estimate(&constant_window(1.0, 1.0, 1));
         assert_eq!(est.window_secs, 0.0);
         assert_eq!(est.rotation_rad, 0.0);
         assert_eq!(est.sample_count, 1);
     }
 
     #[test]
-    fn smoothing_damps_spikes() {
-        let mut estimator = MotionEstimator::with_smoothing(0.5);
-        estimator.estimate_smoothed(&constant_window(0.0, 0.0, 10));
-        let spiked = estimator.estimate_smoothed(&constant_window(2.0, 0.0, 10));
-        let raw = MotionEstimator::default().estimate(&constant_window(2.0, 0.0, 10));
-        assert!(spiked.gyro_rms < raw.gyro_rms);
-        assert!(spiked.gyro_rms > 0.0);
-        estimator.reset();
-        let after_reset = estimator.estimate_smoothed(&constant_window(2.0, 0.0, 10));
-        assert!((after_reset.gyro_rms - raw.gyro_rms).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "smoothing must be in (0, 1]")]
-    fn smoothing_factor_validated() {
-        MotionEstimator::with_smoothing(0.0);
-    }
-
-    #[test]
     fn motion_score_is_monotone_in_each_axis() {
         // Larger gyro or accel magnitudes never decrease the score.
-        let estimator = MotionEstimator::default();
+        let estimator = MotionEstimator;
         let mut last_gyro = -1.0f64;
         for step in 0..20 {
             let gyro = step as f64 * 0.1;
@@ -290,7 +211,7 @@ mod tests {
     fn separates_profiles_end_to_end() {
         // The whole point: stationary windows score far below walking ones.
         let mut rng = SimRng::seed(21);
-        let estimator = MotionEstimator::default();
+        let estimator = MotionEstimator;
         let mut score = |profile| {
             let trace = MotionTrace::generate(profile, SimDuration::from_secs(5), 100.0, &mut rng);
             let samples = ImuSynthesizer::default().synthesize(&trace, &mut rng);

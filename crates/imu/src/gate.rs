@@ -122,23 +122,6 @@ impl ImuGate {
         }
     }
 
-    /// Decision taking the previous result's age into account: the fast
-    /// path additionally requires `previous_age <= max_reuse_age` (and that
-    /// a previous result exists at all).
-    pub fn decide_with_age(
-        &self,
-        estimate: &MotionEstimate,
-        previous_age: Option<SimDuration>,
-    ) -> GateDecision {
-        match self.decide(estimate) {
-            GateDecision::ReusePrevious => match previous_age {
-                Some(age) if age <= self.max_reuse_age => GateDecision::ReusePrevious,
-                _ => GateDecision::LookupLocal,
-            },
-            other => other,
-        }
-    }
-
     /// The full production decision rule. The fast path requires the
     /// *cumulative* motion since the previous result was validated to stay
     /// below the still threshold — a device that turned 45° and stopped is
@@ -210,38 +193,10 @@ mod tests {
     }
 
     #[test]
-    fn stale_previous_result_demotes_fast_path() {
-        let gate = ImuGate::default();
-        let still = estimate_with_score(0.0);
-        assert_eq!(
-            gate.decide_with_age(&still, Some(SimDuration::from_millis(100))),
-            GateDecision::ReusePrevious
-        );
-        assert_eq!(
-            gate.decide_with_age(&still, Some(SimDuration::from_secs(10))),
-            GateDecision::LookupLocal
-        );
-        assert_eq!(
-            gate.decide_with_age(&still, None),
-            GateDecision::LookupLocal
-        );
-    }
-
-    #[test]
-    fn age_does_not_affect_other_decisions() {
-        let gate = ImuGate::new(1.0, 20.0);
-        let skip = estimate_with_score(50.0);
-        assert_eq!(
-            gate.decide_with_age(&skip, Some(SimDuration::ZERO)),
-            GateDecision::SkipLocal
-        );
-    }
-
-    #[test]
     fn disabled_gate_always_looks_up() {
         let gate = ImuGate::disabled();
         assert_eq!(
-            gate.decide_with_age(&estimate_with_score(0.0), Some(SimDuration::ZERO)),
+            gate.decide_with_history(&estimate_with_score(0.0), 0.0, Some(SimDuration::ZERO)),
             GateDecision::LookupLocal
         );
         assert_eq!(

@@ -40,7 +40,7 @@
 //! );
 //! let samples = ImuSynthesizer::default().synthesize(&trace, &mut rng);
 //! // Estimate over one inter-frame window (100 ms at 100 Hz = 10 samples).
-//! let estimate = MotionEstimator::default().estimate(&samples[..10]);
+//! let estimate = MotionEstimator.estimate(&samples[..10]);
 //! let gate = ImuGate::default();
 //! assert_eq!(gate.decide(&estimate), GateDecision::ReusePrevious);
 //! ```

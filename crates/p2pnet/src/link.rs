@@ -101,7 +101,7 @@ impl LinkSpec {
     }
 
     /// Number of link-layer fragments a `bytes`-byte message occupies.
-    pub fn fragments(&self, bytes: usize) -> usize {
+    fn fragments(&self, bytes: usize) -> usize {
         if bytes == 0 {
             return 1;
         }
@@ -148,7 +148,7 @@ impl LinkSpec {
 
     /// Pure serialization time for `bytes` at the link bandwidth,
     /// including per-fragment overhead bytes.
-    pub fn transfer_time(&self, bytes: usize) -> SimDuration {
+    fn transfer_time(&self, bytes: usize) -> SimDuration {
         if self.bandwidth_mbps.is_infinite() {
             return SimDuration::ZERO;
         }

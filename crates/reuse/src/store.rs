@@ -420,7 +420,7 @@ impl<L: Copy + Eq + Hash + fmt::Debug> ApproxCache<L> {
     /// The entry the next capacity eviction would drop at `now`, without
     /// dropping it. O(log n) for Lru/Lfu/Ttl; the Utility policy's score
     /// depends on `now`, so it keeps the full scan.
-    pub fn peek_victim(&self, now: SimTime) -> Option<EntryId> {
+    fn peek_victim(&self, now: SimTime) -> Option<EntryId> {
         match self.victims.victim(now) {
             VictimChoice::Found(id) => Some(id),
             VictimChoice::Empty => None,
@@ -775,6 +775,28 @@ mod tests {
             SimTime::from_millis(100),
         );
         assert!(matches!(out, InsertOutcome::Inserted(_)));
+        assert_eq!(c.len(), 2);
+    }
+
+    #[test]
+    fn near_duplicate_radius_is_inclusive() {
+        let mut c = ApproxCache::new(CacheConfig::new(4).with_admission(AdmissionPolicy {
+            dedup_distance: 5.0,
+            ..AdmissionPolicy::admit_all()
+        }));
+        let mut insert = |x: f32, y: f32| {
+            c.insert(
+                fv(&[x, y]),
+                7,
+                0.9,
+                EntrySource::LocalInference,
+                SimTime::ZERO,
+            )
+        };
+        let id = insert(0.0, 0.0).entry().unwrap();
+        // (3, 4) is exactly 5.0 from the stored (0, 0).
+        assert_eq!(insert(3.0, 4.0), InsertOutcome::Refreshed(id));
+        assert!(matches!(insert(3.0, 4.01), InsertOutcome::Inserted(_)));
         assert_eq!(c.len(), 2);
     }
 

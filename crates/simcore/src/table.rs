@@ -83,7 +83,7 @@ impl Table {
 
     /// Renders the table as RFC-4180-style CSV (quotes cells containing
     /// commas, quotes or newlines).
-    pub fn to_csv(&self) -> String {
+    fn to_csv(&self) -> String {
         let mut out = String::new();
         let emit = |out: &mut String, cells: &[String]| {
             let encoded: Vec<String> = cells.iter().map(|c| csv_escape(c)).collect();

@@ -12,6 +12,10 @@ pub struct MatrixCell {
     pub scenario: String,
     /// The variant that ran.
     pub variant: SystemVariant,
+    /// The calibrated configuration it ran under.
+    pub config: PipelineConfig,
+    /// The seed it ran at.
+    pub seed: u64,
     /// The run's report.
     pub report: RunReport,
 }
@@ -48,6 +52,8 @@ pub fn run_matrix(
                     MatrixCell {
                         scenario: scenario.name.clone(),
                         variant,
+                        config: config.clone(),
+                        seed: cell_seed,
                         report,
                     }
                 }
@@ -111,6 +117,16 @@ mod tests {
         let no_cache = cell(&cells, "stationary", SystemVariant::NoCache).unwrap();
         let full = cell(&cells, "stationary", SystemVariant::Full).unwrap();
         assert!(full.report.latency_ms.mean < no_cache.report.latency_ms.mean);
+        // A cell carries what it takes to run it again in isolation.
+        let again = run(
+            &scenarios[0],
+            &full.config,
+            full.variant,
+            full.seed,
+            Detail::Summary,
+        )
+        .unwrap();
+        assert_eq!(again.report.latencies_ms, full.report.latencies_ms);
     }
 
     #[test]
