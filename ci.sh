@@ -60,6 +60,12 @@ echo "== cargo test (store oracle, optimized: keys read back from the index) =="
 # on the release-compiled flat-buffer code.
 cargo test --release -q -p reuse --test oracle_equivalence
 
+echo "== cargo test (bounded lookup oracle, optimized: the store's exact scan) =="
+# The store-level twin of the scan's exactness: bounded lookups answer
+# like the unbounded scan cut at the threshold. The scan's single-
+# precision head test skips blocks only on release-compiled float code.
+cargo test --release -q -p reuse --test bounded_lookup_oracle
+
 echo "== benchmark smoke (every workload's output checks, ~17 s) =="
 # Gates: builds benchmark/ against the workspace's public API and runs
 # all of its output checks at 1 % size. The numbers it prints are not

@@ -7,18 +7,22 @@
 //! chunk of eight rows. The remaining components live row-major in a
 //! tail buffer. Rows are kept dense by swap-remove.
 //!
-//! [`FlatBuffer::block_scan_into`] scores one block per step with
-//! [`squared_euclidean_head_block`], skips the block when none of its
-//! rows can enter the selection, and finishes each surviving row over its
-//! tail with the same chunked kernel. It keeps the `k` best within a
-//! squared-distance limit through [`push_bounded`], whose strict
-//! `(distance, id)` order is the tie-break contract of every answer. Every distance it returns has the bits of the row-at-a-time
-//! kernel [`squared_euclidean_flat_within`](features::distance::squared_euclidean_flat_within).
+//! [`FlatBuffer::block_scan_into`] tests one block per step in single
+//! precision with [`squared_euclidean_head_block_f32`] and skips it when
+//! that proves none of its rows can enter the selection. A block it does
+//! not skip is scored in `f64` with [`squared_euclidean_head_block`], and
+//! each surviving row is finished over its tail with the same chunked
+//! kernel. It keeps the `k` best within a squared-distance limit through
+//! [`push_bounded`], whose strict `(distance, id)` order is the tie-break
+//! contract of every answer. Every distance it returns has the bits of
+//! the row-at-a-time kernel
+//! [`squared_euclidean_flat_within`](features::distance::squared_euclidean_flat_within).
 
 use std::collections::HashMap;
 
 use features::distance::{
-    squared_euclidean_head_block, squared_euclidean_resume_within, widen_head, HEAD_BLOCK, LANES,
+    head_skip_threshold, pad_head, squared_euclidean_head_block, squared_euclidean_head_block_f32,
+    squared_euclidean_resume_within, widen_head, HEAD_BLOCK, LANES,
 };
 
 use crate::index::Neighbor;
@@ -226,17 +230,21 @@ impl FlatBuffer {
     /// *squared* — callers apply the final `sqrt` once, after selection.
     /// `f64::INFINITY` is no limit. This is the `LinearScan` hot loop.
     ///
-    /// One head block per step: [`squared_euclidean_head_block`] gives
-    /// each of its rows the partial sum over its first chunk. When every
-    /// partial sum already exceeds the selection bound as it stood at the
-    /// block's start, no row of the block can enter `out` and the block
-    /// is skipped. Otherwise its rows are visited in row order against
-    /// the live bound and each survivor is finished over its tail by
-    /// [`squared_euclidean_resume_within`], with the same strict early
-    /// exit.
+    /// One head block per step, tested first in single precision:
+    /// [`squared_euclidean_head_block_f32`] sums each row's first-chunk
+    /// terms in `f32`, and when every row's sum exceeds
+    /// [`head_skip_threshold`] of the selection bound as it stood at the
+    /// block's start, every row's `f64` partial sum exceeds that bound
+    /// too, no row of the block can enter `out`, and the block is
+    /// skipped. Otherwise [`squared_euclidean_head_block`] gives each row
+    /// its `f64` partial sum over its first chunk, the rows are visited
+    /// in row order against the live bound and each survivor is finished
+    /// over its tail by [`squared_euclidean_resume_within`], with the
+    /// same strict early exit.
     ///
-    /// The answer is the row-at-a-time scan's, to the bit: each partial
-    /// sum has the bits of that scan's first chunk, the tail resumes its
+    /// The answer is the row-at-a-time scan's, to the bit: the `f32`
+    /// sums only ever skip rows that scan drops, each `f64` partial sum
+    /// has the bits of that scan's first chunk, the tail resumes its
     /// fold, and the bound only tightens as `out` fills, so the bound at
     /// a block's start lets through only rows the live check then drops.
     ///
@@ -275,16 +283,29 @@ impl FlatBuffer {
         out.clear();
         let tail_dim = self.tail_dim();
         let query_head = widen_head(query);
+        let query_head32 = pad_head(query);
         let query_tail = &query[self.head_dim()..];
+        // The selection bound's single-precision skip threshold. Only a
+        // push moves the bound, so only a block that pushed recomputes it.
+        let mut threshold = head_skip_threshold(selection_bound(out, k, limit));
         let (blocks, _) = self.heads.as_chunks::<HEAD_BLOCK>();
         for (b, (block, ids)) in blocks.iter().zip(self.ids.chunks(LANES)).enumerate() {
-            let partial = squared_euclidean_head_block(block, &query_head);
-            let partial = &partial[..ids.len()];
-            let block_bound = selection_bound(out, k, limit);
-            if partial.iter().all(|&d| d > block_bound) {
+            // Skip the block when every live row's f32 sum is over the
+            // threshold, which proves its f64 partial over the bound.
+            // The fold has no early exit, so the eight compares run as
+            // one vector compare.
+            let sums = squared_euclidean_head_block_f32(block, &query_head32);
+            let live = ids.len();
+            let skip = sums
+                .iter()
+                .enumerate()
+                .fold(true, |skip, (r, &s)| skip & ((r >= live) | (s > threshold)));
+            if skip {
                 continue;
             }
-            for (r, (&head, &id)) in partial.iter().zip(ids).enumerate() {
+            let partial = squared_euclidean_head_block(block, &query_head);
+            let mut pushed = false;
+            for (r, (&head, &id)) in partial[..live].iter().zip(ids).enumerate() {
                 // Rows whose partial sum already exceeds the bound are
                 // abandoned without changing the result (squared terms
                 // only grow the sum, and the exit is strict so distance
@@ -300,6 +321,10 @@ impl FlatBuffer {
                     continue;
                 };
                 push_bounded(out, k, Neighbor { id, distance });
+                pushed = true;
+            }
+            if pushed {
+                threshold = head_skip_threshold(selection_bound(out, k, limit));
             }
         }
     }
@@ -439,12 +464,18 @@ mod proptests {
     /// Buffer sizes around the block boundaries.
     const SIZES: [usize; 8] = [0, 1, 7, 8, 9, 15, 16, 17];
 
-    /// Small integers (so distances tie and keys repeat) or components
-    /// over eight decades in both signs (so a reordered sum shows).
+    /// Small integers (so distances tie and keys repeat), components
+    /// over eight decades in both signs (so a reordered sum shows), or
+    /// magnitudes where the scan's `f32` skip test overflows or
+    /// underflows: up to ±`f32::MAX`/2, around ±1e30, and subnormals.
     fn component() -> impl Strategy<Value = f32> {
+        let signed = |x: f32, negative: bool| if negative { -x } else { x };
         prop_oneof![
             (-2i32..3).prop_map(|v| v as f32),
             (-4i32..4, -1.0f32..1.0).prop_map(|(exp, m)| m * 10f32.powi(exp)),
+            (0.5f32..1.0, any::<bool>()).prop_map(move |(m, n)| signed(m * (f32::MAX / 2.0), n)),
+            (-1.0f32..1.0).prop_map(|m| m * 1e30),
+            (1u32..0x0080_0000, any::<bool>()).prop_map(move |(b, n)| signed(f32::from_bits(b), n)),
         ]
     }
 

@@ -14,8 +14,10 @@
 //! | `GET /health`    | —                                      | `200` one-line counter summary |
 //! | `POST /shutdown` | — (only with [`ServerConfig::allow_shutdown`]) | `200`, then the server drains and exits |
 //!
-//! Every connection gets read/write timeouts so one stalled client can
-//! never wedge a worker, and each request/response cycle closes the
+//! Every request gets one read deadline, `read_timeout` from the moment
+//! a worker takes it, covering head and body, and every connection a
+//! write timeout, so one stalled or dripping client can never wedge a
+//! worker for longer than that; each request/response cycle closes the
 //! connection (`Connection: close`) — edge batches are coarse enough
 //! that keep-alive would buy little and cost a slow-loris surface.
 //!
@@ -23,7 +25,7 @@
 //! touches the wall clock and real sockets, and is exempt from the
 //! determinism lint the model half is held to.
 
-use std::io::{BufRead, BufReader, Read, Take, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Take, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
@@ -49,7 +51,8 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Connections allowed to wait for a worker before `503`.
     pub pending_limit: usize,
-    /// Per-connection read timeout.
+    /// The whole-request read budget: head and body must arrive within
+    /// this long of a worker taking the connection.
     pub read_timeout: Duration,
     /// Per-connection write timeout.
     pub write_timeout: Duration,
@@ -208,7 +211,6 @@ fn worker_loop(
         };
         match stream {
             Some(mut stream) => {
-                let _ = stream.set_read_timeout(Some(config.read_timeout));
                 let _ = stream.set_write_timeout(Some(config.write_timeout));
                 handle_connection(&mut stream, cache, config, shutdown, started);
             }
@@ -221,6 +223,26 @@ fn worker_loop(
     }
 }
 
+/// A request's socket reads against one deadline: each read waits at
+/// most the time left until `deadline`, so a peer that drips a byte just
+/// inside every wait still runs out of time once, for head and body
+/// together.
+struct DeadlineReader<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl Read for DeadlineReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
+    }
+}
+
 /// One parsed request head.
 struct RequestHead {
     method: String,
@@ -228,7 +250,7 @@ struct RequestHead {
     content_length: usize,
 }
 
-fn read_head(reader: &mut BufReader<&TcpStream>) -> Result<RequestHead, &'static str> {
+fn read_head<R: BufRead>(reader: &mut R) -> Result<RequestHead, &'static str> {
     // The whole head goes through one `take`, so a peer that never sends
     // a newline costs MAX_HEAD bytes, not a worker until its read timeout.
     // `by_ref` leaves any body bytes already buffered in `reader`.
@@ -331,7 +353,10 @@ fn handle_connection(
     shutdown: &AtomicBool,
     started: Instant,
 ) {
-    let mut reader = BufReader::new(&*stream);
+    let mut reader = BufReader::new(DeadlineReader {
+        stream: &*stream,
+        deadline: Instant::now() + config.read_timeout,
+    });
     let head = match read_head(&mut reader) {
         Ok(head) => head,
         Err(_) => {

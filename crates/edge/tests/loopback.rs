@@ -4,6 +4,8 @@
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use features::FeatureVector;
@@ -314,5 +316,62 @@ fn a_head_without_a_newline_is_refused_at_the_cap_not_the_timeout() {
     // The worker is free again.
     let client = EdgeClient::new(server.addr().to_string()).with_timeout(Duration::from_secs(10));
     assert!(client.health().expect("health").starts_with("ok:"));
+    server.stop();
+}
+
+#[test]
+fn dripped_bodies_get_one_deadline_not_a_timeout_per_byte() {
+    let cache = EdgeCache::new(EdgeCacheConfig::default()).unwrap();
+    let config = ServerConfig {
+        read_timeout: Duration::from_millis(300),
+        ..ServerConfig::default()
+    };
+    let workers = config.workers;
+    let server = EdgeServer::start("127.0.0.1:0", cache, config).expect("bind ephemeral port");
+    let addr = server.addr();
+    let done = Arc::new(AtomicBool::new(false));
+    let connected = Arc::new(Barrier::new(workers + 1));
+    // As many connections as workers, each sending a whole head and then
+    // one body byte every 150 ms: every read completes inside the 300 ms
+    // budget, so only a deadline over the whole request frees a worker
+    // before the 40 bytes (6 s) are in.
+    let drippers: Vec<_> = (0..workers)
+        .map(|_| {
+            let done = Arc::clone(&done);
+            let connected = Arc::clone(&connected);
+            std::thread::spawn(move || {
+                let mut stream = TcpStream::connect(addr).expect("connect");
+                stream
+                    .write_all(b"POST /batch HTTP/1.1\r\nContent-Length: 40\r\n\r\n")
+                    .expect("send head");
+                connected.wait();
+                for _ in 0..40 {
+                    std::thread::sleep(Duration::from_millis(150));
+                    if done.load(Ordering::SeqCst) || stream.write_all(b"x").is_err() {
+                        break;
+                    }
+                }
+            })
+        })
+        .collect();
+    // Every dripping connection is accepted before the health check's,
+    // and workers take connections in the order they were accepted.
+    connected.wait();
+    let started = Instant::now();
+    let client = EdgeClient::new(addr.to_string()).with_timeout(Duration::from_secs(10));
+    let health = client.health().expect("health");
+    let waited = started.elapsed();
+    done.store(true, Ordering::SeqCst);
+    for dripper in drippers {
+        dripper.join().expect("dripper");
+    }
+    assert!(
+        health.starts_with("ok:"),
+        "unexpected health line: {health}"
+    );
+    assert!(
+        waited < Duration::from_secs(2),
+        "four dripping bodies held every worker: /health waited {waited:?}"
+    );
     server.stop();
 }

@@ -248,6 +248,87 @@ pub fn squared_euclidean_head_block(
     acc
 }
 
+/// The first [`LANES`] components of `query` as they are, the operand
+/// [`squared_euclidean_head_block_f32`] takes. Lanes at or beyond
+/// `query.len()` are `0.0`, matching a head block's zero pad lanes.
+#[inline]
+pub fn pad_head(query: &[f32]) -> [f32; LANES] {
+    let mut head = [0.0f32; LANES];
+    for (h, &q) in head.iter_mut().zip(query) {
+        *h = q;
+    }
+    head
+}
+
+/// [`squared_euclidean_head_block`] in single precision: each row's
+/// first-chunk terms subtracted, squared and summed in `f32`, one
+/// `LANES`-wide vector per component and no widening. The sums are not
+/// the scan's distances; they feed only the skip test against
+/// [`head_skip_threshold`], which lets a block go unscored in `f64` when
+/// every sum is over it.
+///
+/// Each row's sum is within 11 roundings of 2⁻²⁴ of the exact sum of
+/// its squared differences (one for the difference, two for its square,
+/// eight for the additions), plus at most 2⁻¹⁵⁰ of absolute error for
+/// each square that underflows into the subnormals. A square or sum
+/// past `f32::MAX` becomes `+∞`, which exceeds every finite threshold;
+/// that is sound, because the exact sum is then past `f32::MAX` too.
+#[inline(always)]
+pub fn squared_euclidean_head_block_f32(
+    block: &[f32; HEAD_BLOCK],
+    query: &[f32; LANES],
+) -> [f32; LANES] {
+    let mut acc = [0.0f32; LANES];
+    let (lanes, _) = block.as_chunks::<LANES>();
+    for (lane, &q) in lanes.iter().zip(query) {
+        for (a, &x) in acc.iter_mut().zip(lane) {
+            let d = x - q;
+            *a += d * d;
+        }
+    }
+    acc
+}
+
+/// `1 − 2⁻¹⁸`: the relative margin of [`head_skip_threshold`], well
+/// beyond the `f32` sum's 11 roundings of 2⁻²⁴ plus the `f64` partial's
+/// 11 roundings of 2⁻⁵³ and the threshold's own two.
+const HEAD_SKIP_SCALE: f64 = 1.0 - 1.0 / 262_144.0;
+
+/// The absolute margin of [`head_skip_threshold`]: above the at most
+/// 8 × 2⁻¹⁵⁰ ≈ 5.6e-45 that subnormal squares can add to an `f32` sum,
+/// so a bound of 0 still proves its skipped rows' partials positive.
+const HEAD_SKIP_FLOOR: f64 = 1e-40;
+
+/// The `f32` threshold above which a [`squared_euclidean_head_block_f32`]
+/// sum proves its row's `f64` first-chunk partial (the
+/// [`squared_euclidean_head_block`] entry) strictly above `bound`:
+/// `bound / (1 − 2⁻¹⁸) + 1e-40`, rounded up to `f32`. A bound at or
+/// beyond `f32::MAX` gives `+∞`, which no sum exceeds, so nothing is
+/// skipped on `f32` evidence there; a NaN bound gives NaN, likewise.
+///
+/// The margin argument: with `S` the exact sum of the row's squared
+/// differences, the `f32` sum is at most `(1 + 2⁻²⁴)¹¹·S + 8·2⁻¹⁵⁰` and
+/// the `f64` partial at least `(1 − 2⁻⁵³)¹¹·S` (in `f64` nothing an `f32`
+/// difference can square to underflows or overflows). A sum over the
+/// threshold therefore puts `S` above `bound·(1 − 2⁻¹⁸)⁻¹·(1 + 2⁻²⁴)⁻¹¹`
+/// less a few ulps, and the partial above `bound`; at `bound = 0` the
+/// floor keeps `S`, and with it the partial, positive. A sum that
+/// overflowed to `+∞` means `S ≥ f32::MAX·(1 + 2⁻²⁴)⁻¹¹`, above any
+/// bound whose threshold is finite.
+#[inline]
+pub fn head_skip_threshold(bound: f64) -> f32 {
+    if bound >= f32::MAX as f64 {
+        return f32::INFINITY;
+    }
+    let wide = bound / HEAD_SKIP_SCALE + HEAD_SKIP_FLOOR;
+    let narrow = wide as f32;
+    if (narrow as f64) < wide {
+        narrow.next_up()
+    } else {
+        narrow
+    }
+}
+
 /// The pre-optimisation scalar kernel, kept as the equivalence oracle for
 /// the chunked kernel (proptests pin bit-equality).
 #[doc(hidden)]
@@ -368,6 +449,25 @@ mod tests {
     }
 
     #[test]
+    fn head_skip_threshold_rounds_up_and_gives_up_at_f32_max() {
+        let max = f32::MAX as f64;
+        assert_eq!(head_skip_threshold(max), f32::INFINITY);
+        assert_eq!(head_skip_threshold(f64::INFINITY), f32::INFINITY);
+        assert_eq!(head_skip_threshold(max.next_down()), f32::INFINITY);
+        assert!(head_skip_threshold(f64::NAN).is_nan());
+        let zero = head_skip_threshold(0.0);
+        assert!(zero > 0.0 && f64::from(zero) >= 1e-40);
+        for bound in [1e-30, 0.1, 1.0, 3.0, 1e20] {
+            let threshold = f64::from(head_skip_threshold(bound));
+            assert!(threshold >= bound / HEAD_SKIP_SCALE + HEAD_SKIP_FLOOR);
+            assert!(
+                threshold <= bound * (1.0 + 1e-5) + 1e-39,
+                "{bound}: {threshold}"
+            );
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "dimension mismatch")]
     fn mismatched_dims_panic() {
         euclidean(&fv(&[1.0]), &fv(&[1.0, 2.0]));
@@ -389,6 +489,21 @@ pub(crate) mod proptests {
     /// Components spanning eight decades in both signs (and exact zeros).
     pub(crate) fn mixed_component() -> impl Strategy<Value = f32> {
         (-4i32..4, -1.0f32..1.0).prop_map(|(exp, m)| m * 10f32.powi(exp))
+    }
+
+    /// Components at the magnitudes where `f32` arithmetic breaks down:
+    /// up to ±`f32::MAX`/2 (a difference reaches `f32::MAX`, its square
+    /// overflows), around ±1e30 (squares overflow), subnormals (squares
+    /// underflow to zero), exact zeros, and the ordinary decades.
+    fn extreme_component() -> impl Strategy<Value = f32> {
+        let signed = |x: f32, negative: bool| if negative { -x } else { x };
+        prop_oneof![
+            Just(0.0f32),
+            (0.5f32..1.0, any::<bool>()).prop_map(move |(m, n)| signed(m * (f32::MAX / 2.0), n)),
+            (-1.0f32..1.0).prop_map(|m| m * 1e30),
+            (1u32..0x0080_0000, any::<bool>()).prop_map(move |(b, n)| signed(f32::from_bits(b), n)),
+            mixed_component(),
+        ]
     }
 
     proptest! {
@@ -512,6 +627,55 @@ pub(crate) mod proptests {
                 );
                 let reference = squared_euclidean_ref(&row[..dim], &query[..dim]);
                 prop_assert_eq!(full.map(f64::to_bits), Some(reference.to_bits()));
+            }
+        }
+
+        /// The single-precision skip is sound: whenever a row's `f32`
+        /// first-chunk sum exceeds `head_skip_threshold(bound)`, its
+        /// `f64` partial exceeds `bound` — for components whose `f32`
+        /// squares overflow or underflow, and for bounds at 0, 1e-40,
+        /// each row's exact partial and its neighbours, `f32::MAX` and
+        /// beyond, and ∞. It is also not vacuous: a partial of ordinary
+        /// size is skipped once the bound sits 2⁻¹⁶ below it.
+        #[test]
+        fn f32_head_skip_proves_the_f64_partial_over_the_bound(
+            rows in proptest::collection::vec(
+                proptest::collection::vec(extreme_component(), LANES),
+                LANES,
+            ),
+            query in proptest::collection::vec(extreme_component(), LANES),
+            dim in 1usize..LANES + 1,
+        ) {
+            let mut block = [0.0f32; HEAD_BLOCK];
+            for (r, row) in rows.iter().enumerate() {
+                for (j, &x) in row[..dim].iter().enumerate() {
+                    block[j * LANES + r] = x;
+                }
+            }
+            let sums = squared_euclidean_head_block_f32(&block, &pad_head(&query[..dim]));
+            let partials = squared_euclidean_head_block(&block, &widen_head(&query[..dim]));
+            let max = f32::MAX as f64;
+            let mut bounds = vec![0.0, 1e-40, max, max.next_up(), 2.0 * max, f64::MAX, f64::INFINITY];
+            for &p in &partials {
+                bounds.extend([p, p.next_down(), p.next_up(), p * (1.0 - 1e-6)]);
+            }
+            for bound in bounds {
+                let threshold = head_skip_threshold(bound);
+                for (r, (&sum, &partial)) in sums.iter().zip(&partials).enumerate() {
+                    if sum > threshold {
+                        prop_assert!(
+                            partial > bound,
+                            "row {r}: f32 sum {sum:e} > threshold {threshold:e} \
+                             but f64 partial {partial:e} <= bound {bound:e}"
+                        );
+                    }
+                }
+            }
+            for (&sum, &partial) in sums.iter().zip(&partials) {
+                if (1e-30..1e37).contains(&partial) {
+                    let threshold = head_skip_threshold(partial * (1.0 - 1.0 / 65_536.0));
+                    prop_assert!(sum > threshold, "{sum:e} not over {threshold:e}");
+                }
             }
         }
 

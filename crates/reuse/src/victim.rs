@@ -324,4 +324,29 @@ mod tests {
             VictimChoice::Found(EntryId(1))
         );
     }
+
+    /// An entry aged exactly `max_age` is not expired yet; one nanosecond
+    /// older, it is. Entry 2 is the oldest insert but the most recently
+    /// used, so the two answers differ only on the expiry boundary.
+    #[test]
+    fn ttl_expiry_is_strictly_past_max_age() {
+        let max_age = SimDuration::from_millis(100);
+        let mut index = VictimIndex::new(EvictionPolicy::Ttl { max_age });
+        let recent = entry(1, 50, 60, 0);
+        let oldest = entry(2, 0, 90, 3);
+        index.on_insert(EntryMeta::of(&recent));
+        index.on_insert(EntryMeta::of(&oldest));
+        let at_max_age = SimTime::from_millis(100);
+        assert_eq!(
+            index.victim(at_max_age),
+            VictimChoice::Found(EntryId(1)),
+            "aged exactly max_age: not expired, the recency victim goes"
+        );
+        let one_ns_past = SimTime::from_nanos(at_max_age.as_nanos() + 1);
+        assert_eq!(
+            index.victim(one_ns_past),
+            VictimChoice::Found(EntryId(2)),
+            "aged max_age + 1 ns: expired"
+        );
+    }
 }

@@ -873,11 +873,14 @@ fn check_seed_splits(ctx: &FileContext, out: &mut Vec<Violation>) {
 
 /// Fns that are hot-path everywhere: the per-frame A-kNN kernels plus
 /// the per-lookup scan internals they fan out to (the flat-buffer block
-/// scan and its head-block kernel). `nearest_within_into` is the search
+/// scan and its head-block kernels). `nearest_within_into` is the search
 /// every cache lookup calls; `nearest_into` is its unbounded wrapper.
 /// `block_scan_into` only dispatches: the scan itself is `block_scan`,
 /// run as the portable copy or through its AVX2 wrapper
-/// `block_scan_avx2`. All of these run on every cache lookup; the
+/// `block_scan_avx2`. It tests each block with
+/// `squared_euclidean_head_block_f32` against `head_skip_threshold`'s
+/// bound, on the query head `pad_head` lays out, before scoring it with
+/// `squared_euclidean_head_block`. All of these run on every cache lookup; the
 /// caller-held output buffers exist precisely so they stay
 /// allocation-free. `predict` is the stochastic classifier every
 /// inference runs; its error draw reads the class universe's shared
@@ -895,6 +898,9 @@ pub const HOT_FNS_ANYWHERE: &[&str] = &[
     "block_scan",
     "block_scan_avx2",
     "squared_euclidean_head_block",
+    "squared_euclidean_head_block_f32",
+    "head_skip_threshold",
+    "pad_head",
     "predict",
     "step_motion",
     "step_imu",
