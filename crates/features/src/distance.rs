@@ -206,18 +206,12 @@ pub fn squared_euclidean_resume_within(
     Some(acc)
 }
 
-/// The first [`LANES`] components of `query` widened to `f64`, the
-/// operand [`squared_euclidean_head_block`] takes. Lanes at or beyond
-/// `query.len()` are `0.0`, matching a head block's zero pad lanes: each
-/// such lane adds `(0 − 0)² = +0.0`, which leaves every sum's bits as
-/// they were.
+/// [`pad_head`] widened to `f64`, the operand
+/// [`squared_euclidean_head_block`] takes. Widening is exact, and the pad
+/// lanes stay `0.0`.
 #[inline]
 pub fn widen_head(query: &[f32]) -> [f64; LANES] {
-    let mut head = [0.0f64; LANES];
-    for (h, &q) in head.iter_mut().zip(query) {
-        *h = q as f64;
-    }
-    head
+    pad_head(query).map(f64::from)
 }
 
 /// Squared distances over the first [`LANES`] components of one head
@@ -249,8 +243,11 @@ pub fn squared_euclidean_head_block(
 }
 
 /// The first [`LANES`] components of `query` as they are, the operand
-/// [`squared_euclidean_head_block_f32`] takes. Lanes at or beyond
-/// `query.len()` are `0.0`, matching a head block's zero pad lanes.
+/// [`squared_euclidean_head_block_f32`] takes ([`widen_head`] widens it
+/// for [`squared_euclidean_head_block`]). Lanes at or beyond
+/// `query.len()` are `0.0`, matching a head block's zero pad lanes: each
+/// such lane adds `(0 − 0)² = +0.0`, which leaves every sum's bits as
+/// they were.
 #[inline]
 pub fn pad_head(query: &[f32]) -> [f32; LANES] {
     let mut head = [0.0f32; LANES];
